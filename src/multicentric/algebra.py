@@ -17,7 +17,6 @@ every fiber, which is what all the spectral machinery below exploits.
 from __future__ import annotations
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 from dataclasses import dataclass
 
 from . import linalg
@@ -34,6 +33,8 @@ from .polynomials import (
     Centers,
     Fiber,
     Polynomial,
+    _critical_rows,
+    _lagrange_values,
     cluster_points,
     fiber,
     fiber_batch,
@@ -114,17 +115,10 @@ class AlgebraContext:
         """
         z = np.asarray(z, dtype=np.complex128)
         lam = self.lambdas
-        d = self._d
-        out = np.empty((d,) + z.shape, dtype=np.complex128)
-        for j in range(d):
-            acc = np.ones_like(z)
-            for k in range(d):
-                if k != j:
-                    acc = acc * (z - lam[k]) / (lam[j] - lam[k])
-            out[j] = acc
+        out = _lagrange_values(lam, z)
         # Complex division x/x may be off by an ulp, so pin exact center
         # hits to exact unit values (the zero rows are already exact).
-        for j in range(d):
+        for j in range(self._d):
             hit = z == lam[j]
             if hit.any():
                 out[j] = np.where(hit, 1.0, out[j])
@@ -165,18 +159,8 @@ class SampleSet:
         self.points = pts
         self.fiber_points = fiber_batch(ctx.centers, pts, ctx.tol)
         self.fiber_points.flags.writeable = False
-
-        poly = ctx.p
-        dp = poly.derivative()
-        dv = np.abs(npp.polyval(self.fiber_points, dp.coeffs))
-        dsc = np.maximum(
-            npp.polyval(np.abs(self.fiber_points), np.abs(dp.coeffs)).real, 1.0)
-        flags = np.any(dv <= ctx.tol.crit_tol * dsc, axis=1)
-        cv = ctx.centers.critical_values
-        if cv.size:
-            gaps = np.abs(pts[:, None] - cv[None, :])
-            wsc = np.maximum(1.0, np.abs(pts))[:, None]
-            flags |= np.any(gaps <= ctx.tol.crit_tol * wsc, axis=1)
+        flags = _critical_rows(ctx.centers.deriv.coeffs, self.fiber_points, pts,
+                               ctx.centers.critical_values, ctx.tol)
         flags.flags.writeable = False
         self.fiber_critical = flags
 
@@ -524,11 +508,12 @@ class CharacteristicCoeffs:
 def characteristic(f: VectorFunction) -> CharacteristicCoeffs:
     gv = f.gelfand_values()
     m, d = gv.shape
-    phi = np.empty((m, d), dtype=np.complex128)
-    for i in range(m):
-        mono = npp.polyfromroots(gv[i])  # ascending, monic degree d
-        for k in range(1, d + 1):
-            phi[i, k - 1] = (-1.0) ** k * mono[d - k]
+    # e[:, k] = Phi_k of the fiber values taken so far, one value per step
+    e = np.zeros((m, d + 1), dtype=np.complex128)
+    e[:, 0] = 1.0
+    for k in range(d):
+        e[:, 1:k + 2] = e[:, 1:k + 2] + gv[:, k, None] * e[:, :k + 1]
+    phi = e[:, 1:].copy()
     phi.flags.writeable = False
     return CharacteristicCoeffs(points=f.samples.points, coeffs=phi)
 

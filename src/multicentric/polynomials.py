@@ -1,9 +1,11 @@
 """Complex polynomials and fibers of a center polynomial.
 
-Coefficients are stored densely in ascending powers.  Root finding is a
-simultaneous (Ehrlich-Aberth) iteration started on a circle enclosing all
-roots, which keeps multiplicities: a k-fold root comes back as a cluster
-of k nearby points whose residuals are below tolerance.
+Coefficients are stored densely in ascending powers.  One batched
+simultaneous (Ehrlich-Aberth) kernel solves q(z) - w = 0 for a vector of
+right hand sides: :func:`roots` is its one-row case with w = 0 and
+:func:`fiber_batch` runs it over many w at once.  It starts on a circle
+enclosing all roots and keeps multiplicities: a k-fold root comes back
+as a cluster of k nearby points whose residuals are below tolerance.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def _coeff_array(q) -> np.ndarray:
     return Polynomial(q).coeffs
 
 
-def _newton_polish(z, coeffs, dcoeffs, w=None, sweeps=2):
+def _newton_polish(z, coeffs, dcoeffs, w, sweeps=2):
     """Newton-refine converged iterates in place of the raw Aberth stop.
 
     The Aberth loop exits on a backward-error test, which can leave simple
@@ -141,140 +143,111 @@ def _newton_polish(z, coeffs, dcoeffs, w=None, sweeps=2):
     p/p' only shrinks the residual cluster, so polishing is always safe.
     """
     for _ in range(sweeps):
-        pv = npp.polyval(z, coeffs)
-        if w is not None:
-            pv = pv - w
+        pv = npp.polyval(z, coeffs) - w
         dv = npp.polyval(z, dcoeffs)
         step = np.where(dv == 0, 0.0, pv / np.where(dv == 0, 1.0, dv))
         z = z - step
     return z
 
 
-def roots(q, tol: Tolerances = DEFAULT_TOL, max_iter: int = 400) -> np.ndarray:
-    """All complex roots of ``q`` with multiplicity, degree >= 1 required.
+def _aberth(monic, ws, tol: Tolerances, max_iter: int) -> np.ndarray:
+    """Roots of monic(z) - w for every w in ``ws``; shape (len(ws), deg).
 
-    Stops once every residual |q(z_i)| is below root_tol relative to the
-    coefficient magnitude accumulated at z_i (a backward-error criterion,
-    so clusters standing in for multiple roots terminate as well).
+    ``monic`` holds finite ascending coefficients with leading 1.  All
+    rows iterate together: a point is frozen once its residual passes the
+    backward-error test (|monic(z) - w| below root_tol relative to the
+    coefficient magnitude accumulated at z, plus |w|), so clusters
+    standing in for multiple roots terminate as well.  Overflow shows up
+    as non-finite iterates and is raised, never warned about.
     """
-    c = _coeff_array(q)
-    deg = len(c) - 1
-    if deg < 1:
-        raise ValueError("root finding requires degree >= 1")
-    if deg == 1:
-        return np.array([-c[0] / c[1]], dtype=np.complex128)
+    deg = len(monic) - 1
+    n = ws.size
+    wcol = ws[:, None]
+    with np.errstate(all="ignore"):
+        dcoef = npp.polyder(monic)
+        absc = np.abs(monic)
+        inner_max = np.abs(monic[1:-1]).max() if deg >= 2 else 0.0
+        radius = 1.0 + np.maximum(np.abs(monic[0] - ws), inner_max)
+        angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
+        z = radius[:, None] * np.exp(1j * angles)[None, :]
 
-    monic = (c / c[-1]).astype(np.complex128)
-    dcoef = npp.polyder(monic)
-    absc = np.abs(monic)
-    radius = 1.0 + np.abs(monic[:-1]).max()
-    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-    z = radius * np.exp(1j * angles)
+        frozen = np.zeros((n, deg), dtype=bool)
+        idx = np.arange(deg)
+        for _ in range(max_iter):
+            pv = npp.polyval(z, monic) - wcol
+            bscale = npp.polyval(np.abs(z), absc).real + np.abs(wcol)
+            bscale = np.maximum(bscale, 1.0)
+            ok = np.abs(pv) <= tol.root_tol * bscale
+            if ok.all():
+                return _newton_polish(z, monic, dcoef, wcol)
+            frozen |= ok
 
-    frozen = np.zeros(deg, dtype=bool)
-    for _ in range(max_iter):
-        pv = npp.polyval(z, monic)
-        bscale = np.maximum(npp.polyval(np.abs(z), absc).real, 1.0)
-        ok = np.abs(pv) <= tol.root_tol * bscale
-        if ok.all():
-            return _newton_polish(z, monic, dcoef)
-        frozen |= ok
+            dv = npp.polyval(z, dcoef)
+            dv = np.where(dv == 0, 1.0, dv)
+            newton = pv / dv
 
-        dv = npp.polyval(z, dcoef)
-        dv = np.where(dv == 0, 1.0, dv)
-        newton = pv / dv
+            diff = z[:, :, None] - z[:, None, :]
+            diff[:, idx, idx] = np.inf
+            bad = np.any(diff == 0, axis=(1, 2))
+            if bad.any():
+                # collided iterates: deterministic jitter, then continue
+                z[bad] = z[bad] + 1e-8 * radius[bad, None] * np.exp(0.7j * idx)[None, :]
+                frozen[bad] = False
+                continue
+            ssum = (1.0 / diff).sum(axis=2)
+            denom = 1.0 - newton * ssum
+            small = np.abs(denom) < 1e-12
+            step = np.where(small, newton, newton / np.where(small, 1.0, denom))
+            step = np.where(frozen, 0.0, step)
+            z = z - step
+            if not np.all(np.isfinite(z)):
+                raise ConvergenceFailure("root iteration produced non-finite iterates")
 
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        if np.any(diff == 0):
-            # collided iterates: deterministic jitter, then continue
-            z = z + 1e-8 * radius * np.exp(0.7j * np.arange(deg))
-            frozen[:] = False
-            continue
-        ssum = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - newton * ssum
-        small = np.abs(denom) < 1e-12
-        step = np.where(small, newton, newton / np.where(small, 1.0, denom))
-        step = np.where(frozen, 0.0, step)
-        z = z - step
-        if not np.all(np.isfinite(z)):
-            raise ConvergenceFailure("root iteration produced non-finite iterates")
-
-    worst = float(np.abs(npp.polyval(z, monic)).max())
+        worst = float(np.abs(npp.polyval(z, monic) - wcol).max())
     raise ConvergenceFailure(
         f"root iteration did not converge in {max_iter} steps "
         f"(worst residual {worst:.3e})"
     )
 
 
+def roots(q, tol: Tolerances = DEFAULT_TOL, max_iter: int = 400) -> np.ndarray:
+    """All complex roots of ``q`` with multiplicity, degree >= 1 required.
+
+    The one-row case of the batched kernel with w = 0; degree 1 is solved
+    exactly.  Raises ConvergenceFailure when the coefficients span a range
+    too wide to normalise in floating point.
+    """
+    c = _coeff_array(q)
+    deg = len(c) - 1
+    if deg < 1:
+        raise ValueError("root finding requires degree >= 1")
+    with np.errstate(all="ignore"):
+        monic = c / c[-1]
+    if not np.all(np.isfinite(monic)):
+        raise ConvergenceFailure(
+            "normalised coefficients are not finite (coefficient range "
+            "too wide for floating point)"
+        )
+    if deg == 1:
+        return np.array([-c[0] / c[1]], dtype=np.complex128)
+    return _aberth(monic, np.zeros(1, dtype=np.complex128), tol, max_iter)[0]
+
+
 def fiber_batch(centers: "Centers", ws, tol: Tolerances = DEFAULT_TOL,
                 max_iter: int = 400) -> np.ndarray:
     """Fiber points of the center polynomial over each w; shape (len(ws), d).
 
-    Same iteration as :func:`roots`, vectorized over the batch of right
-    hand sides.  Rows with w exactly 0 return the centers themselves.
+    The batched root kernel over the right hand sides.  Rows with w
+    exactly 0 return the centers themselves.
     """
-    base = centers.poly.coeffs  # monic
-    deg = len(base) - 1
     ws = np.asarray(ws, dtype=np.complex128).ravel()
-    m = ws.size
-    out = np.empty((m, deg), dtype=np.complex128)
-    if m == 0:
-        return out
-
+    out = np.empty((ws.size, centers.d), dtype=np.complex128)
     zero_rows = ws == 0
-    if zero_rows.any():
-        out[zero_rows] = centers.lambdas[None, :]
+    out[zero_rows] = centers.lambdas
     live = ~zero_rows
-    if not live.any():
-        return out
-    wlive = ws[live]
-    n = wlive.size
-
-    dcoef = npp.polyder(base)
-    absbase = np.abs(base)
-    inner_max = np.abs(base[1:-1]).max() if deg >= 2 else 0.0
-    radius = 1.0 + np.maximum(np.abs(base[0] - wlive), inner_max)
-    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-    z = radius[:, None] * np.exp(1j * angles)[None, :]
-
-    frozen = np.zeros((n, deg), dtype=bool)
-    idx = np.arange(deg)
-    for _ in range(max_iter):
-        pv = npp.polyval(z, base) - wlive[:, None]
-        bscale = npp.polyval(np.abs(z), absbase).real + np.abs(wlive)[:, None]
-        bscale = np.maximum(bscale, 1.0)
-        ok = np.abs(pv) <= tol.root_tol * bscale
-        if ok.all():
-            out[live] = _newton_polish(z, base, dcoef, w=wlive[:, None])
-            return out
-        frozen |= ok
-
-        dv = npp.polyval(z, dcoef)
-        dv = np.where(dv == 0, 1.0, dv)
-        newton = pv / dv
-
-        diff = z[:, :, None] - z[:, None, :]
-        diff[:, idx, idx] = np.inf
-        bad = np.any(diff == 0, axis=(1, 2))
-        if bad.any():
-            z[bad] = z[bad] + 1e-8 * radius[bad, None] * np.exp(0.7j * idx)[None, :]
-            frozen[bad] = False
-            continue
-        ssum = (1.0 / diff).sum(axis=2)
-        denom = 1.0 - newton * ssum
-        small = np.abs(denom) < 1e-12
-        step = np.where(small, newton, newton / np.where(small, 1.0, denom))
-        step = np.where(frozen, 0.0, step)
-        z = z - step
-        if not np.all(np.isfinite(z)):
-            raise ConvergenceFailure("fiber iteration produced non-finite iterates")
-
-    worst = float(np.abs(npp.polyval(z, base) - wlive[:, None]).max())
-    raise ConvergenceFailure(
-        f"fiber iteration did not converge in {max_iter} steps "
-        f"(worst residual {worst:.3e})"
-    )
+    if live.any():
+        out[live] = _aberth(centers.poly.coeffs, ws[live], tol, max_iter)
+    return out
 
 
 def cluster_points(points, radius: float):
@@ -423,17 +396,22 @@ class Fiber:
         return f"Fiber(w={self.w}, points={list(self.points)}, {tag})"
 
 
-def _critical_flag(poly: Polynomial, w, points, critical_values,
-                   tol: Tolerances) -> bool:
-    dp = poly.derivative()
-    dv = np.abs(npp.polyval(points, dp.coeffs))
-    dscale = np.maximum(npp.polyval(np.abs(points), np.abs(dp.coeffs)).real, 1.0)
-    flag = bool(np.any(dv <= tol.crit_tol * dscale))
-    if not flag and critical_values is not None and len(critical_values):
-        w = complex(w)
-        gaps = np.abs(np.asarray(critical_values) - w)
-        flag = bool(np.any(gaps <= tol.crit_tol * max(1.0, abs(w))))
-    return flag
+def _critical_rows(dcoeffs, points, ws, critical_values,
+                   tol: Tolerances) -> np.ndarray:
+    """Criticality of each fiber row; ``points`` has shape (m, d).
+
+    Row i is critical when p' is small at one of its points, relative to
+    the magnitude of p' accumulated there, or when w_i lies within
+    crit_tol of a known critical value.
+    """
+    dv = np.abs(npp.polyval(points, dcoeffs))
+    dscale = np.maximum(npp.polyval(np.abs(points), np.abs(dcoeffs)).real, 1.0)
+    flags = np.any(dv <= tol.crit_tol * dscale, axis=1)
+    if critical_values is not None and len(critical_values):
+        gaps = np.abs(ws[:, None] - np.asarray(critical_values)[None, :])
+        wscale = np.maximum(1.0, np.abs(ws))[:, None]
+        flags |= np.any(gaps <= tol.crit_tol * wscale, axis=1)
+    return flags
 
 
 def fiber(p, w, tol: Tolerances = DEFAULT_TOL) -> Fiber:
@@ -445,22 +423,19 @@ def fiber(p, w, tol: Tolerances = DEFAULT_TOL) -> Fiber:
     """
     w = complex(w)
     if isinstance(p, Centers):
-        centers = p
-        poly = centers.poly
-        critvals = centers.critical_values
-        if w == 0:
-            return Fiber(w, centers.lambdas,
-                         _critical_flag(poly, w, centers.lambdas, critvals, tol))
-        pts = fiber_batch(centers, [w], tol)[0]
+        dcoeffs = p.deriv.coeffs
+        critvals = p.critical_values
+        pts = fiber_batch(p, [w], tol)[0]
     else:
         poly = p if isinstance(p, Polynomial) else Polynomial(p)
         if poly.degree < 1:
             raise ValueError("fiber requires degree >= 1")
-        critvals = None
-        if poly.degree >= 2:
-            critvals = poly(roots(poly.derivative(), tol))
+        dpoly = poly.derivative()
+        dcoeffs = dpoly.coeffs
+        critvals = poly(roots(dpoly, tol)) if poly.degree >= 2 else None
         pts = roots(poly - w, tol)
-    return Fiber(w, pts, _critical_flag(poly, w, pts, critvals, tol))
+    flag = _critical_rows(dcoeffs, pts[None, :], np.array([w]), critvals, tol)
+    return Fiber(w, pts, flag[0])
 
 
 def lagrange_basis(centers: Centers) -> list[Polynomial]:
@@ -480,10 +455,35 @@ def lagrange_basis(centers: Centers) -> list[Polynomial]:
     return out
 
 
+def _lagrange_values(nodes, z) -> np.ndarray:
+    """Lagrange basis of ``nodes`` at ``z`` in product form.
+
+    Row j is prod_{k != j} (z - n_k) / (n_j - n_k), multiplied in node
+    order; shape (len(nodes),) + z.shape.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    n = len(nodes)
+    out = np.empty((n,) + z.shape, dtype=np.complex128)
+    for j in range(n):
+        acc = np.ones_like(z)
+        for k in range(n):
+            if k != j:
+                acc = acc * (z - nodes[k]) / (nodes[j] - nodes[k])
+        out[j] = acc
+    return out
+
+
 def critical_points(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Roots of p' with multiplicity (degree of p at least 2)."""
-    poly = p.poly if isinstance(p, Centers) else (
-        p if isinstance(p, Polynomial) else Polynomial(p))
+    """Roots of p' with multiplicity (degree of p at least 2).
+
+    For :class:`Centers` this is a copy of the cached
+    ``Centers.critical_points``.
+    """
+    if isinstance(p, Centers):
+        if p.d < 2:
+            raise ValueError("critical points require degree >= 2")
+        return p.critical_points.copy()
+    poly = p if isinstance(p, Polynomial) else Polynomial(p)
     if poly.degree < 2:
         raise ValueError("critical points require degree >= 2")
     return roots(poly.derivative(), tol)

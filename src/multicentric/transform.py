@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import AlgebraContext, SampleSet, VectorFunction
 from .config import MATCH_RTOL, Tolerances
 from .errors import CriticalValue, MalformedInput
-from .polynomials import Polynomial
+from .polynomials import Fiber, Polynomial, _lagrange_values
 
 __all__ = [
     "gelfand_eval",
@@ -73,32 +73,26 @@ def inverse_transform(ctx: AlgebraContext, phi, w) -> np.ndarray:
     """Recover f(w) in C^d from scalar values on the fiber over w.
 
     f_k(w) = sum_j delta_j(lambda_k; w) phi(z_j) where delta_j(.; w) is
-    the Lagrange basis of the fiber nodes z_j(w).  Refuses critical w,
+    the Lagrange basis of the fiber nodes z_j(w).  ``w`` is a point or
+    the already solved :class:`Fiber` over it.  Refuses critical w,
     where the fiber nodes coalesce and interpolation breaks down.
     """
-    fib = ctx.fiber(w)
+    fib = w if isinstance(w, Fiber) else ctx.fiber(w)
     if fib.is_critical:
-        raise CriticalValue(f"w={w!r} is (numerically) a critical value")
-    zs = fib.points
-    d = ctx.d
-    vals = _phi_values_at(phi, zs)
-    lam = ctx.lambdas
-    out = np.zeros(d, dtype=np.complex128)
-    for j in range(d):
-        # delta_j(zeta; w) in product form over the fiber nodes
-        num = np.ones(d, dtype=np.complex128)
-        for l in range(d):
-            if l != j:
-                num = num * (lam - zs[l]) / (zs[j] - zs[l])
-        out = out + num * vals[j]
-    return out
+        raise CriticalValue(f"w={fib.w!r} is (numerically) a critical value")
+    vals = _phi_values_at(phi, fib.points)
+    basis = _lagrange_values(fib.points, ctx.lambdas)   # row j: delta_j(lambda; w)
+    return (basis * vals[:, None]).sum(axis=0)
 
 
 def reconstruct(ctx: AlgebraContext, phi, points) -> VectorFunction:
-    """Inverse-transform phi over every given sample point at once."""
+    """Inverse-transform phi over every given sample point at once.
+
+    Each fiber is solved once, by the SampleSet of the points.
+    """
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128)).ravel()
     samples = SampleSet(ctx, pts)
-    cols = [inverse_transform(ctx, phi, w) for w in pts]
+    cols = [inverse_transform(ctx, phi, fib) for fib in samples.fibers()]
     return VectorFunction(samples, np.stack(cols, axis=1))
 
 

@@ -291,6 +291,24 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["is_critical"] is False
 
+    @pytest.mark.parametrize("coeffs", [
+        [float(v) for v in np.polynomial.polynomial.polyfromroots(
+            np.arange(1.0, 21.0))],
+        [1e300, 0.0, 1e-300],
+        [1e300, 1e-300],
+    ], ids=["wilkinson20", "quadratic", "linear"])
+    def test_wide_range_roots_exit_1_cleanly(self, coeffs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "multicentric.cli",
+             "roots", "--poly", json.dumps({"coeffs": coeffs})],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Warning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ConvergenceFailure")
+
     def test_installed_script(self):
         exe = shutil.which("multicentric")
         assert exe, "console script not installed"

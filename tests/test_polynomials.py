@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from multicentric.config import DEFAULT_TOL
-from multicentric.errors import CentersDegenerate
+from multicentric.errors import CentersDegenerate, ConvergenceFailure
 from multicentric.polynomials import (
     Centers,
     Polynomial,
@@ -14,6 +16,16 @@ from multicentric.polynomials import (
     refine_multiple_root,
     roots,
 )
+
+
+# Coefficient ranges beyond floating point: the Wilkinson polynomial
+# overflows on the start circle of the iteration, and normalising the
+# other two to a monic polynomial overflows.
+WIDE_RANGE = {
+    "wilkinson20": list(np.polynomial.polynomial.polyfromroots(np.arange(1.0, 21.0))),
+    "quadratic": [1e300, 0.0, 1e-300],
+    "linear": [1e300, 1e-300],
+}
 
 
 def _match_multisets(a, b, tol):
@@ -89,6 +101,14 @@ class TestRoots:
             scale = np.polynomial.polynomial.polyval(abs(z), np.abs(c)).real
             assert abs(p(z)) <= DEFAULT_TOL.root_tol * max(scale, 1.0)
 
+    @pytest.mark.parametrize("name", sorted(WIDE_RANGE))
+    def test_wide_range_raises_without_warnings(self, name):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceFailure):
+                roots(WIDE_RANGE[name])
+        assert [str(w.message) for w in caught] == []
+
 
 class TestFiber:
     def test_points_are_preimages(self):
@@ -159,6 +179,7 @@ class TestCenters:
         # p = z^3 - z, p' = 3z^2 - 1
         cen = Centers([1.0, 0.0, -1.0])
         cp = np.sort_complex(cen.critical_points)
+        assert np.array_equal(critical_points(cen), cen.critical_points)
         r = 1.0 / np.sqrt(3.0)
         assert np.allclose(cp, [-r, r], atol=1e-12)
         cv = sorted(cen.critical_values, key=lambda v: v.real)

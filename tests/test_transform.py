@@ -168,7 +168,12 @@ class TestRoundTrips:
         assert f.m == 3
         for i, w in enumerate(pts):
             col = inverse_transform(ctx, lambda z: np.sin(z), w)
-            assert np.abs(f.values[:, i] - col).max() < 1e-12
+            assert np.array_equal(f.values[:, i], col)
+
+    def test_reconstruct_refuses_a_critical_point(self):
+        ctx = AlgebraContext(Centers([1.0, -1.0]))
+        with pytest.raises(CriticalValue):
+            reconstruct(ctx, lambda z: z, [3.0, -1.0, 2.0j])
 
 
 class TestScalarRepresentation:
