@@ -432,8 +432,8 @@ def spectral_radius_iter(f: VectorFunction, k_max: int) -> np.ndarray:
 def invert(f: VectorFunction) -> VectorFunction:
     """Inverse under the polyproduct, refusing when f^ vanishes on a fiber.
 
-    Solves B_f(w) g(w) = 1 sample by sample and verifies the product
-    afterwards.
+    Solves B_f(w) g(w) = 1 for all samples in one stacked call and
+    verifies the product afterwards.
     """
     tol = f.ctx.tol
     gv = f.gelfand_values()
@@ -446,21 +446,18 @@ def invert(f: VectorFunction) -> VectorFunction:
             f"representation vanishes near z={witness} "
             f"(|f^| = {flat[amin]:.3e})"
         )
-    b = mult_matrices(f)
-    ones = np.ones(f.d, dtype=np.complex128)
-    vals = np.empty_like(f.values)
-    for i in range(f.m):
-        try:
-            vals[:, i] = linalg.solve(b[i], ones, tol)
-        except SingularMatrix:
-            # A multiple fiber point can hide a representation zero from
-            # the eq_tol screen above; the singular system is the proof.
-            k = int(np.argmin(np.abs(gv[i])))
-            witness = complex(f.samples.fiber_points[i, k])
-            raise NotInvertible(
-                f"multiplication matrix at w={complex(f.samples.points[i])} "
-                f"is singular (representation vanishes near z={witness})"
-            ) from None
+    try:
+        vals = linalg.solve(mult_matrices(f), np.ones((f.m, f.d)), tol).T
+    except SingularMatrix as exc:
+        # A multiple fiber point can hide a representation zero from the
+        # eq_tol screen above; the singular system is the proof.
+        i = exc.index
+        k = int(np.argmin(np.abs(gv[i])))
+        witness = complex(f.samples.fiber_points[i, k])
+        raise NotInvertible(
+            f"multiplication matrix at w={complex(f.samples.points[i])} "
+            f"is singular (representation vanishes near z={witness})"
+        ) from None
     g = VectorFunction(f.samples, vals)
     resid = polyprod(f, g).values - 1.0
     check_scale = max(1.0, sup_norm(f) * sup_norm(g))
@@ -628,12 +625,12 @@ def radical_basis_at(ctx: AlgebraContext, w0) -> np.ndarray:
 
 def quotient_spectrum(f: VectorFunction, k0_points) -> np.ndarray:
     """Spectrum of f restricted to the sub-domain points K0 (deduplicated)."""
-    from .transform import gelfand_eval
-
+    ctx = f.ctx
     pts = np.atleast_1d(np.asarray(k0_points, dtype=np.complex128)).ravel()
-    vals = np.array([gelfand_eval(f, z) for z in pts], dtype=np.complex128)
+    idx = [f.samples.match(w) for w in ctx.p(pts)]
+    vals = (ctx.basis_values(pts) * f.values[:, idx]).sum(axis=0)
     if vals.size == 0:
         return vals
     scale = max(1.0, float(np.abs(vals).max()))
-    reps, _ = cluster_points(vals, f.ctx.tol.eq_tol * scale)
+    reps, _ = cluster_points(vals, ctx.tol.eq_tol * scale)
     return reps

@@ -19,7 +19,14 @@ class NumericalFailure(MulticentricError):
 
 
 class SingularMatrix(NumericalFailure):
-    """Pivot below threshold while solving a linear system."""
+    """A linear system whose matrix is numerically singular.
+
+    ``index`` is the position of the offending matrix in a stacked solve.
+    """
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 class DimensionTooLarge(ValidationFailure):

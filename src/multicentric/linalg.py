@@ -1,9 +1,10 @@
 """Dense complex linear algebra at desk scale.
 
-Everything here works on small square complex matrices.  Eigenvalues go
-through the characteristic polynomial (Faddeev-LeVerrier recursion) and
-the simultaneous root finder, which caps the supported dimension; the
-solver is straight LU with partial pivoting.
+Solves, inverses and null spaces go to LAPACK through ``numpy.linalg``;
+``solve`` takes one square matrix or a stack of them in a single call.
+Eigenvalues go through the characteristic polynomial (Faddeev-LeVerrier
+recursion) and the simultaneous root finder, which caps the supported
+dimension.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import ConvergenceFailure, DimensionTooLarge, SingularMatrix
+from .errors import DimensionTooLarge, SingularMatrix
 from .polynomials import Polynomial, roots
 
 __all__ = [
@@ -22,8 +23,6 @@ __all__ = [
     "mat_poly_eval",
     "char_poly",
     "eigenvalues",
-    "operator_norm_2",
-    "condition_2",
     "nullspace",
 ]
 
@@ -32,8 +31,12 @@ EIG_DIM_CAP = 16
 
 def as_square(a) -> np.ndarray:
     """Coerce to a square 2-D complex array with finite entries."""
+    return _as_squares(a, (2,))
+
+
+def _as_squares(a, ndims) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ndims or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
@@ -45,36 +48,37 @@ def _scale(a: np.ndarray) -> float:
 
 
 def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Solve a x = b by LU with partial pivoting.
+    """Solve a x = b for one (n, n) matrix or an (m, n, n) stack at once.
 
-    b may be a vector or a matrix of stacked right hand sides.  Raises
-    SingularMatrix when the best available pivot falls below eq_tol
-    relative to the matrix scale.
+    b holds one right hand side vector per matrix, or one matrix of
+    stacked right hand sides per matrix.  Raises SingularMatrix when the
+    smallest singular value of some matrix is at most eq_tol times its
+    scale max(1, max|a|), or when LAPACK finds a matrix singular; its
+    ``index`` is the position of the first such matrix in the stack (0
+    for a single matrix).
     """
-    a = as_square(a)
-    n = a.shape[0]
+    a = _as_squares(a, (2, 3))
     b = np.asarray(b, dtype=np.complex128)
-    vec = b.ndim == 1
-    x = b.reshape(n, -1).copy()
-    if x.shape[0] != n:
+    vec = b.ndim == a.ndim - 1
+    x = b[..., None] if vec else b
+    if x.shape[:-1] != a.shape[:-1]:
         raise ValueError("right hand side shape does not match the matrix")
-    u = a.copy()
-    scale = _scale(a)
-    for k in range(n):
-        piv = int(np.argmax(np.abs(u[k:, k]))) + k
-        if abs(u[piv, k]) <= tol.eq_tol * scale:
-            raise SingularMatrix(
-                f"pivot {abs(u[piv, k]):.3e} below threshold at column {k}"
-            )
-        if piv != k:
-            u[[k, piv]] = u[[piv, k]]
-            x[[k, piv]] = x[[piv, k]]
-        f = u[k + 1:, k] / u[k, k]
-        u[k + 1:, k:] -= np.outer(f, u[k, k:])
-        x[k + 1:] -= np.outer(f, x[k])
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - u[k, k + 1:] @ x[k + 1:]) / u[k, k]
-    return x.ravel() if vec else x
+    stack = a.reshape((-1,) + a.shape[-2:])
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
+    smin = np.linalg.svd(stack, compute_uv=False).min(axis=1, initial=np.inf)
+    bad = np.flatnonzero(smin <= tol.eq_tol * scale)
+    if bad.size == 0:
+        try:
+            x = np.linalg.solve(a, x)
+            return x[..., 0] if vec else x
+        except np.linalg.LinAlgError:
+            bad = [np.argmin(smin / scale)]
+    k = int(bad[0])
+    raise SingularMatrix(
+        f"matrix {k} is singular (smallest singular value {smin[k]:.3e}, "
+        f"scale {scale[k]:.3e})",
+        index=k,
+    )
 
 
 def inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -129,84 +133,23 @@ def eigenvalues(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return roots(char_poly(a), tol)
 
 
-def operator_norm_2(a, rel_tol: float = 1e-8, max_iter: int = 100_000) -> float:
-    """Largest singular value by power iteration on A^H A.
-
-    A^H A is normalized and squared a few times first so that nearly tied
-    top singular values do not stall the iteration; the start vector is a
-    fixed deterministic ramp.
-    """
-    a = as_square(a)
-    n = a.shape[0]
-    if n == 0:
-        return 0.0
-    h = a.conj().T @ a
-    hs = float(np.abs(h).max())
-    if hs == 0.0:
-        return 0.0
-    h = h / hs
-    squarings = 3
-    for _ in range(squarings):
-        h = h @ h
-    power = 2 ** squarings
-
-    v = (1.0 + 0.25 * np.arange(n)) + 0.1j * np.arange(n)
-    v = v / np.sqrt(float((np.abs(v) ** 2).sum()))
-    prev = -1.0
-    for _ in range(max_iter):
-        w = h @ v
-        r = float(np.real(np.vdot(v, w)))
-        nw = np.sqrt(float((np.abs(w) ** 2).sum()))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if prev >= 0.0 and abs(r - prev) <= rel_tol * max(r, np.finfo(float).tiny):
-            r = max(r, 0.0)
-            return float(np.sqrt(hs * r ** (1.0 / power)))
-        prev = r
-    raise ConvergenceFailure("singular value iteration hit its cap")
-
-
-def condition_2(a, tol: Tolerances = DEFAULT_TOL) -> float:
-    """2-norm condition estimate ||A|| * ||A^-1||."""
-    return operator_norm_2(a) * operator_norm_2(inverse(a, tol))
-
-
 def nullspace(a, threshold: float) -> np.ndarray:
-    """Null space basis by row reduction; rows of the result span it.
+    """Null space basis from the SVD; rows of the result span it.
 
-    ``threshold`` is the absolute pivot cutoff (callers pass a tolerance
-    already multiplied by their scale).  Works for rectangular input.
+    The conjugated rows of vh whose singular values are at most
+    ``threshold`` (an absolute cutoff: callers pass a tolerance already
+    multiplied by their scale), each scaled so that its first
+    largest-magnitude entry is exactly 1.  Works for rectangular input.
     """
-    m = np.asarray(a, dtype=np.complex128).copy()
+    m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError("nullspace expects a 2-D array")
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        piv = int(np.argmax(np.abs(m[r:, c]))) + r
-        if abs(m[piv, c]) <= threshold:
-            continue
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        m[r] = m[r] / m[r, c]
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] -= m[i, c] * m[r]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.complex128)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1.0
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = -m[ri, fc]
-    # normalize each vector to unit max-abs entry for stable comparisons
-    for bi in range(len(free)):
-        mx = np.abs(basis[bi]).max()
-        if mx > 0:
-            basis[bi] = basis[bi] / mx
+    _, s, vh = np.linalg.svd(m)
+    sv = np.zeros(m.shape[1])
+    sv[:s.size] = s
+    basis = vh[sv <= threshold].conj()
+    lead = np.argmax(np.abs(basis), axis=1)
+    rows = np.arange(len(basis))
+    basis = basis / basis[rows, lead][:, None]
+    basis[rows, lead] = 1.0
     return basis

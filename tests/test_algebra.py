@@ -35,7 +35,7 @@ from multicentric.algebra import (
     sup_norm,
 )
 from multicentric.config import DEFAULT_TOL
-from multicentric.errors import ContextMismatch, NotInvertible
+from multicentric.errors import ContextMismatch, NotInvertible, SampleMiss
 from multicentric.linalg import eigenvalues
 from multicentric.polynomials import Centers
 
@@ -392,6 +392,15 @@ class TestResolvent:
         with pytest.raises(NotInvertible):
             invert(f)
 
+    def test_not_invertible_names_the_singular_sample(self):
+        # only the last of three samples is singular: over w = -1 the
+        # fiber is the double point z = 0, where f^(z) = z vanishes
+        ctx = AlgebraContext(Centers([1.0, -1.0]))
+        ss = SampleSet(ctx, [3.0, 2.0j, -1.0])
+        f = VectorFunction.constant(ss, [1.0, -1.0])
+        with pytest.raises(NotInvertible, match=r"w=\(-1\+0j\)"):
+            invert(f)
+
 
 class TestCharacters:
     def test_standard_basis_at_zero(self):
@@ -473,6 +482,17 @@ class TestQuotientSpectrum:
         _, _, f, _ = two_center
         got = quotient_spectrum(f, [2.0])
         assert len(got) == 1 and abs(got[0] - 3.0) < 1e-10
+
+    def test_empty_k0(self, two_center):
+        _, _, f, _ = two_center
+        got = quotient_spectrum(f, [])
+        assert got.shape == (0,)
+
+    def test_point_off_the_samples_raises(self, two_center):
+        _, _, f, _ = two_center
+        # p(1.5) = 1.25 is not a sample point (only w = 3 is)
+        with pytest.raises(SampleMiss):
+            quotient_spectrum(f, [2.0, 1.5])
 
     def test_ideal_element_gives_zero(self, two_center):
         ctx, ss, _, _ = two_center
