@@ -79,7 +79,6 @@ from .calculus import (
     ensure_simple_roots,
     hausdorff_distance,
     hermite_matrix_function,
-    interpolation_polynomial,
     jordan_block,
     newton_hermite,
     random_similarity,
@@ -112,7 +111,7 @@ __all__ = [
     "SpectrumData", "TestMatrixSpec", "SpectralMappingReport",
     "jordan_block", "random_similarity", "simplifying_poly",
     "simplifying_residual", "ensure_simple_roots", "newton_hermite",
-    "interpolation_polynomial", "chi_A", "hermite_matrix_function",
+    "chi_A", "hermite_matrix_function",
     "spectral_mapping_check", "chi_similarity", "hausdorff_distance",
     "SUITES", "run_suite", "run_all",
     "__version__",

@@ -38,7 +38,6 @@ from .polynomials import (
     cluster_points,
     fiber,
     fiber_batch,
-    lagrange_basis,
     refine_multiple_root,
 )
 
@@ -61,6 +60,7 @@ __all__ = [
     "spectral_radius_iter",
     "invert",
     "characteristic",
+    "gelfand_eval",
     "resolvent_bound_check",
     "characters_at",
     "character_residual",
@@ -73,8 +73,8 @@ class AlgebraContext:
     """Centers plus the precomputed scaling data that fixes the product.
 
     Carries the pairwise-difference matrix L (zero diagonal), the vector
-    ell_j = 1/p'(lambda_j), their product sigma, the Lagrange basis in
-    coefficient form and the tolerance configuration.
+    ell_j = 1/p'(lambda_j), their product sigma and the tolerance
+    configuration.
     """
 
     def __init__(self, centers, tol: Tolerances = DEFAULT_TOL):
@@ -95,7 +95,6 @@ class AlgebraContext:
         self.Lmat = lmat
         self.ell = ell
         self.sigma = sigma
-        self.delta = lagrange_basis(centers)
         self.p = centers.poly
         self._d = d
 
@@ -111,11 +110,15 @@ class AlgebraContext:
         """delta_j(z) for all j in stable product form; shape (d,) + z.shape.
 
         The product form keeps the interpolation property exact: at a
-        center the result is exactly 0 or 1.
+        center the result is exactly 0 or 1.  Raises AlgebraOverflow when
+        a value is not finite (z too large for floating point).
         """
         z = np.asarray(z, dtype=np.complex128)
         lam = self.lambdas
-        out = _lagrange_values(lam, z)
+        with np.errstate(all="ignore"):
+            out = _lagrange_values(lam, z)
+        if not np.all(np.isfinite(out)):
+            raise AlgebraOverflow("basis values are not finite at the given z")
         # Complex division x/x may be off by an ulp, so pin exact center
         # hits to exact unit values (the zero rows are already exact).
         for j in range(self._d):
@@ -176,7 +179,7 @@ class SampleSet:
         w = complex(w)
         gaps = np.abs(self.points - w)
         i = int(np.argmin(gaps))
-        if gaps[i] > MATCH_RTOL * max(1.0, abs(w)):
+        if not gaps[i] <= MATCH_RTOL * max(1.0, abs(w)):
             raise SampleMiss(
                 f"no sample matches w={w!r}; nearest is {self.points[i]!r} "
                 f"at distance {gaps[i]:.3e}"
@@ -493,12 +496,18 @@ class CharacteristicCoeffs:
         return Polynomial(asc)
 
     def pi_values(self, lam) -> np.ndarray:
-        """pi_f(lam, w_i) for all samples; shape (m,)."""
+        """pi_f(lam, w_i) for all samples by Horner's rule; shape (m,).
+
+        Raises AlgebraOverflow when a value is not finite.
+        """
         lam = complex(lam)
-        d = self.d
-        out = np.full(len(self.points), lam ** d, dtype=np.complex128)
-        for k in range(1, d + 1):
-            out += (-1.0) ** k * self.coeffs[:, k - 1] * lam ** (d - k)
+        out = np.ones(len(self.points), dtype=np.complex128)
+        with np.errstate(all="ignore"):
+            for k in range(1, self.d + 1):
+                out = out * lam + (-1.0) ** k * self.coeffs[:, k - 1]
+        if not np.all(np.isfinite(out)):
+            raise AlgebraOverflow(
+                f"characteristic polynomial is not finite at lam={lam!r}")
         return out
 
 
@@ -623,14 +632,32 @@ def radical_basis_at(ctx: AlgebraContext, w0) -> np.ndarray:
     return linalg.nullspace(rows, ctx.tol.eq_tol * max(1.0, np.abs(rows).max()))
 
 
+def gelfand_eval(f: VectorFunction, z):
+    """The scalar representation f^(z) = sum_j delta_j(z) f_j(p(z)).
+
+    ``z`` is one point, giving a complex, or an array of points, giving
+    an array of the same shape.  Every p(z) must match one of f's sample
+    points within the matching tolerance, otherwise SampleMiss is
+    raised; AlgebraOverflow is raised when p(z) is not finite.
+    """
+    ctx = f.ctx
+    z = np.asarray(z, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        ws = np.asarray(ctx.p(z))
+    if not np.all(np.isfinite(ws)):
+        raise AlgebraOverflow("p(z) is not finite at the given z")
+    idx = [f.samples.match(w) for w in ws.ravel()]
+    cols = f.values[:, idx].reshape((ctx.d,) + z.shape)
+    vals = (ctx.basis_values(z) * cols).sum(axis=0)
+    return complex(vals) if z.ndim == 0 else vals
+
+
 def quotient_spectrum(f: VectorFunction, k0_points) -> np.ndarray:
     """Spectrum of f restricted to the sub-domain points K0 (deduplicated)."""
-    ctx = f.ctx
     pts = np.atleast_1d(np.asarray(k0_points, dtype=np.complex128)).ravel()
-    idx = [f.samples.match(w) for w in ctx.p(pts)]
-    vals = (ctx.basis_values(pts) * f.values[:, idx]).sum(axis=0)
+    vals = gelfand_eval(f, pts)
     if vals.size == 0:
         return vals
     scale = max(1.0, float(np.abs(vals).max()))
-    reps, _ = cluster_points(vals, ctx.tol.eq_tol * scale)
+    reps, _ = cluster_points(vals, f.ctx.tol.eq_tol * scale)
     return reps

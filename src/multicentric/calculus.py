@@ -8,10 +8,12 @@ diagonalizable and
     chi_A(f) = sum_j delta_j(A) f_j(B)
 
 defines a homomorphism from the vector-function algebra into matrices.
-It is computed here as P(A) for the single polynomial
-P = sum_j delta_j * (q_j o p), where q_j interpolates the samples of f_j
-at the distinct eigenvalues of B.  Only polynomial evaluations of A are
-ever performed; no eigendecomposition of A takes place.
+It is computed in that form.  The eigenvalues of B are beta_k =
+p(alpha_k), so f_j(B) = sum_k f_j(beta_k) E_k with the spectral
+projectors E_k = prod_{l != k} (B - beta_l) / (beta_k - beta_l), and
+delta_j(A) is the same Lagrange product over the centers.  Only
+polynomial evaluations of A are ever performed; no eigendecomposition of
+A takes place.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .algebra import VectorFunction
+from .algebra import VectorFunction, gelfand_eval
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
-    CentersDegenerate,
+    AlgebraOverflow,
     ContextMismatch,
     InsufficientData,
     NoSimpleShiftFound,
@@ -44,7 +46,6 @@ __all__ = [
     "simplifying_residual",
     "ensure_simple_roots",
     "newton_hermite",
-    "interpolation_polynomial",
     "chi_A",
     "hermite_matrix_function",
     "spectral_mapping_check",
@@ -303,58 +304,60 @@ def newton_hermite(nodes, data) -> Polynomial:
     return out
 
 
-def _check_simplifying(p: Polynomial, s: SpectrumData, tol: Tolerances):
-    resid = simplifying_residual(p, s)
-    if resid > tol.eq_tol:
-        raise NotSimplifying(
-            f"derivative residual {resid:.3e} exceeds {tol.eq_tol:.1e}"
-        )
+def _lagrange_matrices(nodes, a: np.ndarray) -> np.ndarray:
+    """Lagrange basis of ``nodes`` at the matrix a; shape (len(nodes), n, n).
 
-
-def interpolation_polynomial(s: SpectrumData, p: Polynomial,
-                             f: VectorFunction,
-                             tol: Tolerances = DEFAULT_TOL) -> Polynomial:
-    """The single polynomial P with chi_A(f) = P(A).
-
-    Exposed separately so callers can inspect P; chi_A is mat_poly_eval
-    of this.
+    Entry j is prod_{k != j} (a - n_k) / (n_j - n_k), multiplied in node
+    order.
     """
+    eye = np.eye(len(a), dtype=np.complex128)
+    out = []
+    for j, xj in enumerate(nodes):
+        acc = eye
+        for k, xk in enumerate(nodes):
+            if k != j:
+                acc = acc @ (a - xk * eye) / (xj - xk)
+        out.append(acc)
+    return np.array(out)
+
+
+def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction,
+          tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Functional calculus chi_A(f) = sum_j delta_j(A) f_j(B), B = p(A).
+
+    Requires p simplifying for s, p matching the centers of f, and every
+    beta_k = p(alpha_k) present among f's samples.  f_j(B) is
+    sum_k f_j(beta_k) E_k over the spectral projectors E_k of B.  The
+    result is a polynomial in a, so it commutes with a and respects
+    similarity transforms.
+    """
+    a = linalg.as_square(a)
+    if sum(n + 1 for _, n in s.entries) > a.shape[0]:
+        raise ValueError("spectrum data exceeds the matrix dimension")
     ctx = f.ctx
     if p.degree != ctx.d:
         raise ContextMismatch("p degree does not match the centers of f")
     pscale = max(1.0, float(np.abs(p.coeffs).max()))
     if not p.monic().allclose(ctx.p, atol=1e3 * tol.eq_tol * pscale):
         raise ContextMismatch("f lives over different centers than p")
-    _check_simplifying(p, s, tol)
+    # p must have simple roots; the context construction enforces their
+    # separation, so a degenerate p surfaces as CentersDegenerate there.
+    resid = simplifying_residual(p, s)
+    if resid > tol.eq_tol:
+        raise NotSimplifying(
+            f"derivative residual {resid:.3e} exceeds {tol.eq_tol:.1e}")
 
     betas = np.asarray(p(s.alphas), dtype=np.complex128)
     bscale = max(1.0, float(np.abs(betas).max()))
     reps, _ = cluster_points(betas, tol.eq_tol * bscale)
     cols = [f.samples.match(b) for b in reps]
-
-    out = Polynomial([0.0])
-    for j in range(ctx.d):
-        vals = [[f.values[j, c]] for c in cols]
-        qj = newton_hermite(reps, vals)
-        out = out + ctx.delta[j] * qj.compose(p)
-    return out
-
-
-def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction,
-          tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Functional calculus chi_A(f) for the matrix a.
-
-    Requires p simplifying for s, p matching the centers of f, and every
-    p(alpha_k) present among f's samples.  The result is a polynomial in
-    a, so it commutes with a and respects similarity transforms.
-    """
-    a = linalg.as_square(a)
-    if sum(n + 1 for _, n in s.entries) > a.shape[0]:
-        raise ValueError("spectrum data exceeds the matrix dimension")
-    # p must have simple roots; the context construction enforces their
-    # separation, so a degenerate p surfaces as CentersDegenerate there.
-    pol = interpolation_polynomial(s, p, f, tol)
-    return linalg.mat_poly_eval(pol, a)
+    with np.errstate(all="ignore"):
+        proj = _lagrange_matrices(reps, linalg.mat_poly_eval(p, a))
+        f_of_b = np.einsum("jk,kab->jab", f.values[:, cols], proj)
+        chi = (_lagrange_matrices(ctx.lambdas, a) @ f_of_b).sum(axis=0)
+    if not np.all(np.isfinite(chi)):
+        raise AlgebraOverflow("chi_A(f) is not finite (matrix entries too large)")
+    return chi
 
 
 def hermite_matrix_function(a, s: SpectrumData, values,
@@ -413,11 +416,7 @@ def spectral_mapping_check(a, s: SpectrumData, p: Polynomial,
     """
     chi = chi_A(a, s, p, f, tol)
     eigs = linalg.eigenvalues(chi, tol)
-    pred = np.array(
-        [f.ctx.basis_values(np.asarray(al)) @ f.values[:, f.samples.match(p(al))]
-         for al in s.alphas],
-        dtype=np.complex128,
-    )
+    pred = gelfand_eval(f, s.alphas)
     scale = max(
         1.0,
         float(np.abs(eigs).max()) if eigs.size else 0.0,

@@ -41,7 +41,7 @@ from .errors import (
     NumericalFailure,
     ValidationFailure,
 )
-from .polynomials import Polynomial, fiber, roots
+from .polynomials import fiber, roots
 from .transform import gelfand_eval, inverse_transform
 
 __all__ = ["main", "entry"]

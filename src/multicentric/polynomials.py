@@ -177,7 +177,8 @@ def _aberth(monic, ws, tol: Tolerances, max_iter: int) -> np.ndarray:
             pv = npp.polyval(z, monic) - wcol
             bscale = npp.polyval(np.abs(z), absc).real + np.abs(wcol)
             bscale = np.maximum(bscale, 1.0)
-            ok = np.abs(pv) <= tol.root_tol * bscale
+            # An overflowed scale would accept anything, so it accepts nothing.
+            ok = (np.abs(pv) <= tol.root_tol * bscale) & np.isfinite(bscale)
             if ok.all():
                 return _newton_polish(z, monic, dcoef, wcol)
             frozen |= ok
@@ -349,12 +350,6 @@ class Centers:
             self._deriv = self.poly.derivative()
         return self._deriv
 
-    def deriv_at_centers(self) -> np.ndarray:
-        """p'(lambda_j) as exact products of pairwise differences."""
-        diff = self.lambdas[:, None] - self.lambdas[None, :]
-        np.fill_diagonal(diff, 1.0)
-        return np.prod(diff, axis=1)
-
     @property
     def critical_points(self) -> np.ndarray:
         if self._crit is None:
@@ -407,34 +402,23 @@ def _critical_rows(dcoeffs, points, ws, critical_values,
     dv = np.abs(npp.polyval(points, dcoeffs))
     dscale = np.maximum(npp.polyval(np.abs(points), np.abs(dcoeffs)).real, 1.0)
     flags = np.any(dv <= tol.crit_tol * dscale, axis=1)
-    if critical_values is not None and len(critical_values):
+    if len(critical_values):
         gaps = np.abs(ws[:, None] - np.asarray(critical_values)[None, :])
         wscale = np.maximum(1.0, np.abs(ws))[:, None]
         flags |= np.any(gaps <= tol.crit_tol * wscale, axis=1)
     return flags
 
 
-def fiber(p, w, tol: Tolerances = DEFAULT_TOL) -> Fiber:
-    """Fiber of the (Centers-derived) monic polynomial over w.
+def fiber(centers: Centers, w, tol: Tolerances = DEFAULT_TOL) -> Fiber:
+    """Fiber of the centers' monic polynomial over w.
 
-    Given a :class:`Centers` instance the known critical values sharpen
-    the criticality verdict and the fiber over exactly 0 is the centers
-    themselves.
+    The known critical values sharpen the criticality verdict, and the
+    fiber over exactly 0 is the centers themselves.
     """
     w = complex(w)
-    if isinstance(p, Centers):
-        dcoeffs = p.deriv.coeffs
-        critvals = p.critical_values
-        pts = fiber_batch(p, [w], tol)[0]
-    else:
-        poly = p if isinstance(p, Polynomial) else Polynomial(p)
-        if poly.degree < 1:
-            raise ValueError("fiber requires degree >= 1")
-        dpoly = poly.derivative()
-        dcoeffs = dpoly.coeffs
-        critvals = poly(roots(dpoly, tol)) if poly.degree >= 2 else None
-        pts = roots(poly - w, tol)
-    flag = _critical_rows(dcoeffs, pts[None, :], np.array([w]), critvals, tol)
+    pts = fiber_batch(centers, [w], tol)[0]
+    flag = _critical_rows(centers.deriv.coeffs, pts[None, :], np.array([w]),
+                          centers.critical_values, tol)
     return Fiber(w, pts, flag[0])
 
 
@@ -445,13 +429,11 @@ def lagrange_basis(centers: Centers) -> list[Polynomial]:
     is the constant polynomial 1.
     """
     lam = centers.lambdas
-    d = len(lam)
-    dens = centers.deriv_at_centers()
     out = []
-    for j in range(d):
+    for j in range(len(lam)):
         others = np.delete(lam, j)
         numer = Polynomial.from_roots(others)
-        out.append(numer * (1.0 / dens[j]))
+        out.append(numer * (1.0 / np.prod(lam[j] - others)))
     return out
 
 

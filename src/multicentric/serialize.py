@@ -9,6 +9,7 @@ users get exit code 2 with a usable message instead of a traceback.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -38,13 +39,14 @@ def encode_complex(z) -> list:
 
 
 def decode_complex(obj, field: str = "value") -> complex:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
-    if (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(t, (int, float)) and not isinstance(t, bool)
-                    for t in obj)):
-        return complex(obj[0], obj[1])
-    raise MalformedInput(f"{field}: expected a number or [re, im] pair")
+    parts = obj if isinstance(obj, (list, tuple)) and len(obj) == 2 else [obj]
+    if not all(isinstance(t, (int, float)) and not isinstance(t, bool)
+               for t in parts):
+        raise MalformedInput(f"{field}: expected a number or [re, im] pair")
+    # abs(nan) <= max is false, and huge JSON integers compare exactly.
+    if not all(abs(t) <= sys.float_info.max for t in parts):
+        raise MalformedInput(f"{field}: expected finite numbers")
+    return complex(*parts)
 
 
 def encode_complex_list(zs) -> list:
@@ -79,7 +81,7 @@ def decode_matrix(obj, field: str = "matrix") -> np.ndarray:
             raise MalformedInput(f"{field}.{key}: missing")
     try:
         r, c = int(obj["rows"]), int(obj["cols"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MalformedInput(f"{field}.rows/cols: expected integers") from None
     if r < 1 or c < 1:
         raise MalformedInput(f"{field}.rows/cols: must be positive")
@@ -200,7 +202,7 @@ def decode_spectrum(obj, field: str = "spectrum") -> SpectrumData:
             raise MalformedInput(f"{tag}: expected an object with alpha and n")
         try:
             n = int(e["n"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise MalformedInput(f"{tag}.n: expected an integer") from None
         entries.append((decode_complex(e["alpha"], f"{tag}.alpha"), n))
     try:
@@ -231,20 +233,20 @@ def decode_matrix_spec(obj, field: str = "matrix_spec") -> TestMatrixSpec:
             raise MalformedInput(f"{tag}: expected an object with alpha and size")
         try:
             size = int(b["size"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise MalformedInput(f"{tag}.size: expected an integer") from None
         blocks.append((decode_complex(b["alpha"], f"{tag}.alpha"), size))
     seed = obj.get("similarity_seed")
     if seed is not None:
         try:
             seed = int(seed)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise MalformedInput(
                 f"{field}.similarity_seed: expected an integer or null"
             ) from None
     try:
         cond = float(obj.get("target_cond", 1.0))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MalformedInput(f"{field}.target_cond: expected a number") from None
     try:
         return TestMatrixSpec(blocks, seed, cond)

@@ -1,21 +1,22 @@
 """Passing between vector functions and their scalar representations.
 
 gelfand_eval goes forward: f^(z) = sum_j delta_j(z) f_j(p(z)), reading
-f_j(p(z)) off the stored samples.  inverse_transform goes backward: given
-the scalar values on one full fiber it recovers the vector f(w) through
-Lagrange interpolation on the fiber nodes.
+f_j(p(z)) off the stored samples; it lives in :mod:`algebra` and is
+re-exported here.  inverse_transform goes backward: given the scalar
+values on one full fiber it recovers the vector f(w) through Lagrange
+interpolation on the fiber nodes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .algebra import AlgebraContext, SampleSet, VectorFunction
-from .config import MATCH_RTOL, Tolerances
+from .algebra import AlgebraContext, SampleSet, VectorFunction, gelfand_eval
+from .config import MATCH_RTOL
 from .errors import CriticalValue, MalformedInput
-from .polynomials import Fiber, Polynomial, _lagrange_values
+from .polynomials import Fiber, Polynomial, _lagrange_values, lagrange_basis
 
 __all__ = [
     "gelfand_eval",
@@ -23,20 +24,6 @@ __all__ = [
     "reconstruct",
     "scalar_representation",
 ]
-
-
-def gelfand_eval(f: VectorFunction, z) -> complex:
-    """Evaluate the scalar representation of f at the point z.
-
-    p(z) must match one of f's sample points (within the matching
-    tolerance); otherwise SampleMiss propagates from the lookup.
-    """
-    z = complex(z)
-    ctx = f.ctx
-    w = complex(ctx.p(z))
-    i = f.samples.match(w)
-    dv = ctx.basis_values(np.asarray(z))
-    return complex(dv @ f.values[:, i])
 
 
 def _phi_values_at(phi, pts: np.ndarray) -> np.ndarray:
@@ -106,7 +93,7 @@ def scalar_representation(ctx: AlgebraContext, component_polys) -> Polynomial:
     if len(comps) != ctx.d:
         raise ValueError("one component polynomial per center is required")
     out = Polynomial([0.0])
-    for dj, qj in zip(ctx.delta, comps):
+    for dj, qj in zip(lagrange_basis(ctx.centers), comps):
         q = qj if isinstance(qj, Polynomial) else Polynomial(qj)
         out = out + dj * q.compose(ctx.p)
     return out

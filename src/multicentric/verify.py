@@ -20,6 +20,7 @@ from .algebra import (
     VectorFunction,
     characters_at,
     character_residual,
+    gelfand_eval,
     invert,
     mult_matrices,
     op_norm,
@@ -650,9 +651,7 @@ def suite_spectral_mapping(seed=0, cases=100) -> SuiteReport:
         pred_sep = 0.0
         for _ in range(300):
             f = _draw_function(rng, ss, scale=1.5)
-            pred = np.array([
-                ctx.basis_values(np.asarray(al)) @ f.values[:, ss.match(q(al))]
-                for al in s.alphas])
+            pred = gelfand_eval(f, s.alphas)
             pscale = max(1.0, float(np.abs(pred).max()))
             pred_sep = _min_gap(pred)
             if pred_sep >= 0.05 * pscale:

@@ -35,7 +35,13 @@ from multicentric.algebra import (
     sup_norm,
 )
 from multicentric.config import DEFAULT_TOL
-from multicentric.errors import ContextMismatch, NotInvertible, SampleMiss
+from multicentric.errors import (
+    AlgebraOverflow,
+    ContextMismatch,
+    ConvergenceFailure,
+    NotInvertible,
+    SampleMiss,
+)
 from multicentric.linalg import eigenvalues
 from multicentric.polynomials import Centers
 
@@ -140,6 +146,11 @@ class TestWorkedExample:
         assert abs(ch.coeffs[0, 1] + 3.0) < 1e-12   # Phi_2(3)
         # pi_f(lam, 3) = (lam - 3)(lam + 1)
         assert abs(ch.pi_values(5.0)[0] - 12.0) < 1e-10
+
+    def test_characteristic_overflow_raises(self, two_center):
+        _, _, f, _ = two_center
+        with pytest.raises(AlgebraOverflow):
+            characteristic(f).pi_values(1e200)
 
     def test_spectral_radius_sequence(self, two_center):
         _, _, f, _ = two_center
@@ -303,6 +314,17 @@ class TestCharacteristic:
         phi2 = f1 * f2 - (w / 4.0) * (f1 - f2) ** 2
         assert np.abs(ch.coeffs[:, 0] - phi1).max() < 1e-12
         assert np.abs(ch.coeffs[:, 1] - phi2).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_pi_values_is_product_over_fiber_values(self, d):
+        # pi_f(lam, w) = prod_k (lam - f^(z_k)) over the fiber of w
+        rng = np.random.default_rng(d + 40)
+        _, ss = _context(rng, d, 4)
+        f = _rand_function(rng, ss)
+        lam = 1.3 - 0.7j
+        want = np.prod(lam - f.gelfand_values(), axis=1)
+        got = characteristic(f).pi_values(lam)
+        assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fiber_order_invariant(self, seed):
@@ -468,6 +490,23 @@ class TestRadical:
                 f = VectorFunction(ss, vec.reshape(d, 1))
                 power = algebra_power(f, d)
                 assert np.abs(power.values).max() <= 1e-12
+
+
+class TestOutOfRange:
+    def test_match_refuses_nan(self, two_center):
+        _, ss, _, _ = two_center
+        with pytest.raises(SampleMiss):
+            ss.match(complex("nan"))
+
+    def test_basis_values_overflow_raises(self):
+        ctx = AlgebraContext(Centers([1.0, -1.0, 1.0j]))
+        with pytest.raises(AlgebraOverflow):
+            ctx.basis_values(np.asarray(1e200))
+
+    def test_sample_far_out_fails_cleanly(self, two_center):
+        ctx, _, _, _ = two_center
+        with pytest.raises(ConvergenceFailure):
+            SampleSet(ctx, [1e300])
 
 
 class TestQuotientSpectrum:

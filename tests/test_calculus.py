@@ -24,7 +24,6 @@ from multicentric.calculus import (
     ensure_simple_roots,
     hausdorff_distance,
     hermite_matrix_function,
-    interpolation_polynomial,
     jordan_block,
     newton_hermite,
     random_similarity,
@@ -34,6 +33,7 @@ from multicentric.calculus import (
 )
 from multicentric.calculus import TestMatrixSpec as MatrixSpec
 from multicentric.errors import (
+    AlgebraOverflow,
     ContextMismatch,
     InsufficientData,
     NoSimpleShiftFound,
@@ -229,12 +229,6 @@ class TestChiWorkedExample:
         want = np.array([[diag, off], [0.0, diag]])
         assert np.abs(got - want).max() < 1e-12
 
-    def test_interpolation_polynomial_matches(self):
-        pol = interpolation_polynomial(self.s, self.p, self.f)
-        got = chi_A(self.a, self.s, self.p, self.f)
-        byhand = pol.coeffs[0] * np.eye(2) + pol.coeffs[1] * self.a
-        assert np.abs(got - byhand).max() < 1e-12
-
     def test_commutes_with_matrix(self):
         got = chi_A(self.a, self.s, self.p, self.f)
         assert np.abs(got @ self.a - self.a @ got).max() < 1e-13
@@ -256,6 +250,14 @@ class TestChiWorkedExample:
         f = VectorFunction(ss, [[2.0], [0.0]])
         with pytest.raises(ContextMismatch):
             chi_A(self.a, self.s, self.p, f)  # p = z^2 + 1, centers {1,-1}
+
+    def test_overflow_raises(self):
+        # (1e200 J)^2 overflows inside the product form
+        p = Polynomial([1.0, 0.0, 0.0, 1.0])
+        ss = SampleSet(AlgebraContext(Centers(roots(p))), [1.0])
+        f = VectorFunction(ss, [[1.0], [2.0], [3.0]])
+        with pytest.raises(AlgebraOverflow):
+            chi_A(1e200 * jordan_block(0.0, 3), SpectrumData([(0.0, 2)]), p, f)
 
     def test_non_simplifying_rejected(self):
         # z^3 - z has simple roots {0, 1, -1} but p'(0) != 0
@@ -360,6 +362,29 @@ class TestHomomorphism:
         right = chi_A(a, s, p, f) @ chi_A(a, s, p, g)
         scale = max(1.0, np.abs(right).max())
         assert np.abs(left - right).max() < 1e-8 * scale
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chi_multiplicative_n30(self, seed):
+        # A = J with six 5x5 blocks at the sixth roots of unity, so p has
+        # degree 25 and B = p(A) has six eigenvalues.
+        rng = np.random.default_rng(seed + 100)
+        spec = MatrixSpec([(np.exp(2j * np.pi * k / 6), 5) for k in range(6)])
+        s = spec.spectrum_data()
+        p = ensure_simple_roots(simplifying_poly(s, c=0.5))
+        a, _, _ = spec.assemble()
+        ctx = AlgebraContext(Centers(roots(p)))
+        ss = SampleSet(ctx, p(s.alphas))
+
+        def draw():
+            vals = rng.standard_normal((ctx.d, ss.m)) \
+                + 1j * rng.standard_normal((ctx.d, ss.m))
+            return VectorFunction(ss, vals)
+
+        f, g = draw(), draw()
+        left = chi_A(a, s, p, polyprod(f, g))
+        right = chi_A(a, s, p, f) @ chi_A(a, s, p, g)
+        scale = max(1.0, np.abs(right).max())
+        assert np.abs(left - right).max() < 1e-11 * scale
 
 
 class TestSpectralMapping:

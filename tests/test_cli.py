@@ -31,6 +31,16 @@ A_JSON = json.dumps({"rows": 2, "cols": 2,
                      "data": [[0, 0], [1, 0], [0, 0], [0, 0]]})
 S_JSON = json.dumps({"entries": [{"alpha": [0.0, 0.0], "n": 1}]})
 CENTERS = "[[1,0],[-1,0]]"
+CENTERS3 = "[[1,0],[-1,0],[0,1]]"
+# 1e200 times the 3x3 nilpotent block, and f over the roots of z^3 + 1
+# sampled at w = p(0) = 1: the square of the matrix overflows.
+J3_LARGE_JSON = json.dumps({"rows": 3, "cols": 3, "data": [
+    0, 1e200, 0, 0, 0, 1e200, 0, 0, 0]})
+S3_JSON = json.dumps({"entries": [{"alpha": 0, "n": 2}]})
+F3_JSON = json.dumps({
+    "centers": [-1, [0.5, 0.75 ** 0.5], [0.5, -(0.75 ** 0.5)]],
+    "samples": [{"w": 1, "f": [1, 2, 3]}],
+})
 
 
 def run(capsys, *argv):
@@ -308,6 +318,36 @@ class TestConsoleScript:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ConvergenceFailure")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["gelfand", "--f", F_JSON, "--z", "[NaN,0]"], 2),
+        (["gelfand", "--f", F_JSON, "--z", "[Infinity,0]"], 2),
+        (["basis", "--centers", CENTERS3, "--z", "[NaN,0]"], 2),
+        (["basis", "--centers", CENTERS3, "--z", "[1" + "0" * 400 + ",0]"], 2),
+        (["fiber", "--centers", CENTERS, "--w", "[NaN,0]"], 2),
+        (["radical", "--centers", CENTERS, "--w0", "[NaN,0]"], 2),
+        (["chi", "--matrix", '{"rows": Infinity, "cols": 2, "data": []}',
+          "--spectrum", S_JSON, "--f", FC_JSON], 2),
+        (["charfunc", "--f", F_JSON, "--lam", "[1e200,0]"], 1),
+        (["fiber", "--centers", CENTERS, "--w", "[1e300,0]"], 1),
+        (["basis", "--centers", CENTERS3, "--z", "[1e200,0]"], 1),
+        (["gelfand", "--f", F_JSON, "--z", "[1e200,0]"], 1),
+        (["chi", "--matrix", J3_LARGE_JSON, "--spectrum", S3_JSON,
+          "--f", F3_JSON, "--poly", '{"coeffs": [1, 0, 0, 1]}'], 1),
+    ], ids=["gelfand-nan", "gelfand-inf", "basis-nan", "basis-huge-int",
+            "fiber-nan", "radical-nan", "matrix-rows-inf", "charfunc-large-lam",
+            "fiber-large-w", "basis-large-z", "gelfand-large-z",
+            "chi-large-matrix"])
+    def test_out_of_range_inputs_fail_cleanly(self, argv, code):
+        proc = subprocess.run(
+            [sys.executable, "-m", "multicentric.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == code
+        assert "Warning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_installed_script(self):
         exe = shutil.which("multicentric")

@@ -135,6 +135,15 @@ class TestFiber:
         fib = fiber(cen, -1.0)  # double point at z = 0
         assert fib.is_critical
 
+    def test_overflowing_w_raises_without_warnings(self):
+        # p(z) = z^2 - 1 overflows on the start circle of radius ~1e300;
+        # an overflowed residual scale must not pass for convergence.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceFailure):
+                fiber(Centers([1.0, -1.0]), 1e300)
+        assert [str(w.message) for w in caught] == []
+
 
 class TestClusterAndRefine:
     def test_cluster_groups(self):

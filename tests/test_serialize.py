@@ -41,7 +41,9 @@ class TestComplex:
         assert decode_complex(-3) == -3 + 0j
 
     def test_rejects_garbage(self):
-        for bad in ("1.0", [1.0], [1.0, 2.0, 3.0], [True, 0.0], None, {}):
+        for bad in ("1.0", [1.0], [1.0, 2.0, 3.0], [True, 0.0], None, {},
+                    [float("nan"), 0.0], [0.0, float("inf")], float("-inf"),
+                    [10 ** 400, 0]):
             with pytest.raises(MalformedInput):
                 decode_complex(bad, "probe")
 
@@ -80,6 +82,8 @@ class TestMatrixCodec:
             decode_matrix({"rows": 0, "cols": 2, "data": []})
         with pytest.raises(MalformedInput):
             decode_matrix([[1, 2], [3, 4]])
+        with pytest.raises(MalformedInput, match="rows"):
+            decode_matrix({"rows": float("inf"), "cols": 2, "data": []})
 
 
 class TestPolynomialCodec:
@@ -176,6 +180,8 @@ class TestSpectrumCodec:
             decode_spectrum({"entries": [{"n": 1}]})
         with pytest.raises(MalformedInput, match="n"):
             decode_spectrum({"entries": [{"alpha": 0.0, "n": "x"}]})
+        with pytest.raises(MalformedInput, match="n"):
+            decode_spectrum({"entries": [{"alpha": 0.0, "n": float("inf")}]})
         # duplicate eigenvalue rejected through the constructor
         with pytest.raises(MalformedInput):
             decode_spectrum({"entries": [{"alpha": 1.0, "n": 0},
@@ -199,6 +205,8 @@ class TestMatrixSpecCodec:
             decode_matrix_spec({"blocks": []})
         with pytest.raises(MalformedInput, match="size"):
             decode_matrix_spec({"blocks": [{"alpha": 0.0, "size": "two"}]})
+        with pytest.raises(MalformedInput, match="size"):
+            decode_matrix_spec({"blocks": [{"alpha": 0.0, "size": float("inf")}]})
         with pytest.raises(MalformedInput, match="similarity_seed"):
             decode_matrix_spec({"blocks": [{"alpha": 0.0, "size": 1}],
                                 "similarity_seed": "yes"})

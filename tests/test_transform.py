@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from multicentric.algebra import AlgebraContext, SampleSet, VectorFunction
-from multicentric.errors import CriticalValue, MalformedInput, SampleMiss
+from multicentric.errors import (
+    AlgebraOverflow,
+    CriticalValue,
+    MalformedInput,
+    SampleMiss,
+)
 from multicentric.polynomials import Centers
 from multicentric.transform import (
     gelfand_eval,
@@ -60,6 +65,19 @@ class TestGelfandEval:
         _, _, f = two_center
         with pytest.raises(SampleMiss):
             gelfand_eval(f, 5.0)  # p(5) = 24 is not a sample
+
+    def test_array_keeps_shape_and_matches_points(self, two_center):
+        _, ss, f = two_center
+        pts = np.stack([ss.fiber_points[0], ss.fiber_points[0][::-1]])
+        got = gelfand_eval(f, pts)
+        assert got.shape == (2, 2)
+        for z, v in zip(pts.ravel(), got.ravel()):
+            assert v == gelfand_eval(f, z)
+
+    def test_overflowing_point_raises(self, two_center):
+        _, _, f = two_center
+        with pytest.raises(AlgebraOverflow):
+            gelfand_eval(f, 1e200)
 
     def test_matches_gelfand_values_table(self, two_center):
         _, ss, f = two_center
