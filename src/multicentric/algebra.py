@@ -186,12 +186,6 @@ class SampleSet:
             )
         return i
 
-    def fibers(self) -> list[Fiber]:
-        return [
-            Fiber(self.points[i], self.fiber_points[i], bool(self.fiber_critical[i]))
-            for i in range(self.m)
-        ]
-
     def same_as(self, other: "SampleSet") -> bool:
         return self is other or (
             self.ctx.same_as(other.ctx)
@@ -390,12 +384,23 @@ def spectrum_multiset(f: VectorFunction) -> np.ndarray:
     return f.gelfand_values().ravel().copy()
 
 
+def _dedup(vals: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Representation values clustered at eq_tol relative to their scale.
+
+    Raises AlgebraOverflow when a value is not finite.
+    """
+    if vals.size == 0:
+        return vals
+    if not np.isfinite(vals).all():
+        raise AlgebraOverflow("representation values are not finite")
+    scale = max(1.0, float(np.abs(vals).max()))
+    reps, _ = cluster_points(vals, tol.eq_tol * scale)
+    return reps
+
+
 def spectrum(f: VectorFunction) -> np.ndarray:
     """Deduplicated spectrum: representation values clustered at eq_tol."""
-    vals = spectrum_multiset(f)
-    scale = max(1.0, float(np.abs(vals).max()))
-    reps, _ = cluster_points(vals, f.ctx.tol.eq_tol * scale)
-    return reps
+    return _dedup(spectrum_multiset(f), f.ctx.tol)
 
 
 def spectral_radius_iter(f: VectorFunction, k_max: int) -> np.ndarray:
@@ -517,8 +522,11 @@ def characteristic(f: VectorFunction) -> CharacteristicCoeffs:
     # e[:, k] = Phi_k of the fiber values taken so far, one value per step
     e = np.zeros((m, d + 1), dtype=np.complex128)
     e[:, 0] = 1.0
-    for k in range(d):
-        e[:, 1:k + 2] = e[:, 1:k + 2] + gv[:, k, None] * e[:, :k + 1]
+    with np.errstate(all="ignore"):
+        for k in range(d):
+            e[:, 1:k + 2] = e[:, 1:k + 2] + gv[:, k, None] * e[:, :k + 1]
+    if not np.isfinite(e).all():
+        raise AlgebraOverflow("characteristic coefficients are not finite")
     phi = e[:, 1:].copy()
     phi.flags.writeable = False
     return CharacteristicCoeffs(points=f.samples.points, coeffs=phi)
@@ -638,7 +646,7 @@ def gelfand_eval(f: VectorFunction, z):
     ``z`` is one point, giving a complex, or an array of points, giving
     an array of the same shape.  Every p(z) must match one of f's sample
     points within the matching tolerance, otherwise SampleMiss is
-    raised; AlgebraOverflow is raised when p(z) is not finite.
+    raised; AlgebraOverflow is raised when p(z) or f^(z) is not finite.
     """
     ctx = f.ctx
     z = np.asarray(z, dtype=np.complex128)
@@ -648,16 +656,14 @@ def gelfand_eval(f: VectorFunction, z):
         raise AlgebraOverflow("p(z) is not finite at the given z")
     idx = [f.samples.match(w) for w in ws.ravel()]
     cols = f.values[:, idx].reshape((ctx.d,) + z.shape)
-    vals = (ctx.basis_values(z) * cols).sum(axis=0)
+    with np.errstate(all="ignore"):
+        vals = (ctx.basis_values(z) * cols).sum(axis=0)
+    if not np.isfinite(vals).all():
+        raise AlgebraOverflow("f^ is not finite at the given z")
     return complex(vals) if z.ndim == 0 else vals
 
 
 def quotient_spectrum(f: VectorFunction, k0_points) -> np.ndarray:
     """Spectrum of f restricted to the sub-domain points K0 (deduplicated)."""
     pts = np.atleast_1d(np.asarray(k0_points, dtype=np.complex128)).ravel()
-    vals = gelfand_eval(f, pts)
-    if vals.size == 0:
-        return vals
-    scale = max(1.0, float(np.abs(vals).max()))
-    reps, _ = cluster_points(vals, f.ctx.tol.eq_tol * scale)
-    return reps
+    return _dedup(gelfand_eval(f, pts), f.ctx.tol)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DimensionTooLarge, SingularMatrix
+from .errors import AlgebraOverflow, DimensionTooLarge, SingularMatrix
 from .polynomials import Polynomial, roots
 
 __all__ = [
@@ -87,14 +87,20 @@ def inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def mat_poly_eval(q, a) -> np.ndarray:
-    """Evaluate the polynomial q at the matrix a (Horner scheme)."""
+    """Evaluate the polynomial q at the matrix a (Horner scheme).
+
+    Raises AlgebraOverflow when an entry of the result is not finite.
+    """
     a = as_square(a)
     c = q.coeffs if isinstance(q, Polynomial) else Polynomial(q).coeffs
     n = a.shape[0]
     eye = np.eye(n, dtype=np.complex128)
-    out = c[-1] * eye
-    for k in range(len(c) - 2, -1, -1):
-        out = out @ a + c[k] * eye
+    with np.errstate(all="ignore"):
+        out = c[-1] * eye
+        for k in range(len(c) - 2, -1, -1):
+            out = out @ a + c[k] * eye
+    if not np.isfinite(out).all():
+        raise AlgebraOverflow("matrix polynomial overflowed")
     return out
 
 
@@ -102,7 +108,8 @@ def char_poly(a) -> Polynomial:
     """Monic characteristic polynomial det(zI - A), ascending coefficients.
 
     Faddeev-LeVerrier recursion on the matrix prescaled by its largest
-    entry; coefficients are rescaled back afterwards.
+    entry; coefficients are rescaled back afterwards.  Raises
+    AlgebraOverflow when a coefficient is not finite.
     """
     a = as_square(a)
     n = a.shape[0]
@@ -113,13 +120,16 @@ def char_poly(a) -> Polynomial:
     coeffs = np.zeros(n + 1, dtype=np.complex128)
     coeffs[n] = 1.0
     mk = np.eye(n, dtype=np.complex128)
-    for k in range(1, n + 1):
-        am = m @ mk
-        ck = -np.trace(am) / k
-        coeffs[n - k] = ck
-        mk = am + ck * np.eye(n, dtype=np.complex128)
-    powers = s ** np.arange(n, -1, -1.0)
-    return Polynomial(coeffs * powers)
+    with np.errstate(all="ignore"):
+        for k in range(1, n + 1):
+            am = m @ mk
+            ck = -np.trace(am) / k
+            coeffs[n - k] = ck
+            mk = am + ck * np.eye(n, dtype=np.complex128)
+        coeffs = coeffs * s ** np.arange(n, -1, -1.0)
+    if not np.isfinite(coeffs).all():
+        raise AlgebraOverflow("characteristic polynomial coefficients overflowed")
+    return Polynomial(coeffs)
 
 
 def eigenvalues(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -3,9 +3,12 @@
 Coefficients are stored densely in ascending powers.  One batched
 simultaneous (Ehrlich-Aberth) kernel solves q(z) - w = 0 for a vector of
 right hand sides: :func:`roots` is its one-row case with w = 0 and
-:func:`fiber_batch` runs it over many w at once.  It starts on a circle
-enclosing all roots and keeps multiplicities: a k-fold root comes back
-as a cluster of k nearby points whose residuals are below tolerance.
+:func:`fiber_batch` runs it over many w at once.  Each row starts on a
+circle enclosing its roots and leaves the batch as soon as all its
+points converge, so a row's result does not depend on the rows beside
+it.  Multiplicities are kept: a k-fold root comes back as a cluster of
+k nearby points whose residuals are below tolerance, which
+:func:`cluster_points` groups by a grid hash.
 """
 
 from __future__ import annotations
@@ -153,16 +156,18 @@ def _newton_polish(z, coeffs, dcoeffs, w, sweeps=2):
 def _aberth(monic, ws, tol: Tolerances, max_iter: int) -> np.ndarray:
     """Roots of monic(z) - w for every w in ``ws``; shape (len(ws), deg).
 
-    ``monic`` holds finite ascending coefficients with leading 1.  All
-    rows iterate together: a point is frozen once its residual passes the
-    backward-error test (|monic(z) - w| below root_tol relative to the
-    coefficient magnitude accumulated at z, plus |w|), so clusters
-    standing in for multiple roots terminate as well.  Overflow shows up
-    as non-finite iterates and is raised, never warned about.
+    ``monic`` holds finite ascending coefficients with leading 1.  A point
+    is frozen once its residual passes the backward-error test
+    (|monic(z) - w| below root_tol relative to the coefficient magnitude
+    accumulated at z, plus |w|), so clusters standing in for multiple
+    roots terminate as well.  A row leaves the active arrays once all its
+    points pass.  The rows never mix, so each row ends as it would alone:
+    collided iterates are jittered in a step that moves no other row,
+    which only costs the others one iteration of ``max_iter``.  A final
+    Newton polish runs over all rows.  Overflow shows up as non-finite
+    iterates and is raised, never warned about.
     """
     deg = len(monic) - 1
-    n = ws.size
-    wcol = ws[:, None]
     with np.errstate(all="ignore"):
         dcoef = npp.polyder(monic)
         absc = np.abs(monic)
@@ -171,28 +176,39 @@ def _aberth(monic, ws, tol: Tolerances, max_iter: int) -> np.ndarray:
         angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
         z = radius[:, None] * np.exp(1j * angles)[None, :]
 
-        frozen = np.zeros((n, deg), dtype=bool)
+        # The active rows: their indices, iterates, right hand sides,
+        # start radii and frozen points.
+        act = np.arange(ws.size)
+        za, wa, ra = z, ws[:, None], radius
+        frozen = np.zeros((ws.size, deg), dtype=bool)
         idx = np.arange(deg)
         for _ in range(max_iter):
-            pv = npp.polyval(z, monic) - wcol
-            bscale = npp.polyval(np.abs(z), absc).real + np.abs(wcol)
+            pv = npp.polyval(za, monic) - wa
+            bscale = npp.polyval(np.abs(za), absc).real + np.abs(wa)
             bscale = np.maximum(bscale, 1.0)
             # An overflowed scale would accept anything, so it accepts nothing.
             ok = (np.abs(pv) <= tol.root_tol * bscale) & np.isfinite(bscale)
-            if ok.all():
-                return _newton_polish(z, monic, dcoef, wcol)
+            done = ok.all(axis=1)
+            ndone = np.count_nonzero(done)
+            if ndone:
+                z[act[done]] = za[done]
+                if ndone == act.size:
+                    return _newton_polish(z, monic, dcoef, ws[:, None])
+                live = ~done
+                act, za, wa, ra = act[live], za[live], wa[live], ra[live]
+                frozen, ok, pv = frozen[live], ok[live], pv[live]
             frozen |= ok
 
-            dv = npp.polyval(z, dcoef)
+            dv = npp.polyval(za, dcoef)
             dv = np.where(dv == 0, 1.0, dv)
             newton = pv / dv
 
-            diff = z[:, :, None] - z[:, None, :]
+            diff = za[:, :, None] - za[:, None, :]
             diff[:, idx, idx] = np.inf
-            bad = np.any(diff == 0, axis=(1, 2))
-            if bad.any():
+            bad = (diff == 0).any(axis=(1, 2))
+            if np.count_nonzero(bad):
                 # collided iterates: deterministic jitter, then continue
-                z[bad] = z[bad] + 1e-8 * radius[bad, None] * np.exp(0.7j * idx)[None, :]
+                za[bad] = za[bad] + 1e-8 * ra[bad, None] * np.exp(0.7j * idx)[None, :]
                 frozen[bad] = False
                 continue
             ssum = (1.0 / diff).sum(axis=2)
@@ -200,11 +216,12 @@ def _aberth(monic, ws, tol: Tolerances, max_iter: int) -> np.ndarray:
             small = np.abs(denom) < 1e-12
             step = np.where(small, newton, newton / np.where(small, 1.0, denom))
             step = np.where(frozen, 0.0, step)
-            z = z - step
-            if not np.all(np.isfinite(z)):
+            za = za - step
+            if not np.isfinite(za).all():
                 raise ConvergenceFailure("root iteration produced non-finite iterates")
 
-        worst = float(np.abs(npp.polyval(z, monic) - wcol).max())
+        z[act] = za
+        worst = float(np.abs(npp.polyval(z, monic) - ws[:, None]).max())
     raise ConvergenceFailure(
         f"root iteration did not converge in {max_iter} steps "
         f"(worst residual {worst:.3e})"
@@ -252,25 +269,48 @@ def fiber_batch(centers: "Centers", ws, tol: Tolerances = DEFAULT_TOL,
 
 
 def cluster_points(points, radius: float):
-    """Greedy first-fit clustering of complex points.
+    """Greedy first-fit clustering of complex points, in expected O(n).
 
-    Returns (representatives, counts): each point joins the first group
-    whose anchor lies within ``radius``; representatives are group means.
+    Returns (representatives, counts).  Points are taken in input order;
+    each joins the lowest-index group whose anchor (first member) lies
+    within ``radius`` of it, or else starts a new group.  Representatives
+    are the group means, members taken in input order.  Non-finite points
+    are singletons.  Raises ValueError unless 0 <= radius < inf.
+
+    Anchors are hashed on a square grid of side at least 2 * radius, so
+    every anchor within the radius lies in the 3 x 3 block of cells
+    around the point.  The side is also at least 2**-40 times the largest
+    coordinate, which keeps the cell indices exact integers below 2**41.
     """
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    anchors: list[complex] = []
-    groups: list[list[complex]] = []
-    for p in pts:
-        placed = False
-        for gi, a in enumerate(anchors):
-            if abs(p - a) <= radius:
-                groups[gi].append(p)
-                placed = True
-                break
-        if not placed:
-            anchors.append(p)
-            groups.append([p])
-    reps = np.array([np.mean(g) for g in groups], dtype=np.complex128)
+    radius = float(radius)
+    if not 0.0 <= radius < np.inf:
+        raise ValueError(f"cluster radius must be finite and nonnegative, "
+                         f"got {radius!r}")
+    coords = pts.view(np.float64)          # re and im, interleaved
+    span = float(np.abs(coords[np.isfinite(coords)]).max(initial=0.0))
+    cell = max(2.0 * radius, span * 2.0 ** -40, np.finfo(float).tiny)
+    keys = np.floor(coords / cell).tolist()
+    groups: list[list[int]] = []
+    grid: dict[tuple, list[int]] = {}
+    with np.errstate(all="ignore"):
+        for i, (p, x, y, ok) in enumerate(zip(pts, keys[::2], keys[1::2],
+                                              np.isfinite(pts).tolist())):
+            if not ok:          # no distance to it is within a finite radius
+                groups.append([i])
+                continue
+            near = []
+            for dx in (-1.0, 0.0, 1.0):
+                for dy in (-1.0, 0.0, 1.0):
+                    near += grid.get((x + dx, y + dy), ())
+            for gi in sorted(near):
+                if abs(p - pts[groups[gi][0]]) <= radius:
+                    groups[gi].append(i)
+                    break
+            else:
+                grid.setdefault((x, y), []).append(len(groups))
+                groups.append([i])
+        reps = np.array([np.mean(pts[g]) for g in groups], dtype=np.complex128)
     counts = np.array([len(g) for g in groups], dtype=int)
     return reps, counts
 
@@ -438,19 +478,25 @@ def lagrange_basis(centers: Centers) -> list[Polynomial]:
 
 
 def _lagrange_values(nodes, z) -> np.ndarray:
-    """Lagrange basis of ``nodes`` at ``z`` in product form.
+    """Lagrange basis of a row of nodes, or of a stack of rows, at ``z``.
 
-    Row j is prod_{k != j} (z - n_k) / (n_j - n_k), multiplied in node
-    order; shape (len(nodes),) + z.shape.
+    ``nodes`` is one row of shape (n,) or a stack of m rows of shape
+    (m, n); the result has shape (n,) + z.shape or (n, m) + z.shape.
+    Entry j is prod_{k != j} (z - n_k) / (n_j - n_k) over its row,
+    multiplied in node order.
     """
+    nodes = np.asarray(nodes, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
-    n = len(nodes)
-    out = np.empty((n,) + z.shape, dtype=np.complex128)
+    cols = nodes.T                 # cols[k]: node k of every row
+    if nodes.ndim == 2:
+        cols = cols.reshape(cols.shape + (1,) * z.ndim)
+    n = len(cols)
+    out = np.empty((n,) + nodes.shape[:-1] + z.shape, dtype=np.complex128)
     for j in range(n):
-        acc = np.ones_like(z)
+        acc = np.ones(out.shape[1:], dtype=np.complex128)
         for k in range(n):
             if k != j:
-                acc = acc * (z - nodes[k]) / (nodes[j] - nodes[k])
+                acc = acc * (z - cols[k]) / (cols[j] - cols[k])
         out[j] = acc
     return out
 

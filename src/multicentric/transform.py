@@ -3,8 +3,9 @@
 gelfand_eval goes forward: f^(z) = sum_j delta_j(z) f_j(p(z)), reading
 f_j(p(z)) off the stored samples; it lives in :mod:`algebra` and is
 re-exported here.  inverse_transform goes backward: given the scalar
-values on one full fiber it recovers the vector f(w) through Lagrange
-interpolation on the fiber nodes.
+values on one full fiber, or on every fiber of a SampleSet at once, it
+recovers the vector f(w) through Lagrange interpolation on the fiber
+nodes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .algebra import AlgebraContext, SampleSet, VectorFunction, gelfand_eval
 from .config import MATCH_RTOL
-from .errors import CriticalValue, MalformedInput
+from .errors import ContextMismatch, CriticalValue, MalformedInput
 from .polynomials import Fiber, Polynomial, _lagrange_values, lagrange_basis
 
 __all__ = [
@@ -44,15 +45,19 @@ def _phi_values_at(phi, pts: np.ndarray) -> np.ndarray:
     zs = np.array([complex(z) for z, _ in items], dtype=np.complex128)
     vs = np.array([complex(v) for _, v in items], dtype=np.complex128)
     out = np.empty(len(pts), dtype=np.complex128)
-    for i, z in enumerate(pts):
-        gaps = np.abs(zs - z)
-        j = int(np.argmin(gaps))
-        if gaps[j] > MATCH_RTOL * max(1.0, abs(z)):
+    for lo in range(0, len(pts), 256):
+        block = pts[lo:lo + 256]
+        gaps = np.abs(zs[None, :] - block[:, None])
+        j = np.argmin(gaps, axis=1)
+        near = gaps[np.arange(len(block)), j]
+        miss = np.flatnonzero(near > MATCH_RTOL * np.maximum(1.0, np.abs(block)))
+        if miss.size:
+            i = miss[0]
             raise MalformedInput(
-                f"no scalar value supplied for fiber point {z!r} "
-                f"(nearest given point at distance {gaps[j]:.3e})"
+                f"no scalar value supplied for fiber point {block[i]!r} "
+                f"(nearest given point at distance {near[i]:.3e})"
             )
-        out[i] = vs[j]
+        out[lo:lo + 256] = vs[j]
     return out
 
 
@@ -60,27 +65,37 @@ def inverse_transform(ctx: AlgebraContext, phi, w) -> np.ndarray:
     """Recover f(w) in C^d from scalar values on the fiber over w.
 
     f_k(w) = sum_j delta_j(lambda_k; w) phi(z_j) where delta_j(.; w) is
-    the Lagrange basis of the fiber nodes z_j(w).  ``w`` is a point or
-    the already solved :class:`Fiber` over it.  Refuses critical w,
-    where the fiber nodes coalesce and interpolation breaks down.
+    the Lagrange basis of the fiber nodes z_j(w).  ``w`` is a point, the
+    already solved :class:`Fiber` over it, giving shape (d,), or a
+    :class:`SampleSet`, whose fibers are all inverted at once, giving
+    shape (d, m).  Refuses critical w, where the fiber nodes coalesce and
+    interpolation breaks down; the first critical sample is named.
     """
-    fib = w if isinstance(w, Fiber) else ctx.fiber(w)
-    if fib.is_critical:
-        raise CriticalValue(f"w={fib.w!r} is (numerically) a critical value")
-    vals = _phi_values_at(phi, fib.points)
-    basis = _lagrange_values(fib.points, ctx.lambdas)   # row j: delta_j(lambda; w)
-    return (basis * vals[:, None]).sum(axis=0)
+    if isinstance(w, SampleSet):
+        if not ctx.same_as(w.ctx):
+            raise ContextMismatch("sample set belongs to a different context")
+        ws, nodes, crit = w.points, w.fiber_points, w.fiber_critical
+    else:
+        fib = w if isinstance(w, Fiber) else ctx.fiber(w)
+        ws, nodes, crit = [fib.w], fib.points[None, :], [fib.is_critical]
+    if np.any(crit):
+        i = int(np.argmax(crit))
+        raise CriticalValue(f"w={complex(ws[i])!r} is (numerically) a critical value")
+    vals = _phi_values_at(phi, nodes.ravel()).reshape(nodes.shape)
+    basis = _lagrange_values(nodes, ctx.lambdas)   # [j, i, k]: delta_j(lambda_k; w_i)
+    out = (basis * vals.T[:, :, None]).sum(axis=0)
+    return out.T if isinstance(w, SampleSet) else out[0]
 
 
 def reconstruct(ctx: AlgebraContext, phi, points) -> VectorFunction:
     """Inverse-transform phi over every given sample point at once.
 
-    Each fiber is solved once, by the SampleSet of the points.
+    Each fiber is solved once, by the SampleSet of the points, and all
+    of them are inverted in one call.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128)).ravel()
     samples = SampleSet(ctx, pts)
-    cols = [inverse_transform(ctx, phi, fib) for fib in samples.fibers()]
-    return VectorFunction(samples, np.stack(cols, axis=1))
+    return VectorFunction(samples, inverse_transform(ctx, phi, samples))
 
 
 def scalar_representation(ctx: AlgebraContext, component_polys) -> Polynomial:

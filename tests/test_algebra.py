@@ -152,6 +152,13 @@ class TestWorkedExample:
         with pytest.raises(AlgebraOverflow):
             characteristic(f).pi_values(1e200)
 
+    def test_characteristic_of_overflowing_values_raises(self, two_center):
+        # f^(2) = 1.5 * 1.5e308 - 0.5 * 1.5e308 overflows
+        ctx, _, _, _ = two_center
+        f = VectorFunction(SampleSet(ctx, [3.0]), [[1.5e308], [1.5e308]])
+        with pytest.raises(AlgebraOverflow):
+            characteristic(f)
+
     def test_spectral_radius_sequence(self, two_center):
         _, _, f, _ = two_center
         seq = spectral_radius_iter(f, 10)
@@ -507,6 +514,23 @@ class TestOutOfRange:
         ctx, _, _, _ = two_center
         with pytest.raises(ConvergenceFailure):
             SampleSet(ctx, [1e300])
+
+    def test_spectrum_of_huge_values_clusters(self, two_center):
+        # f^ = +-1.2e308 over w = 0.5: cluster distances overflow quietly
+        ctx, _, _, _ = two_center
+        ss = SampleSet(ctx, [0.5, 0.7])
+        f = VectorFunction(ss, [[1e308, 1.0], [-1e308, 2.0]])
+        vals = spectrum(f)
+        assert len(vals) == 3
+        assert np.isfinite(vals).all()
+
+    def test_spectrum_of_overflowing_representation_raises(self, two_center):
+        # over w = 3 the fiber is {2, -2} and delta_1(2) = 1.5, so
+        # f^(2) = 1.5 * 1.5e308 - 0.5 * 1.5e308 overflows
+        ctx, _, _, _ = two_center
+        f = VectorFunction(SampleSet(ctx, [3.0]), [[1.5e308], [1.5e308]])
+        with pytest.raises(AlgebraOverflow):
+            spectrum(f)
 
 
 class TestQuotientSpectrum:

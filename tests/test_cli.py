@@ -30,6 +30,11 @@ FC_JSON = json.dumps({
 A_JSON = json.dumps({"rows": 2, "cols": 2,
                      "data": [[0, 0], [1, 0], [0, 0], [0, 0]]})
 S_JSON = json.dumps({"entries": [{"alpha": [0.0, 0.0], "n": 1}]})
+# over w = 3 the fiber is {2, -2} and delta_1(2) = 1.5: f^(2) overflows
+F_HUGE_JSON = json.dumps({
+    "centers": [[1.0, 0.0], [-1.0, 0.0]],
+    "samples": [{"w": [3.0, 0.0], "f": [[1.5e308, 0.0], [1.5e308, 0.0]]}],
+})
 CENTERS = "[[1,0],[-1,0]]"
 CENTERS3 = "[[1,0],[-1,0],[0,1]]"
 # 1e200 times the 3x3 nilpotent block, and f over the roots of z^3 + 1
@@ -334,10 +339,20 @@ class TestConsoleScript:
         (["gelfand", "--f", F_JSON, "--z", "[1e200,0]"], 1),
         (["chi", "--matrix", J3_LARGE_JSON, "--spectrum", S3_JSON,
           "--f", F3_JSON, "--poly", '{"coeffs": [1, 0, 0, 1]}'], 1),
+        (["hermite", "--matrix", J3_LARGE_JSON,
+          "--spectrum", '{"entries":[{"alpha":0,"n":3}]}',
+          "--values", "[[0,0,2,0]]"], 1),
+        (["specmap", "--matrix", '{"rows":2,"cols":2,"data":[0,1e200,0,0]}',
+          "--spectrum", '{"entries":[{"alpha":0,"n":1}]}',
+          "--f", '{"centers":[[0,1],[0,-1]],"samples":[{"w":1,"f":[2,[0,-1]]}]}'],
+         1),
+        (["gelfand", "--f", F_HUGE_JSON, "--z", "[2,0]"], 1),
+        (["charfunc", "--f", F_HUGE_JSON, "--lam", "[0,0]"], 1),
     ], ids=["gelfand-nan", "gelfand-inf", "basis-nan", "basis-huge-int",
             "fiber-nan", "radical-nan", "matrix-rows-inf", "charfunc-large-lam",
             "fiber-large-w", "basis-large-z", "gelfand-large-z",
-            "chi-large-matrix"])
+            "chi-large-matrix", "hermite-large-matrix", "specmap-large-matrix",
+            "gelfand-overflowing-value", "charfunc-overflowing-values"])
     def test_out_of_range_inputs_fail_cleanly(self, argv, code):
         proc = subprocess.run(
             [sys.executable, "-m", "multicentric.cli", *argv],
@@ -348,6 +363,20 @@ class TestConsoleScript:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_huge_spectrum_values_cluster_cleanly(self):
+        # f^ takes +-1.2e308 over w = 0.5: the cluster distances overflow
+        f = json.dumps({"centers": [[1, 0], [-1, 0]], "samples": [
+            {"w": [0.5, 0], "f": [[1e308, 0], [-1e308, 0]]},
+            {"w": [0.7, 0], "f": [[1, 0], [2, 0]]}]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "multicentric.cli", "spectrum", "--f", f],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "Warning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(json.loads(proc.stdout)["values"]) == 3
 
     def test_installed_script(self):
         exe = shutil.which("multicentric")

@@ -11,7 +11,7 @@ import numpy.linalg as npl
 import pytest
 
 from multicentric.config import DEFAULT_TOL
-from multicentric.errors import DimensionTooLarge, SingularMatrix
+from multicentric.errors import AlgebraOverflow, DimensionTooLarge, SingularMatrix
 from multicentric.linalg import (
     EIG_DIM_CAP,
     char_poly,
@@ -135,6 +135,21 @@ def test_mat_poly_eval_horner():
     got = mat_poly_eval(q, a)
     want = 2.0 * np.eye(4) - a + 3.0 * a @ a @ a
     assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())
+
+
+def test_mat_poly_eval_overflow_raises():
+    # the square of the 3 x 3 nilpotent block times 1e200 overflows
+    a = np.diag([1e200, 1e200], k=1)
+    with pytest.raises(AlgebraOverflow):
+        mat_poly_eval(Polynomial([0.0, 0.0, 2.0]), a)
+
+
+def test_char_poly_overflow_raises():
+    # the prescaled coefficients are finite; scaling back by 1e200 per
+    # power overflows the constant and linear terms
+    a = np.array([[1.0, 1e200], [1e200, 1.0]])
+    with pytest.raises(AlgebraOverflow):
+        char_poly(a)
 
 
 @pytest.mark.parametrize("seed", range(5))

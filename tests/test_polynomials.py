@@ -144,6 +144,117 @@ class TestFiber:
                 fiber(Centers([1.0, -1.0]), 1e300)
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("d", [4, 24])
+    def test_batch_rows_equal_single_rows(self, d):
+        # Converged rows leave the batch early; every row must still end
+        # exactly as it does when solved alone.
+        rng = np.random.default_rng(d)
+        cen = Centers(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        crit = cen.critical_values
+        ws = np.concatenate([
+            0.1 * (rng.standard_normal(4) + 1j * rng.standard_normal(4)),
+            [1e3, -1e6j, 3e8 + 3e8j],
+            [0.0],
+            crit[:3] + 1e-10, crit[:3] * (1 + 1e-6),
+        ])
+        rng.shuffle(ws)
+        batch = fiber_batch(cen, ws)
+        for i, w in enumerate(ws):
+            assert np.array_equal(batch[i], fiber_batch(cen, [w])[0]), w
+
+
+def _first_fit(points, radius):
+    """The quadratic first-fit loop the grid hash replaced (test oracle)."""
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    anchors = []
+    groups = []
+    with np.errstate(all="ignore"):
+        for p in pts:
+            placed = False
+            for gi, a in enumerate(anchors):
+                if abs(p - a) <= radius:
+                    groups[gi].append(p)
+                    placed = True
+                    break
+            if not placed:
+                anchors.append(p)
+                groups.append([p])
+        reps = np.array([np.mean(g) for g in groups], dtype=np.complex128)
+    counts = np.array([len(g) for g in groups], dtype=int)
+    return reps, counts
+
+
+def _cluster_cases():
+    rng = np.random.default_rng(7)
+    cases = {}
+    for r in (1e-6, 1e-2, 0.3):
+        cases[f"uniform-{r:g}"] = (
+            rng.uniform(-1, 1, 2000) + 1j * rng.uniform(-1, 1, 2000), r)
+    c = rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300)
+    x = np.repeat(c, 15) + 1e-7 * (rng.standard_normal(4500)
+                                   + 1j * rng.standard_normal(4500))
+    rng.shuffle(x)
+    cases["shuffled-copies"] = (x, 1e-6)
+    g = 0.25 * np.arange(-6, 7)
+    cases["radius-apart"] = ((g[:, None] + 1j * g[None, :]).ravel(), 0.25)
+    g = 0.1 * np.arange(-6, 7)
+    cases["radius-apart-inexact"] = ((g[:, None] + 1j * g[None, :]).ravel(), 0.1)
+    # cell side 2 * 0.25: points on, just off and a radius off the
+    # borders at negative coordinates
+    edge = (-0.5 * np.arange(1, 7)[:, None]
+            + np.array([-0.25, -1e-12, 0.0, 1e-12, 0.25])[None, :]).ravel()
+    x = (edge[:, None] + 1j * edge[None, ::7]).ravel()
+    rng.shuffle(x)
+    cases["negative-borders"] = (x, 0.25)
+    cases["duplicates-radius-0"] = (
+        rng.integers(-3, 3, 200) + 1j * rng.integers(-2, 2, 200)
+        + np.where(rng.uniform(size=200) < 0.2, 1e-15, 0.0), 0.0)
+    cases["non-finite"] = (np.array([
+        1.0, np.nan, 1.0 + 1e-9, np.inf, -np.inf, complex(0, np.inf),
+        complex(np.nan, 1.0), 1.0, np.nan, np.inf, -0.0, complex(-0.0, -0.0),
+    ]), 1e-6)
+    cases["huge"] = (np.array([1e308, -1e308, 1e308 * (1 + 1e-15),
+                               complex(1.7e308, 1.7e308),
+                               complex(-1.7e308, -1.7e308), 0.5]), 1e296)
+    cases["subnormal"] = (rng.standard_normal(300) * 1e-310 + 0j, 1e-312)
+    return cases
+
+
+CLUSTER_CASES = _cluster_cases()
+
+
+class TestClusterPoints:
+    @pytest.mark.parametrize("name", sorted(CLUSTER_CASES))
+    def test_matches_first_fit(self, name):
+        pts, radius = CLUSTER_CASES[name]
+        reps, counts = cluster_points(pts, radius)
+        want_reps, want_counts = _first_fit(pts, radius)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(reps, want_reps, equal_nan=True)
+        assert reps.tobytes() == want_reps.tobytes()
+
+    def test_huge_points_cluster_without_warnings(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reps, counts = cluster_points(
+                [1e308, -1e308, 1e308, complex(1.7e308, -1.7e308)], 1e-6)
+        assert [str(w.message) for w in caught] == []
+        assert counts.tolist() == [2, 1, 1]
+
+    def test_radius_zero_merges_exact_duplicates_only(self):
+        reps, counts = cluster_points([1.0, 1.0 + 1e-16j, 1.0, 2.0], 0.0)
+        assert counts.tolist() == [2, 1, 1]
+        assert reps.tolist() == [1.0, 1.0 + 1e-16j, 2.0]
+
+    @pytest.mark.parametrize("radius", [np.nan, -1e-9, np.inf])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(ValueError):
+            cluster_points([0.0, 1.0], radius)
+
+    def test_empty(self):
+        reps, counts = cluster_points([], 1.0)
+        assert reps.size == 0 and counts.size == 0
+
 
 class TestClusterAndRefine:
     def test_cluster_groups(self):

@@ -8,9 +8,15 @@ the fiber over 3 is {2, -2}, the representation takes 3 at z = 2 and
 import numpy as np
 import pytest
 
-from multicentric.algebra import AlgebraContext, SampleSet, VectorFunction
+from multicentric.algebra import (
+    AlgebraContext,
+    SampleSet,
+    VectorFunction,
+    quotient_spectrum,
+)
 from multicentric.errors import (
     AlgebraOverflow,
+    ContextMismatch,
     CriticalValue,
     MalformedInput,
     SampleMiss,
@@ -78,6 +84,15 @@ class TestGelfandEval:
         _, _, f = two_center
         with pytest.raises(AlgebraOverflow):
             gelfand_eval(f, 1e200)
+
+    def test_overflowing_value_raises(self):
+        # delta_1(2) = 1.5 on centers {1, -1}, so f^(2) overflows
+        ctx = AlgebraContext(Centers([1.0, -1.0]))
+        f = VectorFunction(SampleSet(ctx, [3.0]), [[1.5e308], [1.5e308]])
+        with pytest.raises(AlgebraOverflow):
+            gelfand_eval(f, 2.0)
+        with pytest.raises(AlgebraOverflow):
+            quotient_spectrum(f, [2.0, -2.0])
 
     def test_matches_gelfand_values_table(self, two_center):
         _, ss, f = two_center
@@ -188,10 +203,58 @@ class TestRoundTrips:
             col = inverse_transform(ctx, lambda z: np.sin(z), w)
             assert np.array_equal(f.values[:, i], col)
 
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_reconstruct_equals_per_point_columns(self, d):
+        # reconstruct inverts all fibers in one call; each column must be
+        # exactly what the single-point call gives.
+        rng = np.random.default_rng(300 + d)
+        ctx = _random_context(rng, d)
+        pts = 2.0 * (rng.standard_normal(25) + 1j * rng.standard_normal(25))
+
+        def phi(z):
+            return np.sin(z) + 0.5j * z
+
+        f = reconstruct(ctx, phi, pts)
+        cols = np.stack([inverse_transform(ctx, phi, w) for w in pts], axis=1)
+        assert np.array_equal(f.values, cols)
+        table = {complex(z): complex(np.cos(z))
+                 for z in f.samples.fiber_points.ravel()}
+        g = reconstruct(ctx, table, pts)
+        cols = np.stack([inverse_transform(ctx, table, w) for w in pts], axis=1)
+        assert np.array_equal(g.values, cols)
+
+    def test_sample_set_call_matches_fiber_calls(self):
+        rng = np.random.default_rng(11)
+        ctx = _random_context(rng, 4)
+        ss = SampleSet(ctx, [1.0 + 1.0j, -2.0, 0.5j, 3.0])
+        seen = []
+
+        def phi(z):
+            seen.append(z)
+            return z * z
+
+        got = inverse_transform(ctx, phi, ss)
+        assert got.shape == (4, 4)
+        assert np.array_equal(np.array(seen), ss.fiber_points.ravel())
+        for i, w in enumerate(ss.points):
+            assert np.array_equal(got[:, i], inverse_transform(ctx, phi, w))
+
+    def test_sample_set_of_another_context_rejected(self):
+        ctx = AlgebraContext(Centers([1.0, -1.0]))
+        other = SampleSet(AlgebraContext(Centers([2.0, -2.0])), [3.0])
+        with pytest.raises(ContextMismatch):
+            inverse_transform(ctx, lambda z: z, other)
+
     def test_reconstruct_refuses_a_critical_point(self):
         ctx = AlgebraContext(Centers([1.0, -1.0]))
         with pytest.raises(CriticalValue):
             reconstruct(ctx, lambda z: z, [3.0, -1.0, 2.0j])
+
+    def test_critical_refusal_names_the_first_critical_sample(self):
+        # p(z) = z^3 - 3z has critical values -2 and 2
+        ctx = AlgebraContext(Centers([0.0, 3.0 ** 0.5, -(3.0 ** 0.5)]))
+        with pytest.raises(CriticalValue, match=r"w=\(2\+0j\)"):
+            reconstruct(ctx, lambda z: z, [3.0, 2.0, 1.0j, -2.0])
 
 
 class TestScalarRepresentation:
