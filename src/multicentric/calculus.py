@@ -347,7 +347,10 @@ def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction,
         raise NotSimplifying(
             f"derivative residual {resid:.3e} exceeds {tol.eq_tol:.1e}")
 
-    betas = np.asarray(p(s.alphas), dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        betas = np.asarray(p(s.alphas), dtype=np.complex128)
+    if not np.all(np.isfinite(betas)):
+        raise AlgebraOverflow("p(alpha) is not finite (spectrum values too large)")
     bscale = max(1.0, float(np.abs(betas).max()))
     reps, _ = cluster_points(betas, tol.eq_tol * bscale)
     cols = [f.samples.match(b) for b in reps]

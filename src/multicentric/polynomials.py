@@ -477,12 +477,12 @@ def lagrange_basis(centers: Centers) -> list[Polynomial]:
     return out
 
 
-def _lagrange_values(nodes, z) -> np.ndarray:
-    """Lagrange basis of a row of nodes, or of a stack of rows, at ``z``.
+def _lagrange_terms(nodes, z):
+    """Yield the Lagrange basis delta_j at ``z`` for each node j in order.
 
     ``nodes`` is one row of shape (n,) or a stack of m rows of shape
-    (m, n); the result has shape (n,) + z.shape or (n, m) + z.shape.
-    Entry j is prod_{k != j} (z - n_k) / (n_j - n_k) over its row,
+    (m, n); each yielded array has shape z.shape or (m,) + z.shape.
+    delta_j is prod_{k != j} (z - n_k) / (n_j - n_k) over its row,
     multiplied in node order.
     """
     nodes = np.asarray(nodes, dtype=np.complex128)
@@ -490,14 +490,21 @@ def _lagrange_values(nodes, z) -> np.ndarray:
     cols = nodes.T                 # cols[k]: node k of every row
     if nodes.ndim == 2:
         cols = cols.reshape(cols.shape + (1,) * z.ndim)
-    n = len(cols)
-    out = np.empty((n,) + nodes.shape[:-1] + z.shape, dtype=np.complex128)
-    for j in range(n):
-        acc = np.ones(out.shape[1:], dtype=np.complex128)
-        for k in range(n):
+    shape = nodes.shape[:-1] + z.shape
+    for j in range(len(cols)):
+        acc = np.ones(shape, dtype=np.complex128)
+        for k in range(len(cols)):
             if k != j:
                 acc = acc * (z - cols[k]) / (cols[j] - cols[k])
-        out[j] = acc
+        yield acc
+
+
+def _lagrange_values(nodes, z) -> np.ndarray:
+    """The terms of :func:`_lagrange_terms` in one array: out[j] = delta_j(z)."""
+    nodes = np.asarray(nodes, dtype=np.complex128)
+    out = np.empty(nodes.shape[::-1] + np.shape(z), dtype=np.complex128)
+    for j, delta in enumerate(_lagrange_terms(nodes, z)):
+        out[j] = delta
     return out
 
 

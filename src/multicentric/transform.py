@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import AlgebraContext, SampleSet, VectorFunction, gelfand_eval
 from .config import MATCH_RTOL
 from .errors import ContextMismatch, CriticalValue, MalformedInput
-from .polynomials import Fiber, Polynomial, _lagrange_values, lagrange_basis
+from .polynomials import Fiber, Polynomial, _lagrange_terms, lagrange_basis
 
 __all__ = [
     "gelfand_eval",
@@ -45,19 +45,15 @@ def _phi_values_at(phi, pts: np.ndarray) -> np.ndarray:
     zs = np.array([complex(z) for z, _ in items], dtype=np.complex128)
     vs = np.array([complex(v) for _, v in items], dtype=np.complex128)
     out = np.empty(len(pts), dtype=np.complex128)
-    for lo in range(0, len(pts), 256):
-        block = pts[lo:lo + 256]
-        gaps = np.abs(zs[None, :] - block[:, None])
-        j = np.argmin(gaps, axis=1)
-        near = gaps[np.arange(len(block)), j]
-        miss = np.flatnonzero(near > MATCH_RTOL * np.maximum(1.0, np.abs(block)))
-        if miss.size:
-            i = miss[0]
+    for i, z in enumerate(pts):
+        gaps = np.abs(zs - z)
+        j = int(np.argmin(gaps))
+        if gaps[j] > MATCH_RTOL * max(1.0, abs(z)):
             raise MalformedInput(
-                f"no scalar value supplied for fiber point {block[i]!r} "
-                f"(nearest given point at distance {near[i]:.3e})"
+                f"no scalar value supplied for fiber point {z!r} "
+                f"(nearest given point at distance {gaps[j]:.3e})"
             )
-        out[lo:lo + 256] = vs[j]
+        out[i] = vs[j]
     return out
 
 
@@ -82,8 +78,13 @@ def inverse_transform(ctx: AlgebraContext, phi, w) -> np.ndarray:
         i = int(np.argmax(crit))
         raise CriticalValue(f"w={complex(ws[i])!r} is (numerically) a critical value")
     vals = _phi_values_at(phi, nodes.ravel()).reshape(nodes.shape)
-    basis = _lagrange_values(nodes, ctx.lambdas)   # [j, i, k]: delta_j(lambda_k; w_i)
-    out = (basis * vals.T[:, :, None]).sum(axis=0)
+    # sum over j of delta_j(lambda_k; w_i) phi(z_j(w_i)), added up in node
+    # order one (m, d) term at a time: the (d, m, d) basis is never held
+    terms = (delta * vals[:, j, None]
+             for j, delta in enumerate(_lagrange_terms(nodes, ctx.lambdas)))
+    out = next(terms)
+    for term in terms:
+        out += term
     return out.T if isinstance(w, SampleSet) else out[0]
 
 

@@ -348,11 +348,16 @@ class TestConsoleScript:
          1),
         (["gelfand", "--f", F_HUGE_JSON, "--z", "[2,0]"], 1),
         (["charfunc", "--f", F_HUGE_JSON, "--lam", "[0,0]"], 1),
+        (["chi", "--matrix", '{"rows":1,"cols":1,"data":[1e200]}',
+          "--spectrum", '{"entries":[{"alpha":1e200,"n":0}]}',
+          "--f", '{"centers":[[1,0],[-1,0]],"samples":[{"w":1,"f":[1,2]}]}',
+          "--poly", '{"coeffs":[-1,0,1]}'], 1),
     ], ids=["gelfand-nan", "gelfand-inf", "basis-nan", "basis-huge-int",
             "fiber-nan", "radical-nan", "matrix-rows-inf", "charfunc-large-lam",
             "fiber-large-w", "basis-large-z", "gelfand-large-z",
             "chi-large-matrix", "hermite-large-matrix", "specmap-large-matrix",
-            "gelfand-overflowing-value", "charfunc-overflowing-values"])
+            "gelfand-overflowing-value", "charfunc-overflowing-values",
+            "chi-overflowing-beta"])
     def test_out_of_range_inputs_fail_cleanly(self, argv, code):
         proc = subprocess.run(
             [sys.executable, "-m", "multicentric.cli", *argv],

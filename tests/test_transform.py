@@ -5,6 +5,8 @@ the fiber over 3 is {2, -2}, the representation takes 3 at z = 2 and
 -1 at z = -2, and the fiber Lagrange weight delta_1(1; w=3) is 3/4.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,23 @@ class TestRoundTrips:
         assert np.array_equal(np.array(seen), ss.fiber_points.ravel())
         for i, w in enumerate(ss.points):
             assert np.array_equal(got[:, i], inverse_transform(ctx, phi, w))
+
+    def test_sample_set_call_holds_no_full_basis(self):
+        # the (d, m, d) basis of every fiber would be d times the result;
+        # the inversion keeps only (m, d) arrays alive at a time
+        d, m = 32, 500
+        ctx = AlgebraContext(Centers(np.exp(2j * np.pi * np.arange(d) / d)))
+        rng = np.random.default_rng(12)
+        ss = SampleSet(ctx, 3.0 * (rng.standard_normal(m)
+                                   + 1j * rng.standard_normal(m)))
+        tracemalloc.start()
+        try:
+            got = inverse_transform(ctx, lambda z: z * z, ss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (d, m)
+        assert peak < 12 * got.nbytes < d * got.nbytes
 
     def test_sample_set_of_another_context_rejected(self):
         ctx = AlgebraContext(Centers([1.0, -1.0]))
