@@ -34,7 +34,6 @@ from .polynomials import (
     Fiber,
     Polynomial,
     _critical_rows,
-    _lagrange_values,
     cluster_points,
     fiber,
     fiber_batch,
@@ -88,9 +87,9 @@ class AlgebraContext:
         np.fill_diagonal(diff, 1.0)
         lmat = 1.0 / diff
         np.fill_diagonal(lmat, 0.0)
-        ell = 1.0 / np.prod(diff, axis=1)
+        ell = centers.ell
         sigma = lmat * ell[None, :]
-        for arr in (lmat, ell, sigma):
+        for arr in (lmat, sigma):
             arr.flags.writeable = False
         self.Lmat = lmat
         self.ell = ell
@@ -107,24 +106,41 @@ class AlgebraContext:
         return self.centers.lambdas
 
     def basis_values(self, z) -> np.ndarray:
-        """delta_j(z) for all j in stable product form; shape (d,) + z.shape.
+        """delta_j(z) for all j; shape (d,) + z.shape, O(d) work per point.
 
-        The product form keeps the interpolation property exact: at a
-        center the result is exactly 0 or 1.  Raises AlgebraOverflow when
-        a value is not finite (z too large for floating point).
+        delta_j(z) = ell_j prod_{k<j} (z - lambda_k) prod_{k>j} (z - lambda_k),
+        built in the output from one forward and one backward running
+        product.  At a center the result is exactly 0 or 1: the zeros
+        carry an exact zero factor and the ones are pinned.  Raises
+        AlgebraOverflow when a value is not finite (z too large for
+        floating point).
         """
         z = np.asarray(z, dtype=np.complex128)
-        lam = self.lambdas
+        lam, ell = self.lambdas, self.ell
+        out = np.empty((self._d,) + z.shape, dtype=np.complex128)
+        flat, zf = out.reshape(self._d, -1), z.reshape(-1)   # views
+        acc = np.ones_like(zf)
+        fac = np.empty_like(zf)
         with np.errstate(all="ignore"):
-            out = _lagrange_values(lam, z)
-        if not np.all(np.isfinite(out)):
-            raise AlgebraOverflow("basis values are not finite at the given z")
-        # Complex division x/x may be off by an ulp, so pin exact center
-        # hits to exact unit values (the zero rows are already exact).
+            flat[0] = 1.0
+            for j in range(1, self._d):      # flat[j] = prod_{k<j} (z - lambda_k)
+                np.subtract(zf, lam[j - 1], out=fac)
+                np.multiply(flat[j - 1], fac, out=flat[j])
+            for j in range(self._d - 1, -1, -1):  # acc = prod_{k>j} (z - lambda_k)
+                np.multiply(acc, ell[j], out=fac)
+                flat[j] *= fac
+                if j:
+                    np.subtract(zf, lam[j], out=fac)
+                    acc *= fac
+        # Row by row, so no d-fold temporary is made.  ell_j prod_{k != j}
+        # (lambda_j - lambda_k) may be off by an ulp, so exact center hits
+        # are pinned to exact unit values.
         for j in range(self._d):
-            hit = z == lam[j]
+            if not np.isfinite(flat[j]).all():
+                raise AlgebraOverflow("basis values are not finite at the given z")
+            hit = zf == lam[j]
             if hit.any():
-                out[j] = np.where(hit, 1.0, out[j])
+                flat[j, hit] = 1.0
         return out
 
     def fiber(self, w) -> Fiber:
@@ -339,16 +355,26 @@ def algebra_power(f: VectorFunction, n: int) -> VectorFunction:
     return out
 
 
+def _off_diagonal(f: VectorFunction) -> np.ndarray:
+    """off[i, j, m] = w_m sigma_ij (f_i - f_j)(w_m), the one (d, d, m) tensor.
+
+    These are the off-diagonal entries of B_f(w_m); the diagonal of the
+    tensor is zero since sigma_ii = 0.
+    """
+    w, sigma = f.samples.points, f.ctx.sigma
+    off = f.values[:, None, :] - f.values[None, :, :]
+    for i in range(f.d):            # a (d, m) factor at a time
+        np.multiply(w * sigma[i, :, None], off[i], out=off[i])
+    return off
+
+
 def mult_matrices(f: VectorFunction) -> np.ndarray:
     """Multiplication matrices B_f(w) for every sample; shape (m, d, d).
 
     B_f(w) g(w) = (f * g)(w) for all g, so the algebra action of f on the
     fiber over w is this single d x d matrix.
     """
-    sigma = f.ctx.sigma
-    w = f.samples.points
-    fd = f.values[:, None, :] - f.values[None, :, :]   # (i, j, m)
-    off = w[None, None, :] * sigma[:, :, None] * fd    # (i, j, m)
+    off = _off_diagonal(f)                             # (i, j, m)
     rowsum = off.sum(axis=1)                           # (i, m)
     b = np.moveaxis(off, 2, 0).copy()                  # (m, i, j)
     idx = np.arange(f.d)
@@ -373,10 +399,14 @@ def op_norm(f: VectorFunction) -> float:
     """Operator norm of multiplication by f on the sampled algebra.
 
     Computed exactly as the max over samples of the infinity-induced norm
-    (largest absolute row sum) of B_f(w).
+    (largest absolute row sum) of B_f(w): row i of B_f(w) sums to
+    |f_i - sum_j off_ij| + sum_j |off_ij|, read straight from the
+    off-diagonal tensor, so the (m, d, d) matrices are never built.
     """
-    b = mult_matrices(f)
-    return float(np.abs(b).sum(axis=2).max())
+    off = _off_diagonal(f)
+    rows = np.abs(f.values - off.sum(axis=1))
+    rows += np.abs(off).sum(axis=1)
+    return float(rows.max())
 
 
 def spectrum_multiset(f: VectorFunction) -> np.ndarray:

@@ -2,12 +2,17 @@
 
 Coefficients are stored densely in ascending powers.  One batched
 simultaneous (Ehrlich-Aberth) kernel solves q(z) - w = 0 for a vector of
-right hand sides: :func:`roots` is its one-row case with w = 0 and
-:func:`fiber_batch` runs it over many w at once.  Each row starts on a
-circle enclosing its roots and leaves the batch as soon as all its
-points converge, so a row's result does not depend on the rows beside
-it.  Multiplicities are kept: a k-fold root comes back as a cluster of
-k nearby points whose residuals are below tolerance, which
+right hand sides from given start points: :func:`roots` is its one-row
+case with w = 0, started on a circle enclosing the roots, and
+:func:`fiber_batch` runs it over many w at once.  The fiber over w = 0 is
+the set of centers and moves smoothly with w, so a fiber row starts at
+the first-order points lambda_j + w / p'(lambda_j) while those stay
+within each center's distance to its nearest other center; farther rows
+start on the circle of the Fujiwara bound of p - w.  A row leaves the
+batch as soon as all its points converge, and its start depends only on
+its own w, so a row's result does not depend on the rows beside it.
+Multiplicities are kept: a k-fold root comes back as a cluster of k
+nearby points whose residuals are below tolerance, which
 :func:`cluster_points` groups by a grid hash.
 """
 
@@ -153,28 +158,27 @@ def _newton_polish(z, coeffs, dcoeffs, w, sweeps=2):
     return z
 
 
-def _aberth(monic, ws, tol: Tolerances, max_iter: int) -> np.ndarray:
+def _aberth(monic, ws, z0, tol: Tolerances, max_iter: int) -> np.ndarray:
     """Roots of monic(z) - w for every w in ``ws``; shape (len(ws), deg).
 
-    ``monic`` holds finite ascending coefficients with leading 1.  A point
-    is frozen once its residual passes the backward-error test
-    (|monic(z) - w| below root_tol relative to the coefficient magnitude
-    accumulated at z, plus |w|), so clusters standing in for multiple
-    roots terminate as well.  A row leaves the active arrays once all its
-    points pass.  The rows never mix, so each row ends as it would alone:
-    collided iterates are jittered in a step that moves no other row,
-    which only costs the others one iteration of ``max_iter``.  A final
-    Newton polish runs over all rows.  Overflow shows up as non-finite
-    iterates and is raised, never warned about.
+    ``monic`` holds finite ascending coefficients with leading 1, and row
+    i of ``z0`` holds the deg start points of row i.  A point is frozen
+    once its residual passes the backward-error test (|monic(z) - w|
+    below root_tol relative to the coefficient magnitude accumulated at
+    z, plus |w|), so clusters standing in for multiple roots terminate as
+    well.  A row leaves the active arrays once all its points pass.  The
+    rows never mix, so each row ends as it would alone: collided iterates
+    are jittered, by 1e-8 of the row's largest start modulus, in a step
+    that moves no other row, which only costs the others one iteration of
+    ``max_iter``.  A final Newton polish runs over all rows.  Overflow
+    shows up as non-finite iterates and is raised, never warned about.
     """
     deg = len(monic) - 1
     with np.errstate(all="ignore"):
         dcoef = npp.polyder(monic)
         absc = np.abs(monic)
-        inner_max = np.abs(monic[1:-1]).max() if deg >= 2 else 0.0
-        radius = 1.0 + np.maximum(np.abs(monic[0] - ws), inner_max)
-        angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-        z = radius[:, None] * np.exp(1j * angles)[None, :]
+        z = np.array(z0, dtype=np.complex128)
+        radius = np.abs(z).max(axis=1)
 
         # The active rows: their indices, iterates, right hand sides,
         # start radii and frozen points.
@@ -228,12 +232,20 @@ def _aberth(monic, ws, tol: Tolerances, max_iter: int) -> np.ndarray:
     )
 
 
+def _circle(radius, deg: int) -> np.ndarray:
+    """deg start points on the circle of each radius; shape (len, deg)."""
+    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
+    return radius[:, None] * np.exp(1j * angles)[None, :]
+
+
 def roots(q, tol: Tolerances = DEFAULT_TOL, max_iter: int = 400) -> np.ndarray:
     """All complex roots of ``q`` with multiplicity, degree >= 1 required.
 
-    The one-row case of the batched kernel with w = 0; degree 1 is solved
-    exactly.  Raises ConvergenceFailure when the coefficients span a range
-    too wide to normalise in floating point.
+    The one-row case of the batched kernel with w = 0, started on the
+    circle of radius 1 + max(|a_0|, ..., |a_{deg-1}|) (Cauchy's bound of
+    the monic form); degree 1 is solved exactly.  Raises
+    ConvergenceFailure when the coefficients span a range too wide to
+    normalise in floating point.
     """
     c = _coeff_array(q)
     deg = len(c) - 1
@@ -248,7 +260,24 @@ def roots(q, tol: Tolerances = DEFAULT_TOL, max_iter: int = 400) -> np.ndarray:
         )
     if deg == 1:
         return np.array([-c[0] / c[1]], dtype=np.complex128)
-    return _aberth(monic, np.zeros(1, dtype=np.complex128), tol, max_iter)[0]
+    radius = 1.0 + np.abs(monic[:-1]).max(keepdims=True)
+    return _aberth(monic, np.zeros(1, dtype=np.complex128),
+                   _circle(radius, deg), tol, max_iter)[0]
+
+
+def _fujiwara_radius(monic, ws) -> np.ndarray:
+    """Fujiwara's bound on the root moduli of monic(z) - w, for each w.
+
+    2 max(|a_{deg-1}|, |a_{deg-2}|^(1/2), ..., |a_1|^(1/(deg-1)),
+    |(a_0 - w) / 2|^(1/deg)): unlike 1 + max |a_k| it grows like
+    |w|^(1/deg), so the start circle stays representable for any finite w
+    whose fiber is.
+    """
+    deg = len(monic) - 1
+    with np.errstate(all="ignore"):
+        inner = np.abs(monic[1:-1]) ** (1.0 / np.arange(deg - 1, 0, -1))
+        outer = (np.abs(monic[0] - ws) / 2.0) ** (1.0 / deg)
+    return 2.0 * np.maximum(outer, inner.max(initial=0.0))
 
 
 def fiber_batch(centers: "Centers", ws, tol: Tolerances = DEFAULT_TOL,
@@ -256,15 +285,31 @@ def fiber_batch(centers: "Centers", ws, tol: Tolerances = DEFAULT_TOL,
     """Fiber points of the center polynomial over each w; shape (len(ws), d).
 
     The batched root kernel over the right hand sides.  Rows with w
-    exactly 0 return the centers themselves.
+    exactly 0 return the centers themselves.  A row starts at the
+    first-order fiber points lambda_j + w ell_j (ell_j = 1/p'(lambda_j))
+    when every |w ell_j| is at most lambda_j's distance to its nearest
+    other center; a nudge of 1e-3 of that distance, turned a little
+    further for each j, breaks the real symmetry on which a real p and a
+    real w would otherwise stall.  Other rows start on the circle of the
+    Fujiwara bound of p - w.  The rule reads only the row's own w.
     """
     ws = np.asarray(ws, dtype=np.complex128).ravel()
-    out = np.empty((ws.size, centers.d), dtype=np.complex128)
+    d = centers.d
+    out = np.empty((ws.size, d), dtype=np.complex128)
     zero_rows = ws == 0
     out[zero_rows] = centers.lambdas
     live = ~zero_rows
     if live.any():
-        out[live] = _aberth(centers.poly.coeffs, ws[live], tol, max_iter)
+        wl = ws[live]
+        lam, ell, near = centers.lambdas, centers.ell, centers._near
+        with np.errstate(all="ignore"):
+            shift = wl[:, None] * ell[None, :]
+            local = (np.abs(shift) <= near[None, :]).all(axis=1)
+            z0 = _circle(_fujiwara_radius(centers.poly.coeffs, wl), d)
+            nudge = np.where(np.isfinite(near), 1e-3 * near, 0.0) * np.exp(
+                1j * (0.4 + 2.0 * np.pi * np.arange(d) / d))
+            z0[local] = lam + shift[local] + nudge
+        out[live] = _aberth(centers.poly.coeffs, wl, z0, tol, max_iter)
     return out
 
 
@@ -345,9 +390,15 @@ def refine_multiple_root(coeffs, z0, mult: int, radius: float,
 
 
 class Centers:
-    """Pairwise distinct interpolation centers and their monic polynomial."""
+    """Pairwise distinct interpolation centers and their monic polynomial.
 
-    __slots__ = ("lambdas", "separation", "_poly", "_deriv", "_crit", "_critvals")
+    ``_near[j]`` is lambda_j's distance to its nearest other center (inf
+    for a single center), which bounds the fiber start of lambda_j, and
+    ``separation`` is the least of them.
+    """
+
+    __slots__ = ("lambdas", "separation", "_near", "_poly", "_deriv",
+                 "_ell", "_crit", "_critvals")
 
     def __init__(self, lambdas, tol: Tolerances = DEFAULT_TOL):
         arr = np.atleast_1d(np.asarray(lambdas, dtype=np.complex128)).ravel().copy()
@@ -356,21 +407,22 @@ class Centers:
         if not np.all(np.isfinite(arr)):
             raise ValueError("centers must be finite")
         scale = max(1.0, float(np.abs(arr).max()))
-        if arr.size > 1:
-            diff = np.abs(arr[:, None] - arr[None, :])
-            np.fill_diagonal(diff, np.inf)
-            sep = float(diff.min())
-        else:
-            sep = np.inf
+        diff = np.abs(arr[:, None] - arr[None, :])
+        np.fill_diagonal(diff, np.inf)
+        near = diff.min(axis=1)
+        sep = float(near.min())
         if not sep > tol.crit_tol * scale:
             raise CentersDegenerate(
                 f"minimal center separation {sep:.3e} at scale {scale:.3e}"
             )
         arr.flags.writeable = False
+        near.flags.writeable = False
         self.lambdas = arr
         self.separation = sep
+        self._near = near
         self._poly = None
         self._deriv = None
+        self._ell = None
         self._crit = None
         self._critvals = None
 
@@ -389,6 +441,18 @@ class Centers:
         if self._deriv is None:
             self._deriv = self.poly.derivative()
         return self._deriv
+
+    @property
+    def ell(self) -> np.ndarray:
+        """ell_j = 1/p'(lambda_j) = 1/prod_{k != j} (lambda_j - lambda_k)."""
+        if self._ell is None:
+            diff = self.lambdas[:, None] - self.lambdas[None, :]
+            np.fill_diagonal(diff, 1.0)
+            with np.errstate(all="ignore"):
+                ell = 1.0 / np.prod(diff, axis=1)
+            ell.flags.writeable = False
+            self._ell = ell
+        return self._ell
 
     @property
     def critical_points(self) -> np.ndarray:
@@ -497,15 +561,6 @@ def _lagrange_terms(nodes, z):
             if k != j:
                 acc = acc * (z - cols[k]) / (cols[j] - cols[k])
         yield acc
-
-
-def _lagrange_values(nodes, z) -> np.ndarray:
-    """The terms of :func:`_lagrange_terms` in one array: out[j] = delta_j(z)."""
-    nodes = np.asarray(nodes, dtype=np.complex128)
-    out = np.empty(nodes.shape[::-1] + np.shape(z), dtype=np.complex128)
-    for j, delta in enumerate(_lagrange_terms(nodes, z)):
-        out[j] = delta
-    return out
 
 
 def critical_points(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -8,6 +8,9 @@ f(3) = (2, 0), g(3) = (1, -1):
                                                         [1.5, -1.5]]
 """
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import numpy.linalg as npl
 import pytest
@@ -38,7 +41,6 @@ from multicentric.config import DEFAULT_TOL
 from multicentric.errors import (
     AlgebraOverflow,
     ContextMismatch,
-    ConvergenceFailure,
     NotInvertible,
     SampleMiss,
 )
@@ -510,10 +512,18 @@ class TestOutOfRange:
         with pytest.raises(AlgebraOverflow):
             ctx.basis_values(np.asarray(1e200))
 
-    def test_sample_far_out_fails_cleanly(self, two_center):
+    def test_sample_far_out_is_accurate(self, two_center):
+        # the fiber over 1e300 is {+-1e150}: the start circle of the
+        # Fujiwara bound stays representable, so the solve succeeds
         ctx, _, _, _ = two_center
-        with pytest.raises(ConvergenceFailure):
-            SampleSet(ctx, [1e300])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ss = SampleSet(ctx, [1e300])
+        assert [str(w.message) for w in caught] == []
+        z = ss.fiber_points[0]
+        resid = np.abs(z * z - 1.0 - 1e300) / (np.abs(z) ** 2 + 1.0 + 1e300)
+        assert resid.max() <= DEFAULT_TOL.root_tol
+        assert np.allclose(np.sort(z.real), [-1e150, 1e150], rtol=1e-15, atol=0)
 
     def test_spectrum_of_huge_values_clusters(self, two_center):
         # f^ = +-1.2e308 over w = 0.5: cluster distances overflow quietly
@@ -582,3 +592,105 @@ class TestSpectrum:
         f = VectorFunction.constant(ss, [c, c, c])
         vals = spectrum(f)
         assert len(vals) == 1 and abs(vals[0] - c) < 1e-10
+
+
+def _basis_loop(lam, z):
+    """delta_j(z) as the product of the ratios (z - lambda_k)/(lambda_j - lambda_k)."""
+    out = np.empty((len(lam),) + z.shape, dtype=np.complex128)
+    for j in range(len(lam)):
+        acc = np.ones(z.shape, dtype=np.complex128)
+        for k in range(len(lam)):
+            if k != j:
+                acc = acc * (z - lam[k]) / (lam[j] - lam[k])
+        out[j] = acc
+    return out
+
+
+def _circle_centers(rng, d):
+    """d centers jittered around the unit circle, separated by at least 0.02."""
+    k = np.arange(d) + rng.uniform(-0.2, 0.2, d)
+    return (1.0 + rng.uniform(-0.06, 0.06, d)) * np.exp(2j * np.pi * k / d)
+
+
+class TestBasisValues:
+    @pytest.mark.parametrize("d", [2, 4, 16, 64])
+    def test_matches_product_loop(self, d):
+        rng = np.random.default_rng(d)
+        lam = _circle_centers(rng, d) if d == 64 else 1.5 * (
+            rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        ctx = AlgebraContext(Centers(lam))
+        ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, 40)
+                                   + 1j * rng.uniform(-1, 1, 40)))
+        for z in (ss.fiber_points,
+                  2.0 * (rng.standard_normal((5, 3))
+                         + 1j * rng.standard_normal((5, 3))),
+                  np.asarray(0.3 - 0.7j)):
+            got, want = ctx.basis_values(z), _basis_loop(ctx.lambdas, z)
+            assert got.shape == (d,) + z.shape
+            assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 16, 64])
+    def test_exact_at_centers(self, d):
+        rng = np.random.default_rng(d)
+        ctx = AlgebraContext(Centers(_circle_centers(rng, d)))
+        assert np.array_equal(ctx.basis_values(ctx.lambdas), np.eye(d))
+        # a center hit among other points, and the fiber over w = 0
+        z = np.array([[ctx.lambdas[-1], 0.25j]])
+        assert np.array_equal(ctx.basis_values(z)[:, 0, 0], np.eye(d)[-1])
+        ss = SampleSet(ctx, [0.0, 0.5])
+        assert np.array_equal(ss.basis_at_fibers[:, 0, :], np.eye(d))
+
+    def test_single_center_is_one(self):
+        ctx = AlgebraContext(Centers([0.5 + 0.2j]))
+        assert np.array_equal(ctx.basis_values(np.array([3.0, -1j])),
+                              np.ones((1, 2)))
+
+
+class TestOpNorm:
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_matches_matrix_row_sums(self, d):
+        rng = np.random.default_rng(d)
+        _, ss = _context(rng, d, 30)
+        f = _rand_function(rng, ss)
+        want = np.abs(mult_matrices(f)).sum(axis=2).max()
+        assert op_norm(f) == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_nilpotent_square_is_zero(self):
+        ctx = AlgebraContext(Centers([1.0, -1.0]))
+        ss = SampleSet(ctx, [-1.0])
+        sq = polyprod(VectorFunction(ss, [[1.0], [-1.0]]),
+                      VectorFunction(ss, [[1.0], [-1.0]]))
+        assert op_norm(sq) == 0.0
+        assert np.abs(mult_matrices(sq)).sum(axis=2).max() == 0.0
+
+
+class TestMemory:
+    """Peak allocations at the many-centers size (d, m) = (64, 400)."""
+
+    D, M = 64, 400
+
+    def _peak(self, fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    def test_basis_values_builds_in_place(self):
+        rng = np.random.default_rng(0)
+        ctx = AlgebraContext(Centers(_circle_centers(rng, self.D)))
+        z = rng.standard_normal((self.M, self.D)) \
+            + 1j * rng.standard_normal((self.M, self.D))
+        out, peak = self._peak(ctx.basis_values, z)
+        assert peak <= 1.1 * out.nbytes
+
+    def test_op_norm_skips_the_matrices(self):
+        rng = np.random.default_rng(1)
+        ctx = AlgebraContext(Centers(_circle_centers(rng, self.D)))
+        ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, self.M)
+                                   + 1j * rng.uniform(-1, 1, self.M)))
+        f = _rand_function(rng, ss)
+        _, peak = self._peak(op_norm, f)
+        assert peak <= 2 * self.D * self.D * self.M * 16

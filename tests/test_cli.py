@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from multicentric.cli import main
+from multicentric.config import DEFAULT_TOL
 
 F_JSON = json.dumps({
     "centers": [[1.0, 0.0], [-1.0, 0.0]],
@@ -334,7 +335,6 @@ class TestConsoleScript:
         (["chi", "--matrix", '{"rows": Infinity, "cols": 2, "data": []}',
           "--spectrum", S_JSON, "--f", FC_JSON], 2),
         (["charfunc", "--f", F_JSON, "--lam", "[1e200,0]"], 1),
-        (["fiber", "--centers", CENTERS, "--w", "[1e300,0]"], 1),
         (["basis", "--centers", CENTERS3, "--z", "[1e200,0]"], 1),
         (["gelfand", "--f", F_JSON, "--z", "[1e200,0]"], 1),
         (["chi", "--matrix", J3_LARGE_JSON, "--spectrum", S3_JSON,
@@ -354,7 +354,7 @@ class TestConsoleScript:
           "--poly", '{"coeffs":[-1,0,1]}'], 1),
     ], ids=["gelfand-nan", "gelfand-inf", "basis-nan", "basis-huge-int",
             "fiber-nan", "radical-nan", "matrix-rows-inf", "charfunc-large-lam",
-            "fiber-large-w", "basis-large-z", "gelfand-large-z",
+            "basis-large-z", "gelfand-large-z",
             "chi-large-matrix", "hermite-large-matrix", "specmap-large-matrix",
             "gelfand-overflowing-value", "charfunc-overflowing-values",
             "chi-overflowing-beta"])
@@ -368,6 +368,20 @@ class TestConsoleScript:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_fiber_of_huge_w_is_accurate(self):
+        # z^2 - 1 = 1e300: the fiber {+-1e150} solves cleanly
+        proc = subprocess.run(
+            [sys.executable, "-m", "multicentric.cli", "fiber",
+             "--centers", CENTERS, "--w", "[1e300,0]"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "Warning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        pts = np.array([as_complex(t) for t in json.loads(proc.stdout)["points"]])
+        resid = np.abs(pts * pts - 1.0 - 1e300) / (np.abs(pts) ** 2 + 1.0 + 1e300)
+        assert resid.max() <= DEFAULT_TOL.root_tol
 
     def test_huge_spectrum_values_cluster_cleanly(self):
         # f^ takes +-1.2e308 over w = 0.5: the cluster distances overflow

@@ -1,6 +1,7 @@
 import warnings
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 
 from multicentric.config import DEFAULT_TOL
@@ -26,6 +27,15 @@ WIDE_RANGE = {
     "quadratic": [1e300, 0.0, 1e-300],
     "linear": [1e300, 1e-300],
 }
+
+
+def _backward_err(cen, ws, pts):
+    """Worst |p(z) - w| / max(sum_k |c_k| |z|^k + |w|, 1) over a (m, d) stack."""
+    c = cen.poly.coeffs
+    ws = np.asarray(ws, dtype=np.complex128)[:, None]
+    res = np.abs(npp.polyval(pts, c) - ws)
+    scale = npp.polyval(np.abs(pts), np.abs(c)).real + np.abs(ws)
+    return float((res / np.maximum(scale, 1.0)).max())
 
 
 def _match_multisets(a, b, tol):
@@ -135,14 +145,43 @@ class TestFiber:
         fib = fiber(cen, -1.0)  # double point at z = 0
         assert fib.is_critical
 
-    def test_overflowing_w_raises_without_warnings(self):
-        # p(z) = z^2 - 1 overflows on the start circle of radius ~1e300;
-        # an overflowed residual scale must not pass for convergence.
+    @pytest.mark.parametrize("w", [1e200, 1e300])
+    def test_huge_w_solves_without_warnings(self, w):
+        # p(z) = z^2 - 1: the fiber {+-sqrt(w)} is representable, and so
+        # is the start circle of the Fujiwara bound 2 sqrt(w / 2)
+        cen = Centers([1.0, -1.0])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ConvergenceFailure):
-                fiber(Centers([1.0, -1.0]), 1e300)
-        assert [str(w.message) for w in caught] == []
+            pts = fiber(cen, w).points
+        assert [str(m.message) for m in caught] == []
+        assert _backward_err(cen, [w], pts[None, :]) <= DEFAULT_TOL.root_tol
+        assert np.allclose(np.sort(pts.real), [-w ** 0.5, w ** 0.5],
+                           rtol=1e-15, atol=0)
+
+    def test_real_row_leaves_the_real_axis(self):
+        # centers {0, +-sqrt 3}, p = z^3 - 3z, w = 3: every first-order
+        # start point is real, and without the nudge the iteration stays
+        # on the real axis, where two of the three roots are not
+        cen = Centers([0.0, 3.0 ** 0.5, -(3.0 ** 0.5)])
+        pts = fiber_batch(cen, [3.0])
+        assert _backward_err(cen, [3.0], pts) <= DEFAULT_TOL.root_tol
+        _match_multisets(pts[0], np.roots([1.0, 0.0, -3.0, -3.0]), 1e-12)
+
+    def test_single_center(self):
+        # d = 1: no nearest center, and lambda + w is the fiber
+        lam = 0.5 + 0.2j
+        ws = np.array([0.3, -2j, 1e10, 1e300])
+        pts = fiber_batch(Centers([lam]), ws)
+        assert pts.shape == (4, 1)
+        assert np.abs(pts[:, 0] - (lam + ws)).max() <= 1e-15 * np.abs(ws).max()
+
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_many_centers_on_a_circle(self, d):
+        # the Cauchy start circle of radius ~2^d overflowed polyval here
+        cen = Centers(2.0 * np.exp(2j * np.pi * np.arange(d) / d))
+        ws = np.array([0.5, 3.0, -7j, 1e3, 1e6 * (1 + 1j), -1e9])
+        pts = fiber_batch(cen, ws)
+        assert _backward_err(cen, ws, pts) <= DEFAULT_TOL.root_tol
 
     @pytest.mark.parametrize("d", [4, 24])
     def test_batch_rows_equal_single_rows(self, d):
