@@ -321,6 +321,11 @@ def _lagrange_matrices(nodes, a: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
+# Largest admitted norm bound of the spectral projectors in chi_A: past
+# it, rounding of order 1e-16 can grow beyond the 1e-8 the checks accept.
+_PROJECTOR_BOUND = 1e8
+
+
 def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction,
           tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Functional calculus chi_A(f) = sum_j delta_j(A) f_j(B), B = p(A).
@@ -329,7 +334,9 @@ def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction,
     beta_k = p(alpha_k) present among f's samples.  f_j(B) is
     sum_k f_j(beta_k) E_k over the spectral projectors E_k of B.  The
     result is a polynomial in a, so it commutes with a and respects
-    similarity transforms.
+    similarity transforms.  Raises AlgebraOverflow when the bound on the
+    projector norms passes 1e8, as it does when two beta_k nearly
+    coincide.
     """
     a = linalg.as_square(a)
     if sum(n + 1 for _, n in s.entries) > a.shape[0]:
@@ -355,7 +362,19 @@ def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction,
     reps, _ = cluster_points(betas, tol.eq_tol * bscale)
     cols = [f.samples.match(b) for b in reps]
     with np.errstate(all="ignore"):
-        proj = _lagrange_matrices(reps, linalg.mat_poly_eval(p, a))
+        b = linalg.mat_poly_eval(p, a)
+        # ||E_k|| <= prod_{l != k} (||B|| + |beta_l|) / |beta_k - beta_l|,
+        # and rounding in E_k grows with it.
+        ratio = (np.abs(b).sum(axis=1).max() + np.abs(reps))[None, :] \
+            / np.abs(reps[:, None] - reps[None, :])
+        np.fill_diagonal(ratio, 1.0)
+        amp = float(np.prod(ratio, axis=1).max())
+        if not amp <= _PROJECTOR_BOUND:
+            raise AlgebraOverflow(
+                f"spectral projectors of p(A) may reach norm {amp:.3e} "
+                f"(bound {_PROJECTOR_BOUND:.0e}): the p(alpha_k) nearly "
+                "coincide")
+        proj = _lagrange_matrices(reps, b)
         f_of_b = np.einsum("jk,kab->jab", f.values[:, cols], proj)
         chi = (_lagrange_matrices(ctx.lambdas, a) @ f_of_b).sum(axis=0)
     if not np.all(np.isfinite(chi)):
@@ -408,12 +427,11 @@ def hausdorff_distance(a, b) -> float:
 
 
 def spectral_mapping_check(a, s: SpectrumData, p: Polynomial,
-                           f: VectorFunction,
-                           tol: Tolerances = DEFAULT_TOL,
-                           cluster_rtol: float = 1e-3) -> SpectralMappingReport:
+                           f: VectorFunction, tol: Tolerances = DEFAULT_TOL
+                           ) -> SpectralMappingReport:
     """Compare the spectrum of chi_A(f) against {f^(alpha_k)} as sets.
 
-    Both sides are clustered at the same relative radius before the
+    Both sides are clustered at the same relative radius 1e-3 before the
     Hausdorff comparison: a k-fold eigenvalue comes out of the polynomial
     root path as a k-cluster whose centroid is first-order accurate.
     """
@@ -425,7 +443,7 @@ def spectral_mapping_check(a, s: SpectrumData, p: Polynomial,
         float(np.abs(eigs).max()) if eigs.size else 0.0,
         float(np.abs(pred).max()) if pred.size else 0.0,
     )
-    radius = cluster_rtol * scale
+    radius = 1e-3 * scale
     comp_reps, counts = cluster_points(eigs, radius)
     # Scattered multiple eigenvalues need care: centroids are only as good
     # as the scatter, and a badly scattered m-fold root can even split

@@ -58,7 +58,8 @@ class NotInvertible(NumericalFailure):
 
 
 class AlgebraOverflow(NumericalFailure):
-    """Intermediate quantities left the representable float range."""
+    """Intermediate quantities left the representable float range, or
+    grew too large for the result to keep its accuracy."""
 
 
 class NotSimplifying(ValidationFailure):

@@ -142,15 +142,21 @@ def _coeff_array(q) -> np.ndarray:
     return Polynomial(q).coeffs
 
 
-def _newton_polish(z, coeffs, dcoeffs, w, sweeps=2):
+# Step cap of the batched root kernel, and the exact power of two that
+# brings an overflowed backward-error scale back into range.
+_MAX_ITER = 400
+_DOWN = 2.0 ** -64
+
+
+def _newton_polish(z, coeffs, dcoeffs, w):
     """Newton-refine converged iterates in place of the raw Aberth stop.
 
     The Aberth loop exits on a backward-error test, which can leave simple
     roots a few orders above machine accuracy when |p'| is small there.
-    One or two Newton sweeps close that gap; near multiple roots the step
-    p/p' only shrinks the residual cluster, so polishing is always safe.
+    Two Newton sweeps close that gap; near multiple roots the step p/p'
+    only shrinks the residual cluster, so polishing is always safe.
     """
-    for _ in range(sweeps):
+    for _ in range(2):
         pv = npp.polyval(z, coeffs) - w
         dv = npp.polyval(z, dcoeffs)
         step = np.where(dv == 0, 0.0, pv / np.where(dv == 0, 1.0, dv))
@@ -158,7 +164,7 @@ def _newton_polish(z, coeffs, dcoeffs, w, sweeps=2):
     return z
 
 
-def _aberth(monic, ws, z0, tol: Tolerances, max_iter: int) -> np.ndarray:
+def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
     """Roots of monic(z) - w for every w in ``ws``; shape (len(ws), deg).
 
     ``monic`` holds finite ascending coefficients with leading 1, and row
@@ -170,7 +176,7 @@ def _aberth(monic, ws, z0, tol: Tolerances, max_iter: int) -> np.ndarray:
     rows never mix, so each row ends as it would alone: collided iterates
     are jittered, by 1e-8 of the row's largest start modulus, in a step
     that moves no other row, which only costs the others one iteration of
-    ``max_iter``.  A final Newton polish runs over all rows.  Overflow
+    the step cap.  A final Newton polish runs over all rows.  Overflow
     shows up as non-finite iterates and is raised, never warned about.
     """
     deg = len(monic) - 1
@@ -186,12 +192,20 @@ def _aberth(monic, ws, z0, tol: Tolerances, max_iter: int) -> np.ndarray:
         za, wa, ra = z, ws[:, None], radius
         frozen = np.zeros((ws.size, deg), dtype=bool)
         idx = np.arange(deg)
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             pv = npp.polyval(za, monic) - wa
             bscale = npp.polyval(np.abs(za), absc).real + np.abs(wa)
             bscale = np.maximum(bscale, 1.0)
-            # An overflowed scale would accept anything, so it accepts nothing.
-            ok = (np.abs(pv) <= tol.root_tol * bscale) & np.isfinite(bscale)
+            ok = np.abs(pv) <= tol.root_tol * bscale
+            over = ~np.isfinite(bscale)
+            if over.any():
+                # The deg + 2 terms of the scale can each be finite while
+                # their sum is not: compare both sides scaled by the exact
+                # 2^-64 there.  A scale that still overflows accepts nothing.
+                sb = npp.polyval(np.abs(za[over]), absc * _DOWN).real \
+                    + np.abs(np.broadcast_to(wa, za.shape)[over]) * _DOWN
+                ok[over] = ((np.abs(pv[over]) * _DOWN <= tol.root_tol * sb)
+                            & np.isfinite(sb))
             done = ok.all(axis=1)
             ndone = np.count_nonzero(done)
             if ndone:
@@ -227,7 +241,7 @@ def _aberth(monic, ws, z0, tol: Tolerances, max_iter: int) -> np.ndarray:
         z[act] = za
         worst = float(np.abs(npp.polyval(z, monic) - ws[:, None]).max())
     raise ConvergenceFailure(
-        f"root iteration did not converge in {max_iter} steps "
+        f"root iteration did not converge in {_MAX_ITER} steps "
         f"(worst residual {worst:.3e})"
     )
 
@@ -238,7 +252,7 @@ def _circle(radius, deg: int) -> np.ndarray:
     return radius[:, None] * np.exp(1j * angles)[None, :]
 
 
-def roots(q, tol: Tolerances = DEFAULT_TOL, max_iter: int = 400) -> np.ndarray:
+def roots(q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """All complex roots of ``q`` with multiplicity, degree >= 1 required.
 
     The one-row case of the batched kernel with w = 0, started on the
@@ -262,7 +276,7 @@ def roots(q, tol: Tolerances = DEFAULT_TOL, max_iter: int = 400) -> np.ndarray:
         return np.array([-c[0] / c[1]], dtype=np.complex128)
     radius = 1.0 + np.abs(monic[:-1]).max(keepdims=True)
     return _aberth(monic, np.zeros(1, dtype=np.complex128),
-                   _circle(radius, deg), tol, max_iter)[0]
+                   _circle(radius, deg), tol)[0]
 
 
 def _fujiwara_radius(monic, ws) -> np.ndarray:
@@ -280,8 +294,8 @@ def _fujiwara_radius(monic, ws) -> np.ndarray:
     return 2.0 * np.maximum(outer, inner.max(initial=0.0))
 
 
-def fiber_batch(centers: "Centers", ws, tol: Tolerances = DEFAULT_TOL,
-                max_iter: int = 400) -> np.ndarray:
+def fiber_batch(centers: "Centers", ws,
+                tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Fiber points of the center polynomial over each w; shape (len(ws), d).
 
     The batched root kernel over the right hand sides.  Rows with w
@@ -309,7 +323,7 @@ def fiber_batch(centers: "Centers", ws, tol: Tolerances = DEFAULT_TOL,
             nudge = np.where(np.isfinite(near), 1e-3 * near, 0.0) * np.exp(
                 1j * (0.4 + 2.0 * np.pi * np.arange(d) / d))
             z0[local] = lam + shift[local] + nudge
-        out[live] = _aberth(centers.poly.coeffs, wl, z0, tol, max_iter)
+        out[live] = _aberth(centers.poly.coeffs, wl, z0, tol)
     return out
 
 
@@ -360,8 +374,7 @@ def cluster_points(points, radius: float):
     return reps, counts
 
 
-def refine_multiple_root(coeffs, z0, mult: int, radius: float,
-                         max_iter: int = 40):
+def refine_multiple_root(coeffs, z0, mult: int, radius: float):
     """Sharpen the centroid of an m-cluster standing in for an m-fold root.
 
     An m-fold root of q is a simple root of the (m-1)th derivative, where
@@ -376,7 +389,7 @@ def refine_multiple_root(coeffs, z0, mult: int, radius: float,
     dq = npp.polyder(c, mult - 1)
     ddq = npp.polyder(dq)
     z = complex(z0)
-    for _ in range(max_iter):
+    for _ in range(40):
         dv = complex(npp.polyval(z, ddq))
         if dv == 0:
             return complex(z0)

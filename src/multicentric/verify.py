@@ -43,7 +43,7 @@ from .calculus import (
 )
 from .config import DEFAULT_TOL
 from .errors import NoSimpleShiftFound
-from .polynomials import Centers, Polynomial, cluster_points, roots
+from .polynomials import Polynomial, cluster_points, roots
 from .transform import reconstruct, scalar_representation
 
 __all__ = ["CaseResult", "SuiteReport", "SUITES", "run_suite", "run_all"]
@@ -131,21 +131,26 @@ def _min_gap(pts) -> float:
     return float(diff.min())
 
 
-def _draw_centers(rng, d, min_sep=0.5, box=1.5, attempts=500) -> Centers:
-    for _ in range(attempts):
-        lam = _cplx(rng, d, box)
-        if _min_gap(lam) >= min_sep:
-            return Centers(lam, DEFAULT_TOL)
+def _case(case_id, measure, bound, detail, holds=True) -> CaseResult:
+    """A case passes iff its measure is within its bound and ``holds``."""
+    return CaseResult(case_id, measure <= bound and holds, measure, bound,
+                      detail)
+
+
+def _draw_context(rng, d) -> AlgebraContext:
+    for _ in range(500):
+        lam = _cplx(rng, d, 1.5)
+        if _min_gap(lam) >= 0.5:
+            return AlgebraContext(lam)
     raise RuntimeError("center draw did not separate; widen the box")
 
 
-def _draw_samples(rng, ctx, m, wbox=2.5, fiber_sep=None,
-                  attempts=500) -> SampleSet:
+def _draw_samples(rng, ctx, m, fiber_sep=None) -> SampleSet:
     pts: list = []
-    for _ in range(attempts):
+    for _ in range(500):
         if len(pts) == m:
             break
-        w = complex(_cplx(rng, 1, wbox)[0])
+        w = complex(_cplx(rng, 1, 2.5)[0])
         if pts and min(abs(w - q) for q in pts) < 1e-6:
             continue
         if fiber_sep is not None:
@@ -163,6 +168,93 @@ def _draw_function(rng, samples, scale=1.0) -> VectorFunction:
     return VectorFunction(samples, vals.reshape(samples.ctx.d, samples.m))
 
 
+def _draw_matrix_spec(rng, max_cond) -> TestMatrixSpec:
+    k = int(rng.integers(1, 4))
+    for _ in range(500):
+        alphas = _cplx(rng, k, 1.2)
+        if _min_gap(alphas) >= 0.5:
+            break
+    else:
+        raise RuntimeError("eigenvalue draw did not separate")
+    sizes = rng.integers(1, 4, k)
+    while sizes.sum() > 8:
+        sizes[int(np.argmax(sizes))] -= 1
+    if rng.uniform() < 0.2:
+        seed2, cond = None, 1.0
+    else:
+        seed2 = int(rng.integers(0, 2 ** 31))
+        cond = float(rng.uniform(1.0, max_cond))
+    return TestMatrixSpec(list(zip(alphas, sizes.tolist())), seed2, cond)
+
+
+def _draw_simplifying(rng, s: SpectrumData) -> Polynomial:
+    base = simplifying_poly(s)
+    # A constant shift moves every beta together, so the beta separation
+    # is fixed by the spectrum itself; reject hopeless spectra up front.
+    if len(s.alphas) > 1 and _min_gap(np.asarray(base(s.alphas))) < 0.25:
+        raise RuntimeError("spectrum admits no well-separated image points")
+    for _ in range(60):
+        c = complex(_cplx(rng, 1, 2.0)[0])
+        if abs(c) < 0.5:
+            continue
+        try:
+            q = ensure_simple_roots(base, c)
+        except NoSimpleShiftFound:
+            continue
+        rts = roots(q)
+        scale = max(1.0, float(np.abs(rts).max()))
+        if _min_gap(rts) < 0.2 * scale or np.abs(rts).max() > 3.0:
+            continue
+        if _min_gap(np.asarray(q(s.alphas))) < 0.25:
+            continue
+        return q
+    raise RuntimeError("no well-separated simplifying polynomial found")
+
+
+def _function_at_betas(rng, ctx, betas) -> SampleSet:
+    """The betas, clustered as chi_A clusters them, plus one more point."""
+    betas = np.asarray(betas, dtype=np.complex128)
+    bscale = max(1.0, float(np.abs(betas).max()))
+    reps, _ = cluster_points(betas, DEFAULT_TOL.eq_tol * bscale)
+    pts = list(reps)
+    for _ in range(200):
+        if len(pts) > len(reps):
+            break
+        w = complex(_cplx(rng, 1, 2.5)[0])
+        if min(abs(w - q) for q in pts) > 0.1:
+            pts.append(w)
+    return SampleSet(ctx, np.array(pts))
+
+
+def _draw_calculus(rng, max_cond):
+    """A conjugated Jordan matrix, a simplifying q for it, and samples.
+
+    Returns (spec, s, q, A, samples); the samples hold every q(alpha_k).
+    """
+    for _ in range(40):
+        spec = _draw_matrix_spec(rng, max_cond)
+        s = spec.spectrum_data()
+        try:
+            q = _draw_simplifying(rng, s)
+            break
+        except RuntimeError:
+            continue
+    else:
+        raise RuntimeError("no usable spectrum draw in 40 attempts")
+    a, _, _ = spec.assemble()
+    ss = _function_at_betas(rng, AlgebraContext(roots(q)), q(s.alphas))
+    return spec, s, q, a, ss
+
+
+def _product_error(a, s, p, f, g, cond) -> float:
+    """||chi(f*g) - chi(f) chi(g)|| relative to cond and the factor sizes."""
+    cf = chi_A(a, s, p, f)
+    cg = chi_A(a, s, p, g)
+    cfg = chi_A(a, s, p, polyprod(f, g))
+    scale = max(1.0, _frob(cf), _frob(cg), _frob(cf @ cg))
+    return _frob(cfg - cf @ cg) / (cond * scale)
+
+
 # ---------------------------------------------------------------- suites
 
 
@@ -174,7 +266,7 @@ def suite_homomorphism(seed=0, cases=200, d=None, samples=50) -> SuiteReport:
     per_dim = max(1, cases // len(dims))
     idx = 0
     for dd in dims:
-        ctx = AlgebraContext(_draw_centers(rng, dd), DEFAULT_TOL)
+        ctx = _draw_context(rng, dd)
         ss = _draw_samples(rng, ctx, samples)
         for _ in range(per_dim):
             f = _draw_function(rng, ss)
@@ -183,14 +275,8 @@ def suite_homomorphism(seed=0, cases=200, d=None, samples=50) -> SuiteReport:
             prod = f.gelfand_values() * g.gelfand_values()
             dev = float(np.abs(h.gelfand_values() - prod).max())
             scale = max(1.0, float(np.abs(prod).max()))
-            measure = dev / scale
-            results.append(CaseResult(
-                case_id=f"homomorphism-{idx:03d}",
-                passed=measure <= 1e-10,
-                measure=measure,
-                bound=1e-10,
-                detail=f"d={dd} m={ss.m}",
-            ))
+            results.append(_case(f"homomorphism-{idx:03d}", dev / scale,
+                                 1e-10, f"d={dd} m={ss.m}"))
             idx += 1
     return SuiteReport("homomorphism", seed, tuple(results))
 
@@ -204,7 +290,7 @@ def suite_d2_forms(seed=0, cases=100) -> SuiteReport:
     product of the two representation values.
     """
     rng = np.random.default_rng(seed)
-    ctx = AlgebraContext(Centers([1.0, -1.0], DEFAULT_TOL), DEFAULT_TOL)
+    ctx = AlgebraContext([1.0, -1.0])
     results = []
     for i in range(cases):
         ss = _draw_samples(rng, ctx, 5)
@@ -232,62 +318,37 @@ def suite_d2_forms(seed=0, cases=100) -> SuiteReport:
         iscale = max(1.0, float(np.abs(swap).max()))
         dev_inv = float(np.abs(ginv.values - swap).max()) / iscale
 
-        measure = max(dev_closed, dev_boxed, dev_inv)
-        results.append(CaseResult(
-            case_id=f"d2-forms-{i:03d}",
-            passed=measure <= 1e-12,
-            measure=measure,
-            bound=1e-12,
-            detail=(f"product={dev_closed:.2e} boxed={dev_boxed:.2e} "
-                    f"inverse={dev_inv:.2e}"),
-        ))
+        results.append(_case(
+            f"d2-forms-{i:03d}", max(dev_closed, dev_boxed, dev_inv), 1e-12,
+            f"product={dev_closed:.2e} boxed={dev_boxed:.2e} "
+            f"inverse={dev_inv:.2e}"))
     return SuiteReport("d2-forms", seed, tuple(results))
 
 
 def suite_nilpotent(seed=0) -> SuiteReport:
     """The order-two radical element over centers {1, -1} at w = -1."""
-    ctx = AlgebraContext(Centers([1.0, -1.0], DEFAULT_TOL), DEFAULT_TOL)
+    ctx = AlgebraContext([1.0, -1.0])
     ss = SampleSet(ctx, [-1.0])
     f = VectorFunction(ss, [[1.0], [-1.0]])
-    results = []
 
     b = mult_matrices(f)[0]
     expect = 0.5 * np.array([[1.0, 1.0], [-1.0, -1.0]])
-    exact = bool(np.array_equal(b, expect.astype(np.complex128)))
-    results.append(CaseResult(
-        case_id="nilpotent-00-mult-matrix",
-        passed=exact,
-        measure=float(np.abs(b - expect).max()),
-        bound=0.0,
-        detail="B at w=-1 equals [[1,1],[-1,-1]]/2 exactly",
-    ))
-
-    sq = polyprod(f, f)
-    dev = float(np.abs(sq.values).max())
-    results.append(CaseResult(
-        case_id="nilpotent-01-square-vanishes",
-        passed=dev <= 1e-14,
-        measure=dev,
-        bound=1e-14,
-        detail="f*f = 0",
-    ))
+    dev_b = float(np.abs(b - expect).max())
+    dev_sq = float(np.abs(polyprod(f, f).values).max())
 
     basis = radical_basis_at(ctx, -1.0)
-    ok = basis.shape[0] == 1
     dirdev = np.inf
-    if ok:
+    if basis.shape[0] == 1:
         v = basis[0]
         t = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        inner = np.vdot(t, v)
-        dirdev = float(np.abs(v - inner * t).max())
-        ok = dirdev <= 1e-12
-    results.append(CaseResult(
-        case_id="nilpotent-02-radical-direction",
-        passed=ok,
-        measure=dirdev,
-        bound=1e-12,
-        detail=f"radical basis is span(1,-1); {basis.shape[0]} vector(s)",
-    ))
+        dirdev = float(np.abs(v - np.vdot(t, v) * t).max())
+    results = [
+        _case("nilpotent-00-mult-matrix", dev_b, 0.0,
+              "B at w=-1 equals [[1,1],[-1,-1]]/2 exactly"),
+        _case("nilpotent-01-square-vanishes", dev_sq, 1e-14, "f*f = 0"),
+        _case("nilpotent-02-radical-direction", dirdev, 1e-12,
+              f"radical basis is span(1,-1); {basis.shape[0]} vector(s)"),
+    ]
     return SuiteReport("nilpotent", seed, tuple(results))
 
 
@@ -299,7 +360,7 @@ def suite_eigenvalue_identity(seed=0, cases=200, d=None) -> SuiteReport:
     results = []
     idx = 0
     for dd in dims:
-        ctx = AlgebraContext(_draw_centers(rng, dd), DEFAULT_TOL)
+        ctx = _draw_context(rng, dd)
         for _ in range(per_dim):
             ss = _draw_samples(rng, ctx, 3, fiber_sep=0.2)
             for _ in range(500):
@@ -312,20 +373,15 @@ def suite_eigenvalue_identity(seed=0, cases=200, d=None) -> SuiteReport:
             mats = mult_matrices(f)
             worst = 0.0
             for i in range(ss.m):
-                eig = linalg.eigenvalues(mats[i], DEFAULT_TOL)
+                eig = linalg.eigenvalues(mats[i])
                 gaps = np.abs(eig[:, None] - gv[i][None, :])
                 row = gaps.argmin(axis=1)
                 ok_bijection = len(set(row.tolist())) == dd
                 dev = float(gaps.min(axis=1).max())
                 scale = max(1.0, float(np.abs(gv[i]).max()))
                 worst = max(worst, dev / scale if ok_bijection else np.inf)
-            results.append(CaseResult(
-                case_id=f"eigenvalue-identity-{idx:03d}",
-                passed=worst <= 1e-8,
-                measure=worst,
-                bound=1e-8,
-                detail=f"d={dd} samples={ss.m}",
-            ))
+            results.append(_case(f"eigenvalue-identity-{idx:03d}", worst,
+                                 1e-8, f"d={dd} samples={ss.m}"))
             idx += 1
     return SuiteReport("eigenvalue-identity", seed, tuple(results))
 
@@ -336,39 +392,27 @@ def suite_characters(seed=0, cases=100) -> SuiteReport:
     results = []
 
     for dd in (2, 3, 4, 5):
-        ctx = AlgebraContext(_draw_centers(rng, dd), DEFAULT_TOL)
-        ss = SampleSet(ctx, [0.0])
-        etas = characters_at(ctx, ss, 0.0)
-        dev = float(np.abs(etas - np.eye(dd)).max())
-        results.append(CaseResult(
-            case_id=f"characters-basis-d{dd}",
-            passed=dev == 0.0,
-            measure=dev,
-            bound=0.0,
-            detail="characters over w0=0 are exactly the standard basis",
-        ))
+        ctx = _draw_context(rng, dd)
+        etas = characters_at(ctx, SampleSet(ctx, [0.0]), 0.0)
+        results.append(_case(
+            f"characters-basis-d{dd}", float(np.abs(etas - np.eye(dd)).max()),
+            0.0, "characters over w0=0 are exactly the standard basis"))
 
     idx = 0
     for dd in (2, 3, 4, 5):
-        ctx = AlgebraContext(_draw_centers(rng, dd), DEFAULT_TOL)
+        ctx = _draw_context(rng, dd)
         for _ in range(9):
             ss = _draw_samples(rng, ctx, 1)
             w0 = complex(ss.points[0])
-            etas = characters_at(ctx, ss, w0)
-            resid = character_residual(ctx, w0, etas)
-            results.append(CaseResult(
-                case_id=f"characters-equations-{idx:03d}",
-                passed=resid <= 1e-10,
-                measure=resid,
-                bound=1e-10,
-                detail=f"d={dd} w0={w0:.3f}",
-            ))
+            resid = character_residual(ctx, w0, characters_at(ctx, ss, w0))
+            results.append(_case(f"characters-equations-{idx:03d}", resid,
+                                 1e-10, f"d={dd} w0={w0:.3f}"))
             idx += 1
 
     idx = 0
     per_dim = max(1, (cases - len(results)) // 4)
     for dd in (2, 3, 4, 5):
-        ctx = AlgebraContext(_draw_centers(rng, dd), DEFAULT_TOL)
+        ctx = _draw_context(rng, dd)
         ss = _draw_samples(rng, ctx, 1)
         w0 = complex(ss.points[0])
         etas = characters_at(ctx, ss, w0)
@@ -382,39 +426,28 @@ def suite_characters(seed=0, cases=100) -> SuiteReport:
                 rhs = complex(eta @ a.values[:, 0]) * complex(eta @ bv.values[:, 0])
                 scale = max(1.0, abs(rhs))
                 dev = max(dev, abs(lhs - rhs) / scale)
-            results.append(CaseResult(
-                case_id=f"characters-product-{idx:03d}",
-                passed=dev <= 1e-10,
-                measure=dev,
-                bound=1e-10,
-                detail=f"d={dd}",
-            ))
+            results.append(_case(f"characters-product-{idx:03d}", dev, 1e-10,
+                                 f"d={dd}"))
             idx += 1
 
-    ctx2 = AlgebraContext(Centers([1.0, -1.0], DEFAULT_TOL), DEFAULT_TOL)
-    ss2 = SampleSet(ctx2, [3.0])
-    etas = characters_at(ctx2, ss2, 3.0)
+    ctx2 = AlgebraContext([1.0, -1.0])
+    etas = characters_at(ctx2, SampleSet(ctx2, [3.0]), 3.0)
     want = np.array([[1.5, -0.5], [-0.5, 1.5]], dtype=np.complex128)
     gaps = np.abs(etas[:, None, :] - want[None, :, :]).max(axis=2)
-    dev = float(gaps.min(axis=1).max())
-    results.append(CaseResult(
-        case_id="characters-worked-pair",
-        passed=dev <= 1e-12,
-        measure=dev,
-        bound=1e-12,
-        detail="centers {1,-1}, w0=3 gives (1.5,-0.5) and (-0.5,1.5)",
-    ))
+    results.append(_case(
+        "characters-worked-pair", float(gaps.min(axis=1).max()), 1e-12,
+        "centers {1,-1}, w0=3 gives (1.5,-0.5) and (-0.5,1.5)"))
     return SuiteReport("characters", seed, tuple(results))
 
 
-def suite_spectral_radius(seed=0, cases=50, k_max=10) -> SuiteReport:
-    """||f^(2^k)||^(1/2^k) approaches max |f^| by k = k_max."""
+def suite_spectral_radius(seed=0, cases=50) -> SuiteReport:
+    """||f^(2^k)||^(1/2^k) approaches max |f^| by k = 10."""
     rng = np.random.default_rng(seed)
     results = []
     dims = [2, 3, 4, 5]
     idx = 0
     for dd in dims:
-        ctx = AlgebraContext(_draw_centers(rng, dd), DEFAULT_TOL)
+        ctx = _draw_context(rng, dd)
         ss = _draw_samples(rng, ctx, 4)
         n_here = max(1, cases // len(dims))
         for _ in range(n_here):
@@ -425,47 +458,29 @@ def suite_spectral_radius(seed=0, cases=50, k_max=10) -> SuiteReport:
                     break
             else:
                 raise RuntimeError("no draw with usable spectral radius")
-            seq = spectral_radius_iter(f, k_max)
-            measure = abs(seq[-1] - rho) / rho
-            results.append(CaseResult(
-                case_id=f"spectral-radius-{idx:03d}",
-                passed=measure <= 0.05,
-                measure=float(measure),
-                bound=0.05,
-                detail=f"d={dd} rho={rho:.6f} estimate={seq[-1]:.6f}",
-            ))
+            seq = spectral_radius_iter(f, 10)
+            results.append(_case(
+                f"spectral-radius-{idx:03d}", abs(seq[-1] - rho) / rho, 0.05,
+                f"d={dd} rho={rho:.6f} estimate={seq[-1]:.6f}"))
             idx += 1
 
-    ctx = AlgebraContext(Centers([1.0, -1.0], DEFAULT_TOL), DEFAULT_TOL)
-    ss = SampleSet(ctx, [-1.0])
+    ss = SampleSet(AlgebraContext([1.0, -1.0]), [-1.0])
     f = VectorFunction(ss, [[1.0], [-1.0]])
-    seq = spectral_radius_iter(f, 4)
-    dev = float(np.abs(seq[1:]).max())
-    results.append(CaseResult(
-        case_id="spectral-radius-radical",
-        passed=dev == 0.0,
-        measure=dev,
-        bound=0.0,
-        detail="radical element collapses to exactly 0 from k=1 on",
-    ))
-
-    one = VectorFunction.unit(ss)
-    seq = spectral_radius_iter(one, 4)
-    dev = float(np.abs(seq - 1.0).max())
-    results.append(CaseResult(
-        case_id="spectral-radius-unit",
-        passed=dev == 0.0,
-        measure=dev,
-        bound=0.0,
-        detail="unit stays exactly at 1",
-    ))
+    results.append(_case(
+        "spectral-radius-radical",
+        float(np.abs(spectral_radius_iter(f, 4)[1:]).max()), 0.0,
+        "radical element collapses to exactly 0 from k=1 on"))
+    results.append(_case(
+        "spectral-radius-unit",
+        float(np.abs(spectral_radius_iter(VectorFunction.unit(ss), 4)
+                     - 1.0).max()), 0.0, "unit stays exactly at 1"))
     return SuiteReport("spectral-radius", seed, tuple(results))
 
 
 def suite_inversion_bound(seed=0, cases=100) -> SuiteReport:
     """Resolvent bounds over two centers: constant 1 and the lower bound."""
     rng = np.random.default_rng(seed)
-    ctx = AlgebraContext(Centers([1.0, -1.0], DEFAULT_TOL), DEFAULT_TOL)
+    ctx = AlgebraContext([1.0, -1.0])
     results = []
     bound = 1.0 + 1e-8
     for i in range(cases):
@@ -481,90 +496,20 @@ def suite_inversion_bound(seed=0, cases=100) -> SuiteReport:
         if lam is None:
             raise RuntimeError("no admissible lambda found")
         rep = resolvent_bound_check(f, lam)
-        ok = rep.empirical_constant <= bound and rep.lower_bound_holds
-        results.append(CaseResult(
-            case_id=f"inversion-bound-{i:03d}",
-            passed=ok,
-            measure=rep.empirical_constant,
-            bound=bound,
-            detail=(f"dist={rep.dist_to_spectrum:.4f} "
-                    f"lower_bound_holds={rep.lower_bound_holds}"),
-        ))
+        results.append(_case(
+            f"inversion-bound-{i:03d}", rep.empirical_constant, bound,
+            f"dist={rep.dist_to_spectrum:.4f} "
+            f"lower_bound_holds={rep.lower_bound_holds}",
+            rep.lower_bound_holds))
 
     ss = SampleSet(ctx, [3.0])
-    f = VectorFunction(ss, [[2.0], [0.0]])
-    rep = resolvent_bound_check(f, 5.0)
-    results.append(CaseResult(
-        case_id="inversion-bound-worked",
-        passed=rep.empirical_constant <= bound and rep.lower_bound_holds,
-        measure=rep.empirical_constant,
-        bound=bound,
-        detail="f(3)=(2,0), lambda=5",
-    ))
+    rep = resolvent_bound_check(VectorFunction(ss, [[2.0], [0.0]]), 5.0)
+    results.append(_case("inversion-bound-worked", rep.empirical_constant,
+                         bound, "f(3)=(2,0), lambda=5", rep.lower_bound_holds))
     return SuiteReport("inversion-bound", seed, tuple(results))
 
 
-def _draw_matrix_spec(rng, max_total=8, max_cond=50.0) -> TestMatrixSpec:
-    k = int(rng.integers(1, 4))
-    for _ in range(500):
-        alphas = _cplx(rng, k, 1.2)
-        if _min_gap(alphas) >= 0.5:
-            break
-    else:
-        raise RuntimeError("eigenvalue draw did not separate")
-    sizes = rng.integers(1, 4, k)
-    while sizes.sum() > max_total:
-        sizes[int(np.argmax(sizes))] -= 1
-    if rng.uniform() < 0.2:
-        seed2, cond = None, 1.0
-    else:
-        seed2 = int(rng.integers(0, 2 ** 31))
-        cond = float(rng.uniform(1.0, max_cond))
-    return TestMatrixSpec(list(zip(alphas, sizes.tolist())), seed2, cond)
-
-
-def _draw_simplifying(rng, s: SpectrumData, min_sep=0.2, max_root=3.0,
-                      beta_sep=0.25, attempts=60) -> Polynomial:
-    base = simplifying_poly(s)
-    # A constant shift moves every beta together, so the beta separation
-    # is fixed by the spectrum itself; reject hopeless spectra up front.
-    if len(s.alphas) > 1 and _min_gap(np.asarray(base(s.alphas))) < beta_sep:
-        raise RuntimeError("spectrum admits no well-separated image points")
-    for _ in range(attempts):
-        c = complex(_cplx(rng, 1, 2.0)[0])
-        if abs(c) < 0.5:
-            continue
-        try:
-            q = ensure_simple_roots(base, c, tol=DEFAULT_TOL)
-        except NoSimpleShiftFound:
-            continue
-        rts = roots(q, DEFAULT_TOL)
-        scale = max(1.0, float(np.abs(rts).max()))
-        if _min_gap(rts) < min_sep * scale or np.abs(rts).max() > max_root:
-            continue
-        betas = np.asarray(q(s.alphas))
-        if _min_gap(betas) < beta_sep:
-            continue
-        return q
-    raise RuntimeError("no well-separated simplifying polynomial found")
-
-
-def _function_at_betas(rng, ctx, betas, extra=1, scale=1.5):
-    betas = np.asarray(betas, dtype=np.complex128)
-    bscale = max(1.0, float(np.abs(betas).max()))
-    reps, _ = cluster_points(betas, 1e-9 * bscale)
-    pts = list(reps)
-    for _ in range(200):
-        if len(pts) >= len(reps) + extra:
-            break
-        w = complex(_cplx(rng, 1, 2.5)[0])
-        if min(abs(w - q) for q in pts) > 0.1:
-            pts.append(w)
-    ss = SampleSet(ctx, np.array(pts))
-    return ss
-
-
-def suite_jordan_calculus(seed=0, cases=50, pairs=25) -> SuiteReport:
+def suite_jordan_calculus(seed=0, cases=50) -> SuiteReport:
     """chi_A against the derivative-data oracle, then multiplicativity."""
     rng = np.random.default_rng(seed)
     results = []
@@ -573,59 +518,31 @@ def suite_jordan_calculus(seed=0, cases=50, pairs=25) -> SuiteReport:
     a = jordan_block(0.0, 3)
     s = SpectrumData([(0.0, 2)])
     p = Polynomial([1.0, 0.0, 0.0, 1.0])
-    ctx = AlgebraContext(Centers(roots(p, DEFAULT_TOL), DEFAULT_TOL),
-                         DEFAULT_TOL)
+    ctx = AlgebraContext(roots(p))
     ss = SampleSet(ctx, [1.0, 3.0])
     for i in range(cases):
         comps = [Polynomial(_cplx(rng, int(rng.integers(1, 6)), 1.0))
                  for _ in range(3)]
         vals = np.array([[q(w) for w in ss.points] for q in comps])
-        f = VectorFunction(ss, vals)
-        chi = chi_A(a, s, p, f)
+        chi = chi_A(a, s, p, VectorFunction(ss, vals))
         phi = scalar_representation(ctx, comps)
         data = [[phi(0.0), phi.derivative()(0.0), phi.derivative(2)(0.0)]]
         oracle = hermite_matrix_function(a, s, data)
         scale = max(1.0, _frob(oracle))
-        measure = _frob(chi - oracle) / scale
-        results.append(CaseResult(
-            case_id=f"jordan-calculus-oracle-{i:03d}",
-            passed=measure <= 1e-8,
-            measure=measure,
-            bound=1e-8,
-            detail="3x3 block, degree-3 change of variable",
-        ))
+        results.append(_case(f"jordan-calculus-oracle-{i:03d}",
+                             _frob(chi - oracle) / scale, 1e-8,
+                             "3x3 block, degree-3 change of variable"))
 
     # Part 2: chi_A(f*g) = chi_A(f) chi_A(g) on conjugated Jordan forms.
-    for i in range(pairs):
-        for _ in range(40):
-            spec = _draw_matrix_spec(rng, max_total=8, max_cond=50.0)
-            s2 = spec.spectrum_data()
-            try:
-                q = _draw_simplifying(rng, s2)
-                break
-            except RuntimeError:
-                continue
-        else:
-            raise RuntimeError("no usable spectrum draw in 40 attempts")
-        a2, _, _ = spec.assemble()
-        ctx2 = AlgebraContext(Centers(roots(q, DEFAULT_TOL), DEFAULT_TOL),
-                              DEFAULT_TOL)
-        ss2 = _function_at_betas(rng, ctx2, q(s2.alphas), extra=1)
+    for i in range(25):
+        spec, s2, q, a2, ss2 = _draw_calculus(rng, 50.0)
         f = _draw_function(rng, ss2)
         g = _draw_function(rng, ss2)
-        cf = chi_A(a2, s2, q, f)
-        cg = chi_A(a2, s2, q, g)
-        cfg = chi_A(a2, s2, q, polyprod(f, g))
-        scale = max(1.0, _frob(cf), _frob(cg), _frob(cf @ cg))
-        measure = _frob(cfg - cf @ cg) / (spec.target_cond * scale)
-        results.append(CaseResult(
-            case_id=f"jordan-calculus-product-{i:03d}",
-            passed=measure <= 1e-8,
-            measure=measure,
-            bound=1e-8,
-            detail=(f"n={spec.dim} blocks={len(spec.blocks)} "
-                    f"cond={spec.target_cond:.1f}"),
-        ))
+        results.append(_case(
+            f"jordan-calculus-product-{i:03d}",
+            _product_error(a2, s2, q, f, g, spec.target_cond), 1e-8,
+            f"n={spec.dim} blocks={len(spec.blocks)} "
+            f"cond={spec.target_cond:.1f}"))
     return SuiteReport("jordan-calculus", seed, tuple(results))
 
 
@@ -634,97 +551,62 @@ def suite_spectral_mapping(seed=0, cases=100) -> SuiteReport:
     rng = np.random.default_rng(seed)
     results = []
     for i in range(cases):
-        for _ in range(40):
-            spec = _draw_matrix_spec(rng, max_total=8, max_cond=20.0)
-            s = spec.spectrum_data()
-            try:
-                q = _draw_simplifying(rng, s)
-                break
-            except RuntimeError:
-                continue
-        else:
-            raise RuntimeError("no usable spectrum draw in 40 attempts")
-        a, _, _ = spec.assemble()
-        ctx = AlgebraContext(Centers(roots(q, DEFAULT_TOL), DEFAULT_TOL),
-                             DEFAULT_TOL)
-        ss = _function_at_betas(rng, ctx, q(s.alphas), extra=1)
-        pred_sep = 0.0
+        spec, s, q, a, ss = _draw_calculus(rng, 20.0)
         for _ in range(300):
             f = _draw_function(rng, ss, scale=1.5)
             pred = gelfand_eval(f, s.alphas)
             pscale = max(1.0, float(np.abs(pred).max()))
-            pred_sep = _min_gap(pred)
-            if pred_sep >= 0.05 * pscale:
+            if _min_gap(pred) >= 0.05 * pscale:
                 break
         else:
             raise RuntimeError("predicted-value separation not reached")
         rep = spectral_mapping_check(a, s, q, f)
-        results.append(CaseResult(
-            case_id=f"spectral-mapping-{i:03d}",
-            passed=rep.hausdorff <= 1e-6,
-            measure=rep.hausdorff,
-            bound=1e-6,
-            detail=f"n={spec.dim} distinct={len(s.entries)}",
-        ))
+        results.append(_case(f"spectral-mapping-{i:03d}", rep.hausdorff,
+                             1e-6, f"n={spec.dim} distinct={len(s.entries)}"))
 
     # Scalar matrix: the image of the full fiber set is strictly larger
     # than the spectrum of chi_A(f).
     a = 2.0 * np.eye(2, dtype=np.complex128)
     s = SpectrumData([(2.0, 0)])
     p = Polynomial([-1.0, 0.0, 1.0])
-    ctx = AlgebraContext(Centers([1.0, -1.0], DEFAULT_TOL), DEFAULT_TOL)
-    ss = SampleSet(ctx, [3.0])
+    ss = SampleSet(AlgebraContext([1.0, -1.0]), [3.0])
     f = VectorFunction(ss, [[2.0], [0.0]])
     rep = spectral_mapping_check(a, s, p, f)
     fiber_image = f.gelfand_values().ravel()
-    strictly_larger = (len(fiber_image) > len(rep.computed)
-                       and hausdorff_distance(rep.computed, fiber_image) > 0.5)
-    results.append(CaseResult(
-        case_id="spectral-mapping-scalar-matrix",
-        passed=rep.hausdorff <= 1e-6 and strictly_larger,
-        measure=rep.hausdorff,
-        bound=1e-6,
-        detail=("sigma(chi)={3}; fiber image {3,-1} is strictly larger "
-                f"(gap {hausdorff_distance(rep.computed, fiber_image):.3f})"),
-    ))
+    gap = hausdorff_distance(rep.computed, fiber_image)
+    strictly_larger = len(fiber_image) > len(rep.computed) and gap > 0.5
+    results.append(_case(
+        "spectral-mapping-scalar-matrix", rep.hausdorff, 1e-6,
+        "sigma(chi)={3}; fiber image {3,-1} is strictly larger "
+        f"(gap {gap:.3f})", strictly_larger))
     return SuiteReport("spectral-mapping", seed, tuple(results))
 
 
-def suite_norm_blowup(seed=0, alpha=0.5) -> SuiteReport:
+def suite_norm_blowup(seed=0) -> SuiteReport:
     """Growth of the reconstructed norm near a critical value.
 
-    phi(z) = max(Re z, 0)^alpha on real grids eps <= x <= 2 pushed through
-    w = z^2 - 1; the norm of the reconstruction grows like
-    eps^-(1-alpha), so the log-log slope should be near alpha - 1.
+    phi(z) = max(Re z, 0)^(1/2) on real grids eps <= x <= 2 pushed
+    through w = z^2 - 1; the norm of the reconstruction grows like
+    eps^(-1/2), so the log-log slope should be near -1/2.
     """
-    ctx = AlgebraContext(Centers([1.0, -1.0], DEFAULT_TOL), DEFAULT_TOL)
+    ctx = AlgebraContext([1.0, -1.0])
 
     def phi(z):
-        x = float(np.real(z))
-        return max(x, 0.0) ** alpha
+        return max(float(np.real(z)), 0.0) ** 0.5
 
     eps_list = [2.0 ** (-k) for k in range(3, 11)]
     norms = []
     for eps in eps_list:
         xs = np.geomspace(eps, 2.0, 24)
-        ws = xs * xs - 1.0
-        f = reconstruct(ctx, phi, ws)
-        norms.append(op_norm(f))
+        norms.append(op_norm(reconstruct(ctx, phi, xs * xs - 1.0)))
     logs_e = np.log(np.array(eps_list))
     logs_n = np.log(np.array(norms))
     le = logs_e - logs_e.mean()
     slope = float((le @ (logs_n - logs_n.mean())) / (le @ le))
-    target = alpha - 1.0
-    measure = abs(slope - target)
+    target = -0.5
     detail = ("slope={:.4f} target={:.1f}; norms=".format(slope, target)
               + ",".join(f"{v:.4g}" for v in norms))
-    case = CaseResult(
-        case_id="norm-blowup-slope",
-        passed=measure <= 0.15,
-        measure=measure,
-        bound=0.15,
-        detail=detail,
-    )
+    case = _case("norm-blowup-slope", abs(slope - target), 0.15, detail)
     return SuiteReport("norm-blowup", seed, (case,))
 
 
@@ -757,10 +639,8 @@ def suite_nondifferentiable(seed=0, cases=20) -> SuiteReport:
         a, _, _ = spec.assemble()
         wc = complex(p(0.0))
         beta2 = complex(p(mu))
-        ctx = AlgebraContext(Centers(roots(p, DEFAULT_TOL), DEFAULT_TOL),
-                             DEFAULT_TOL)
         pts = [wc, beta2, wc + 0.02, wc + 0.02j, beta2 + 0.03]
-        ss = SampleSet(ctx, np.array(pts))
+        ss = SampleSet(AlgebraContext(roots(p)), np.array(pts))
 
         def cusp(coeff_a, coeff_b):
             return lambda w: coeff_a * abs(w - wc) ** 0.25 + coeff_b
@@ -771,18 +651,10 @@ def suite_nondifferentiable(seed=0, cases=20) -> SuiteReport:
             ss, [cusp(fa[j], fb[j]) for j in range(3)])
         g = VectorFunction.from_callables(
             ss, [cusp(ga[j], gb[j]) for j in range(3)])
-        cf = chi_A(a, s, p, f)
-        cg = chi_A(a, s, p, g)
-        cfg = chi_A(a, s, p, polyprod(f, g))
-        scale = max(1.0, _frob(cf), _frob(cg), _frob(cf @ cg))
-        measure = _frob(cfg - cf @ cg) / (spec.target_cond * scale)
-        results.append(CaseResult(
-            case_id=f"nondifferentiable-{i:03d}",
-            passed=measure <= 1e-8,
-            measure=measure,
-            bound=1e-8,
-            detail=f"critical value at w_c={wc:.3f}, cond={spec.target_cond:.1f}",
-        ))
+        results.append(_case(
+            f"nondifferentiable-{i:03d}",
+            _product_error(a, s, p, f, g, spec.target_cond), 1e-8,
+            f"critical value at w_c={wc:.3f}, cond={spec.target_cond:.1f}"))
     return SuiteReport("nondifferentiable", seed, tuple(results))
 
 

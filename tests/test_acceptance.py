@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from multicentric.verify import run_suite
+from multicentric.verify import SUITES, run_suite
 
 
 def _run(criterion, name, time_limit=None, **overrides):
@@ -85,3 +85,17 @@ def test_criterion_10_norm_blowup():
 def test_criterion_11_nondifferentiable():
     # fourth-root samples near the critical value keep chi_A defined
     _run(11, "nondifferentiable")
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_passed_iff_measure_within_bound(name):
+    # The inversion-bound cases also need the resolvent lower bound and
+    # the scalar-matrix case a strictly larger fiber image, so for those
+    # passing only implies the measure is within the bound.
+    compound = ("inversion-bound-", "spectral-mapping-scalar-matrix")
+    for c in run_suite(name, seed=0, cases=4).cases:
+        within = c.measure <= c.bound
+        if c.case_id.startswith(compound):
+            assert within or not c.passed, c.case_id
+        else:
+            assert c.passed == within, c.case_id

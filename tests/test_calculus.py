@@ -387,6 +387,19 @@ class TestHomomorphism:
         assert np.abs(left - right).max() < 1e-11 * scale
 
 
+    def test_chi_refuses_nearly_coincident_betas(self):
+        # Six collinear 5x5 blocks: two of the p(alpha_k) lie 4.4e-5 apart
+        # and the projector bound reads 2.7e25; chi(fg) - chi(f) chi(g) was
+        # 0.4-0.9 relative here.
+        spec = MatrixSpec([(x + 0.2j, 5) for x in np.linspace(-1.25, 1.25, 6)])
+        s = spec.spectrum_data()
+        p = ensure_simple_roots(simplifying_poly(s, c=0.7))
+        a, _, _ = spec.assemble()
+        ss = SampleSet(AlgebraContext(Centers(roots(p))), p(s.alphas))
+        with pytest.raises(AlgebraOverflow, match="nearly coincide"):
+            chi_A(a, s, p, VectorFunction.unit(ss))
+
+
 class TestSpectralMapping:
     def test_hausdorff_distance(self):
         assert hausdorff_distance([], []) == 0.0

@@ -12,8 +12,11 @@ import sys
 import numpy as np
 import pytest
 
+from multicentric.calculus import TestMatrixSpec as MatrixSpec
+from multicentric.calculus import ensure_simple_roots, simplifying_poly
 from multicentric.cli import main
 from multicentric.config import DEFAULT_TOL
+from multicentric.polynomials import roots
 
 F_JSON = json.dumps({
     "centers": [[1.0, 0.0], [-1.0, 0.0]],
@@ -165,6 +168,29 @@ class TestCommands:
         want = [[1.0, -0.5], [0.5, -1.0], [0.0, 0.0], [1.0, -0.5]]
         assert np.abs(np.array(got["data"], dtype=float)
                       - np.array(want)).max() < 1e-12
+
+    def test_chi_refuses_nearly_coincident_betas(self, capsys):
+        # six collinear 5x5 blocks whose p(alpha_k) nearly coincide
+        def pairs(z):
+            return [[v.real, v.imag] for v in np.ravel(z)]
+
+        spec = MatrixSpec([(x + 0.2j, 5) for x in np.linspace(-1.25, 1.25, 6)])
+        s = spec.spectrum_data()
+        p = ensure_simple_roots(simplifying_poly(s, c=0.7))
+        a, _, _ = spec.assemble()
+        spectrum = {"entries": [{"alpha": pairs(al)[0], "n": n}
+                                for al, n in s.entries]}
+        f = {"centers": pairs(roots(p)),
+             "samples": [{"w": pairs(b)[0], "f": [1.0] * p.degree}
+                         for b in p(s.alphas)]}
+        code, _, err = run(
+            capsys, "chi",
+            "--matrix", json.dumps({"rows": 30, "cols": 30, "data": pairs(a)}),
+            "--spectrum", json.dumps(spectrum), "--f", json.dumps(f),
+            "--poly", json.dumps({"coeffs": pairs(p.coeffs)}))
+        assert code == 1
+        assert err.startswith("error: AlgebraOverflow")
+        assert "nearly coincide" in err
 
     def test_hermite(self, capsys):
         j3 = json.dumps({"rows": 3, "cols": 3,

@@ -158,6 +158,15 @@ class TestFiber:
         assert np.allclose(np.sort(pts.real), [-w ** 0.5, w ** 0.5],
                            rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("w", [1e308, 1e308j])
+    def test_huge_w_whose_scale_overflows(self, w):
+        # At the fiber {+-sqrt(w)} the backward-error scale |z|^2 + 1 + |w|
+        # is 2e308, past the float range, though the fiber and its
+        # residual are representable.
+        pts = fiber(Centers([1.0, -1.0]), w).points
+        root = np.sqrt(complex(w))
+        _match_multisets(pts, [root, -root], 1e-15 * abs(root))
+
     def test_real_row_leaves_the_real_axis(self):
         # centers {0, +-sqrt 3}, p = z^3 - 3z, w = 3: every first-order
         # start point is real, and without the nudge the iteration stays
