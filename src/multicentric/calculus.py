@@ -321,9 +321,10 @@ def _lagrange_matrices(nodes, a: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-# Largest admitted norm bound of the spectral projectors in chi_A: past
-# it, rounding of order 1e-16 can grow beyond the 1e-8 the checks accept.
-_PROJECTOR_BOUND = 1e8
+# Largest admitted ||E_k^2 - E_k|| / ||E_k||^2 of the spectral projectors
+# in chi_A: chi(fg) = chi(f) chi(g) holds only as far as the E_k are
+# idempotent, and the checks accept 1e-8.
+_PROJECTOR_RTOL = 1e-8
 
 
 def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction,
@@ -334,9 +335,9 @@ def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction,
     beta_k = p(alpha_k) present among f's samples.  f_j(B) is
     sum_k f_j(beta_k) E_k over the spectral projectors E_k of B.  The
     result is a polynomial in a, so it commutes with a and respects
-    similarity transforms.  Raises AlgebraOverflow when the bound on the
-    projector norms passes 1e8, as it does when two beta_k nearly
-    coincide.
+    similarity transforms.  Raises AlgebraOverflow when a computed E_k
+    misses E_k^2 = E_k by more than 1e-8 of ||E_k||^2, as it does when
+    two beta_k nearly coincide.
     """
     a = linalg.as_square(a)
     if sum(n + 1 for _, n in s.entries) > a.shape[0]:
@@ -362,19 +363,17 @@ def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction,
     reps, _ = cluster_points(betas, tol.eq_tol * bscale)
     cols = [f.samples.match(b) for b in reps]
     with np.errstate(all="ignore"):
-        b = linalg.mat_poly_eval(p, a)
-        # ||E_k|| <= prod_{l != k} (||B|| + |beta_l|) / |beta_k - beta_l|,
-        # and rounding in E_k grows with it.
-        ratio = (np.abs(b).sum(axis=1).max() + np.abs(reps))[None, :] \
-            / np.abs(reps[:, None] - reps[None, :])
-        np.fill_diagonal(ratio, 1.0)
-        amp = float(np.prod(ratio, axis=1).max())
-        if not amp <= _PROJECTOR_BOUND:
+        proj = _lagrange_matrices(reps, linalg.mat_poly_eval(p, a))
+        # Rounding in p(A) grows in the E_k with the inverse gaps between
+        # the beta_k, so their idempotence is checked.
+        size = np.abs(proj).sum(axis=2).max(axis=1)
+        miss = np.abs(proj @ proj - proj).sum(axis=2).max(axis=1)
+        worst = float((miss / np.maximum(size, 1.0) ** 2).max())
+        if not worst <= _PROJECTOR_RTOL:
             raise AlgebraOverflow(
-                f"spectral projectors of p(A) may reach norm {amp:.3e} "
-                f"(bound {_PROJECTOR_BOUND:.0e}): the p(alpha_k) nearly "
-                "coincide")
-        proj = _lagrange_matrices(reps, b)
+                f"spectral projectors E_k of p(A) miss E_k^2 = E_k by "
+                f"{worst:.3e} of ||E_k||^2 (bound {_PROJECTOR_RTOL:.0e}), "
+                "as when the p(alpha_k) nearly coincide")
         f_of_b = np.einsum("jk,kab->jab", f.values[:, cols], proj)
         chi = (_lagrange_matrices(ctx.lambdas, a) @ f_of_b).sum(axis=0)
     if not np.all(np.isfinite(chi)):

@@ -143,7 +143,7 @@ def _coeff_array(q) -> np.ndarray:
 
 
 # Step cap of the batched root kernel, and the exact power of two that
-# brings an overflowed backward-error scale back into range.
+# keeps its backward-error scale in range.
 _MAX_ITER = 400
 _DOWN = 2.0 ** -64
 
@@ -182,7 +182,10 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
     deg = len(monic) - 1
     with np.errstate(all="ignore"):
         dcoef = npp.polyder(monic)
-        absc = np.abs(monic)
+        # Both sides of the backward-error test are scaled by 2^-64: the
+        # deg + 2 terms of the scale can each be finite while their sum is
+        # not.  A scale that still overflows accepts nothing.
+        absc = np.abs(monic) * _DOWN
         z = np.array(z0, dtype=np.complex128)
         radius = np.abs(z).max(axis=1)
 
@@ -194,18 +197,10 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
         idx = np.arange(deg)
         for _ in range(_MAX_ITER):
             pv = npp.polyval(za, monic) - wa
-            bscale = npp.polyval(np.abs(za), absc).real + np.abs(wa)
-            bscale = np.maximum(bscale, 1.0)
-            ok = np.abs(pv) <= tol.root_tol * bscale
-            over = ~np.isfinite(bscale)
-            if over.any():
-                # The deg + 2 terms of the scale can each be finite while
-                # their sum is not: compare both sides scaled by the exact
-                # 2^-64 there.  A scale that still overflows accepts nothing.
-                sb = npp.polyval(np.abs(za[over]), absc * _DOWN).real \
-                    + np.abs(np.broadcast_to(wa, za.shape)[over]) * _DOWN
-                ok[over] = ((np.abs(pv[over]) * _DOWN <= tol.root_tol * sb)
-                            & np.isfinite(sb))
+            bscale = npp.polyval(np.abs(za), absc) + np.abs(wa) * _DOWN
+            bscale = np.maximum(bscale, _DOWN)
+            ok = ((np.abs(pv) * _DOWN <= tol.root_tol * bscale)
+                  & np.isfinite(bscale))
             done = ok.all(axis=1)
             ndone = np.count_nonzero(done)
             if ndone:

@@ -386,11 +386,10 @@ class TestHomomorphism:
         scale = max(1.0, np.abs(right).max())
         assert np.abs(left - right).max() < 1e-11 * scale
 
-
     def test_chi_refuses_nearly_coincident_betas(self):
-        # Six collinear 5x5 blocks: two of the p(alpha_k) lie 4.4e-5 apart
-        # and the projector bound reads 2.7e25; chi(fg) - chi(f) chi(g) was
-        # 0.4-0.9 relative here.
+        # Six collinear 5x5 blocks: two of the p(alpha_k) lie 4.4e-5 apart,
+        # the computed E_k miss E_k^2 = E_k by 0.47 of ||E_k||^2, and
+        # chi(fg) - chi(f) chi(g) was 0.4-0.9 relative here.
         spec = MatrixSpec([(x + 0.2j, 5) for x in np.linspace(-1.25, 1.25, 6)])
         s = spec.spectrum_data()
         p = ensure_simple_roots(simplifying_poly(s, c=0.7))
@@ -398,6 +397,22 @@ class TestHomomorphism:
         ss = SampleSet(AlgebraContext(Centers(roots(p))), p(s.alphas))
         with pytest.raises(AlgebraOverflow, match="nearly coincide"):
             chi_A(a, s, p, VectorFunction.unit(ss))
+
+    @pytest.mark.parametrize("betas", [
+        [10000.0, 10001.0, 10002.0],
+        np.exp(2j * np.pi * np.arange(33) / 33),
+    ], ids=["shifted", "roots-of-unity-33"])
+    def test_chi_accepts_exact_projectors(self, betas):
+        # Diagonal A with p(z) = z: the E_k are exact projectors, whatever
+        # the shift of the spectrum or the product of the gaps.
+        betas = np.asarray(betas, dtype=complex)
+        p = Polynomial([0.0, 1.0])
+        ss = SampleSet(AlgebraContext(Centers([0.0])), betas)
+        f = VectorFunction(ss, ss.points[None, :] ** 2)
+        chi = chi_A(np.diag(betas), SpectrumData([(b, 0) for b in betas]),
+                    p, f)
+        want = np.diag(betas ** 2)
+        assert np.abs(chi - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestSpectralMapping:
