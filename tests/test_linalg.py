@@ -6,6 +6,9 @@ numpy.linalg; the characteristic polynomial and the eigenvalues are
 hand-written and keep numpy.linalg as an independent oracle.
 """
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import numpy.linalg as npl
 import pytest
@@ -14,6 +17,7 @@ from multicentric.config import DEFAULT_TOL
 from multicentric.errors import AlgebraOverflow, DimensionTooLarge, SingularMatrix
 from multicentric.linalg import (
     EIG_DIM_CAP,
+    _certified,
     char_poly,
     eigenvalues,
     inverse,
@@ -116,6 +120,175 @@ def test_solve_lapack_refusal_becomes_singular_matrix(monkeypatch):
     with pytest.raises(SingularMatrix) as err:
         solve(a, np.ones((3, 2)))
     assert err.value.index == 1
+
+
+def _unitary(rng, n):
+    return npl.qr(_rand_matrix(rng, n))[0]
+
+
+def _with_singular_values(rng, s):
+    """U diag(s) V^H for random unitary U and V."""
+    n = len(s)
+    return (_unitary(rng, n) * np.asarray(s)) @ _unitary(rng, n).conj().T
+
+
+def _svd_rule(stack, eq_tol=DEFAULT_TOL.eq_tol):
+    """The refusal rule of solve, straight from the singular values."""
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    smin = npl.svd(stack, compute_uv=False).min(axis=1)
+    bad = np.flatnonzero(smin <= eq_tol * scale)
+    msgs = [f"matrix {k} is singular (smallest singular value {smin[k]:.3e}, "
+            f"scale {scale[k]:.3e})" for k in bad]
+    return bad, msgs, smin, scale
+
+
+def _assert_solve_follows_svd_rule(stack):
+    bad, msgs, _, _ = _svd_rule(stack)
+    rhs = np.ones(stack.shape[:2], dtype=np.complex128)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if bad.size:
+            with pytest.raises(SingularMatrix) as err:
+                solve(stack, rhs)
+            assert err.value.index == bad[0]
+            assert str(err.value) == msgs[0]
+        else:
+            x = solve(stack, rhs)
+            assert np.array_equal(x, npl.solve(stack, rhs[..., None])[..., 0])
+    assert [str(w.message) for w in caught] == []
+    return bad
+
+
+FACTORS = [1e-3, 0.999, 1.001, 10.0, 1e4]
+
+
+class TestCertificate:
+    """The Gram-Cholesky certificate in front of the SVD refusal rule."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+    def test_refusals_match_the_svd_rule(self, n):
+        # sigma_max = 0.5 keeps every entry below 1, so scale = 1 and the
+        # smallest singular value is eq_tol * factor
+        rng = np.random.default_rng(n)
+        eq_tol = DEFAULT_TOL.eq_tol
+        mats = [_with_singular_values(
+                    rng, np.geomspace(0.5, eq_tol * f, n) if n > 1 else [eq_tol * f])
+                for f in FACTORS]
+        singular = [f < 1.0 for f in FACTORS]
+        for mat, sing in zip(mats, singular):
+            bad = _assert_solve_follows_svd_rule(mat[None])
+            assert (bad.size == 1) == sing
+        for order in (range(5), rng.permutation(5), [3, 4, 2, 1, 0]):
+            stack = np.stack([mats[k] for k in order])
+            bad = _assert_solve_follows_svd_rule(stack)
+            assert list(bad) == [i for i, k in enumerate(order) if singular[k]]
+        _assert_solve_follows_svd_rule(np.stack([mats[3], mats[4]]))
+
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    def test_extreme_scales(self, n):
+        rng = np.random.default_rng(10 + n)
+        well = [_with_singular_values(rng, np.linspace(1.0, 0.5, n))
+                for _ in range(3)]
+        mixed = 1e300 * well[2]
+        if n > 1:
+            mixed[0, -1] = 1e-300    # one tiny entry in a huge matrix
+        # well conditioned at 1e300, at 1, and with mixed entries: solved
+        big = np.stack([1e300 * well[0], well[1], mixed])
+        assert _assert_solve_follows_svd_rule(big).size == 0
+        assert _certified(big, np.maximum(1.0, np.abs(big).max(axis=(1, 2))),
+                          DEFAULT_TOL.eq_tol)
+        # at 1e-300 the scale is 1, so the rule refuses: same index and text
+        tiny = np.stack([well[1], 1e-300 * well[0], 1e-300 * well[2]])
+        assert list(_assert_solve_follows_svd_rule(tiny)) == [1, 2]
+        _assert_solve_follows_svd_rule(np.stack([1e300 * well[0], 1e-300 * well[1]]))
+
+    @staticmethod
+    def _kahan(n, theta):
+        s, c = np.sin(theta), np.cos(theta)
+        upper = np.eye(n) - c * np.triu(np.ones((n, n)), 1)
+        return (s ** np.arange(n))[:, None] * upper
+
+    def _cases(self, rng):
+        yield self._kahan(64, 1.2)                        # sigma_min 7.7e-11
+        yield self._kahan(100, 1.2)
+        yield self._kahan(16, 0.6)
+        yield np.array([[1.0, 2.0], [2.0, 4.0 + 1e-13]])
+        u, v = _rand_matrix(rng, 16)[:, :1], _rand_matrix(rng, 16)[:1, :]
+        yield u @ v + 1e-13 * np.eye(16)                  # rank one plus 1e-13
+        for n in (4, 16, 64):
+            grade = np.geomspace(1.0, 1e-14, n)
+            yield np.diag(grade)
+            yield grade[:, None] * _unitary(rng, n) * grade[None, :]
+            yield _with_singular_values(rng, grade)
+        for n in (1, 2, 8, 32):                            # near the bound
+            for f in (1e-6, 0.5, 0.999999, 1.0):
+                s = np.linspace(1.0, 0.5, n)
+                s[-1] = DEFAULT_TOL.eq_tol * f
+                yield _with_singular_values(rng, s)
+                yield 1e200 * _with_singular_values(rng, s)
+
+    @pytest.mark.parametrize("eq_tol", [DEFAULT_TOL.eq_tol, 1e-3])
+    def test_never_certifies_a_refused_matrix(self, eq_tol):
+        rng = np.random.default_rng(7)
+        cases = list(self._cases(rng))
+        # with eq_tol = 1e-3 the bound t^2 outweighs the rounding margin,
+        # so matrices just either side of it probe the certificate itself
+        for n in (1, 2, 8, 32):
+            for f in (0.999999, 1.0, 1.000001, 1.001):
+                s = np.linspace(1.0, 0.5, n)
+                s[-1] = eq_tol * f
+                cases.append(_with_singular_values(rng, s))
+        refused = 0
+        for mat in cases:
+            stack = np.asarray(mat, dtype=np.complex128)[None]
+            bad, _, smin, scale = _svd_rule(stack, eq_tol)
+            certified = _certified(stack, scale, eq_tol)
+            if bad.size:
+                refused += 1
+                assert not certified, (stack.shape, smin, scale)
+            elif smin[0] > max(1.0005 * eq_tol, 1e-6) * scale[0]:
+                # the margin is far below 1e-3 t^2 when eq_tol = 1e-3
+                assert certified, (stack.shape, smin, scale)
+        assert refused >= 20
+
+    def test_one_breakdown_sends_the_stack_to_the_svd(self):
+        rng = np.random.default_rng(3)
+        stack = np.stack([_rand_matrix(rng, 4) + 5 * np.eye(4) for _ in range(9)])
+        assert _certified(stack, _svd_rule(stack)[3], DEFAULT_TOL.eq_tol)
+        stack[6] = np.diag([1.0, 1.0, 1.0, 1e-12])
+        assert not _certified(stack, _svd_rule(stack)[3], DEFAULT_TOL.eq_tol)
+        assert list(_assert_solve_follows_svd_rule(stack)) == [6]
+
+    @pytest.mark.parametrize("shape", [(50, 64), (2000, 4)])
+    def test_well_conditioned_stack_skips_the_svd(self, monkeypatch, shape):
+        m, n = shape
+        rng = np.random.default_rng(m)
+        stack = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+        stack = stack / np.sqrt(n) + 3.0 * np.eye(n)
+        rhs = rng.standard_normal((m, n)) + 0j
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve computed singular values")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        x = solve(stack, rhs)
+        assert np.abs(np.einsum("kij,kj->ki", stack, x) - rhs).max() < 1e-12
+
+    @pytest.mark.parametrize("shape", [(400, 64), (20000, 4)])
+    def test_certificate_works_in_chunks(self, shape):
+        # the stack's absolute values take half its size; the scaled copy,
+        # Gram matrices and factors of one chunk stay within a few MiB
+        m, n = shape
+        rng = np.random.default_rng(n)
+        stack = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+        stack = stack / np.sqrt(n) + 3.0 * np.eye(n)
+        tracemalloc.start()
+        try:
+            solve(stack, np.ones((m, n)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * stack.nbytes + 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("seed", range(4))
