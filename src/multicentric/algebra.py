@@ -156,10 +156,6 @@ class AlgebraContext:
         return f"AlgebraContext(d={self._d}, centers={list(self.lambdas)})"
 
 
-# Sample-to-value gaps that SampleSet._match_all holds at once.
-_MATCH_CHUNK = 1 << 16
-
-
 class SampleSet:
     """Finite sample points standing in for the compact set M.
 
@@ -196,34 +192,15 @@ class SampleSet:
 
     def match(self, w) -> int:
         """Index of the sample equal to w within the matching tolerance."""
-        return int(self._match_all(np.array([complex(w)]))[0])
-
-    def _match_all(self, ws: np.ndarray) -> np.ndarray:
-        """Index of the sample matching each of ws (flattened), as match.
-
-        The nearest sample (the first on a tie) must lie within
-        MATCH_RTOL * max(1, |w|) of w; SampleMiss names the first w, in
-        order, that has none.  One argmin over a (values, samples) gap
-        array, taken _MATCH_CHUNK gaps at a time.
-        """
-        ws = ws.ravel()
-        idx = np.empty(ws.size, dtype=np.intp)
-        step = max(1, _MATCH_CHUNK // self.m)
-        for lo in range(0, ws.size, step):
-            w = ws[lo:lo + step]
-            gaps = np.abs(self.points[None, :] - w[:, None])
-            near = np.argmin(gaps, axis=1)
-            dist = gaps[np.arange(w.size), near]
-            limit = MATCH_RTOL * np.maximum(1.0, np.abs(w))
-            miss = np.flatnonzero(~(dist <= limit))
-            if miss.size:
-                k = miss[0]
-                raise SampleMiss(
-                    f"no sample matches w={complex(w[k])!r}; nearest is "
-                    f"{self.points[near[k]]!r} at distance {dist[k]:.3e}"
-                )
-            idx[lo:lo + step] = near
-        return idx
+        w = complex(w)
+        gaps = np.abs(self.points - w)
+        i = int(np.argmin(gaps))
+        if not gaps[i] <= MATCH_RTOL * max(1.0, abs(w)):
+            raise SampleMiss(
+                f"no sample matches w={w!r}; nearest is {self.points[i]!r} "
+                f"at distance {gaps[i]:.3e}"
+            )
+        return i
 
     def same_as(self, other: "SampleSet") -> bool:
         return self is other or (
@@ -721,7 +698,7 @@ def gelfand_eval(f: VectorFunction, z):
         ws = np.asarray(ctx.p(z))
     if not np.all(np.isfinite(ws)):
         raise AlgebraOverflow("p(z) is not finite at the given z")
-    idx = f.samples._match_all(ws)
+    idx = [f.samples.match(w) for w in ws.ravel()]
     cols = f.values[:, idx].reshape((ctx.d,) + z.shape)
     with np.errstate(all="ignore"):
         vals = (ctx.basis_values(z) * cols).sum(axis=0)

@@ -4,9 +4,10 @@ Solves, inverses and null spaces go to LAPACK through ``numpy.linalg``;
 ``solve`` takes one square matrix or a stack of them in a single call.
 Before it solves, ``solve`` proves every matrix nonsingular with a
 shifted Cholesky factorisation of its Gram matrix, a rigorous lower
-bound on the smallest singular value (``_certified``).  The singular
-values, which decide and name a refusal, are computed only for a stack
-the certificate cannot clear.  Eigenvalues go through the
+bound on the smallest singular value (``_certified``), about 1 MiB of
+matrices at a time.  The singular values, which decide and name a
+refusal, are computed only for the chunks the certificate cannot clear.
+Eigenvalues go through the
 characteristic polynomial (Faddeev-LeVerrier recursion) and the
 simultaneous root finder, which caps the supported dimension.
 """
@@ -61,12 +62,14 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     ``index`` is the position of the first such matrix in the stack (0
     for a single matrix).
 
-    A stack whose every matrix passes the Gram-Cholesky certificate
-    (``_certified``: smallest singular value provably above eq_tol times
-    the scale) goes straight to LAPACK.  Otherwise, and when LAPACK
-    refuses a certified stack, the smallest singular values of the whole
-    stack decide, so the matrices refused, the ``index`` and the message
-    do not depend on the certificate.
+    The stack is screened in chunks of about 1 MiB of matrices.  A chunk
+    that passes the Gram-Cholesky certificate (``_certified``: every
+    smallest singular value provably above eq_tol times the scale) needs
+    no singular values; any other chunk gets them.  With no refusal among
+    them the stack goes to LAPACK, and when LAPACK still refuses, the
+    singular values of the whole stack name the matrix, so the matrices
+    refused, the ``index`` and the message do not depend on the
+    certificate.
     """
     a = _as_squares(a, (2, 3))
     b = np.asarray(b, dtype=np.complex128)
@@ -77,14 +80,13 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     stack = a.reshape((-1,) + a.shape[-2:])
     scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
     limit = tol.eq_tol * scale
-    smin = None if _certified(stack, scale, tol.eq_tol) else _smallest_sv(stack)
-    if smin is None or not (smin <= limit).any():
+    smin = _screen(stack, scale, tol.eq_tol)
+    if not (smin <= limit).any():
         try:
             x = np.linalg.solve(a, x)
             return x[..., 0] if vec else x
         except np.linalg.LinAlgError:
-            if smin is None:
-                smin = _smallest_sv(stack)
+            smin = _smallest_sv(stack)
     bad = np.flatnonzero(smin <= limit)
     k = int(bad[0]) if bad.size else int(np.argmin(smin / scale))
     raise SingularMatrix(
@@ -101,6 +103,19 @@ def _smallest_sv(stack: np.ndarray) -> np.ndarray:
 # Matrices per certificate chunk: about 1 MiB of them, so the scaled
 # copy, its Gram matrix and the factor stay small beside the stack.
 _CHUNK_BYTES = 1 << 20
+
+
+def _screen(stack: np.ndarray, scale: np.ndarray, eq_tol: float) -> np.ndarray:
+    """Smallest singular value of each matrix in a chunk that the
+    certificate does not clear, and inf for every certified matrix
+    (which clears the refusal rule)."""
+    smin = np.full(stack.shape[0], np.inf)
+    step = max(1, _CHUNK_BYTES // (16 * stack.shape[-1] ** 2))
+    for lo in range(0, stack.shape[0], step):
+        part = slice(lo, lo + step)
+        if not _certified(stack[part], scale[part], eq_tol):
+            smin[part] = _smallest_sv(stack[part])
+    return smin
 
 
 def _certified(stack: np.ndarray, scale: np.ndarray, eq_tol: float) -> bool:
@@ -121,27 +136,23 @@ def _certified(stack: np.ndarray, scale: np.ndarray, eq_tol: float) -> bool:
     factorisation (ibid., Thm 10.3) add up to about
     sqrt(2) (n + 3) eps ||B||_F^2 in the 2-norm, which the eps term
     covers more than four times over, and the ``tiny`` term covers
-    gradual underflow.  False says nothing about the matrices: a
-    breakdown in any chunk sends the whole stack to the singular values.
+    gradual underflow.  False says nothing about the matrices: one
+    breakdown fails the whole stack.
     """
     n = stack.shape[-1]      # n >= 1: solve cannot reshape an empty matrix
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
-    step = max(1, _CHUNK_BYTES // (16 * n * n))
     diag = np.arange(n)
-    for lo in range(0, stack.shape[0], step):
-        down = np.ldexp(1.0, 1 - np.frexp(scale[lo:lo + step])[1])
-        bs = stack[lo:lo + step] * down[:, None, None]
-        gram = np.matmul(bs.conj().transpose(0, 2, 1), bs)
-        fro2 = gram[:, diag, diag].real.sum(axis=1)
-        t = eq_tol * (scale[lo:lo + step] * down)
-        gram[:, diag, diag] -= (t * t + 8 * (n + 2) * eps * fro2
-                                + (n + 2) ** 2 * tiny)[:, None]
-        try:
-            if not np.isfinite(np.linalg.cholesky(gram)).all():
-                return False
-        except np.linalg.LinAlgError:
-            return False
-    return True
+    down = np.ldexp(1.0, 1 - np.frexp(scale)[1])
+    bs = stack * down[:, None, None]
+    gram = np.matmul(bs.conj().transpose(0, 2, 1), bs)
+    fro2 = gram[:, diag, diag].real.sum(axis=1)
+    t = eq_tol * (scale * down)
+    gram[:, diag, diag] -= (t * t + 8 * (n + 2) * eps * fro2
+                            + (n + 2) ** 2 * tiny)[:, None]
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(gram)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

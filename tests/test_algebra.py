@@ -23,7 +23,6 @@ from multicentric.algebra import (
     character_residual,
     characteristic,
     characters_at,
-    gelfand_eval,
     invert,
     mult_matrices,
     mult_matrix,
@@ -38,7 +37,7 @@ from multicentric.algebra import (
     spectrum_multiset,
     sup_norm,
 )
-from multicentric.config import DEFAULT_TOL, MATCH_RTOL
+from multicentric.config import DEFAULT_TOL
 from multicentric.errors import (
     AlgebraOverflow,
     ContextMismatch,
@@ -667,72 +666,6 @@ class TestPolyprodBlocks:
         assert np.array_equal(polyprod(f, f).values, _polyprod_one_shot(f, f))
         twin = VectorFunction(ss, f.values)     # equal values, not the same object
         assert np.array_equal(polyprod(f, twin).values, polyprod(f, f).values)
-
-
-def _match_loop(ss, ws):
-    """Sample indices of ws by one nearest-sample search per value."""
-    out = []
-    for w in np.ravel(ws):
-        w = complex(w)
-        gaps = np.abs(ss.points - w)
-        i = int(np.argmin(gaps))
-        if not gaps[i] <= MATCH_RTOL * max(1.0, abs(w)):
-            raise SampleMiss(
-                f"no sample matches w={w!r}; nearest is {ss.points[i]!r} "
-                f"at distance {gaps[i]:.3e}"
-            )
-        out.append(i)
-    return out
-
-
-class TestSampleLookup:
-    def _samples(self, rng):
-        ctx = AlgebraContext(Centers([1.0, -1.0, 0.5j]))
-        # a tie: 2^-30 is exactly 2^-30 from samples 2^-29 and 0, and the
-        # first of them in sample order wins
-        pts = np.concatenate([[2.0 ** -29, 0.0, 1e6 + 1e6j],
-                              2.0 * (rng.standard_normal(37)
-                                     + 1j * rng.standard_normal(37))])
-        return SampleSet(ctx, pts)
-
-    def test_matches_per_point_loop(self):
-        rng = np.random.default_rng(4)
-        ss = self._samples(rng)
-        pick = rng.integers(0, ss.m, 5000)
-        nudge = 1.0 + 0.9 * MATCH_RTOL * np.exp(2j * np.pi * rng.uniform(size=5000))
-        ws = ss.points[pick] * nudge
-        ws[::7] = 2.0 ** -30
-        ws[3::11] = ss.points[pick[3::11]]
-        got = ss._match_all(ws.reshape(50, 100))
-        assert got.tolist() == _match_loop(ss, ws)
-        assert got[0] == 0
-        assert [ss.match(w) for w in ws[:300]] == _match_loop(ss, ws[:300])
-
-    @pytest.mark.parametrize("where", [0, 2500, 4999])
-    def test_first_miss_is_named_as_the_loop_names_it(self, where):
-        rng = np.random.default_rng(5)
-        ss = self._samples(rng)
-        ws = ss.points[rng.integers(0, ss.m, 5000)].copy()
-        ws[where] *= 1.0 + 3.0 * MATCH_RTOL
-        ws[where + 1:] = 0.123          # later misses are not the one named
-        with pytest.raises(SampleMiss) as want:
-            _match_loop(ss, ws)
-        with pytest.raises(SampleMiss) as got:
-            ss._match_all(ws)
-        assert str(got.value) == str(want.value)
-        with pytest.raises(SampleMiss) as one:
-            ss.match(ws[where])
-        assert str(one.value) == str(want.value)
-
-    def test_gelfand_eval_uses_the_matched_samples(self):
-        rng = np.random.default_rng(6)
-        ctx, ss = _context(rng, 4, 30)
-        f = _rand_function(rng, ss)
-        z = ss.fiber_points[rng.integers(0, ss.m, (6, 7)),
-                            rng.integers(0, 4, (6, 7))]
-        cols = f.values[:, _match_loop(ss, ctx.p(z))].reshape((4,) + z.shape)
-        want = (ctx.basis_values(z) * cols).sum(axis=0)
-        assert np.array_equal(gelfand_eval(f, z), want)
 
 
 class TestOpNorm:

@@ -17,6 +17,7 @@ from multicentric.config import DEFAULT_TOL
 from multicentric.errors import AlgebraOverflow, DimensionTooLarge, SingularMatrix
 from multicentric.linalg import (
     EIG_DIM_CAP,
+    _CHUNK_BYTES,
     _certified,
     char_poly,
     eigenvalues,
@@ -251,13 +252,33 @@ class TestCertificate:
                 assert certified, (stack.shape, smin, scale)
         assert refused >= 20
 
-    def test_one_breakdown_sends_the_stack_to_the_svd(self):
+    def test_only_uncleared_chunks_get_singular_values(self, monkeypatch):
         rng = np.random.default_rng(3)
-        stack = np.stack([_rand_matrix(rng, 4) + 5 * np.eye(4) for _ in range(9)])
-        assert _certified(stack, _svd_rule(stack)[3], DEFAULT_TOL.eq_tol)
-        stack[6] = np.diag([1.0, 1.0, 1.0, 1e-12])
-        assert not _certified(stack, _svd_rule(stack)[3], DEFAULT_TOL.eq_tol)
-        assert list(_assert_solve_follows_svd_rule(stack)) == [6]
+        step = _CHUNK_BYTES // (16 * 4 * 4)            # 4x4 matrices per chunk
+        stack = rng.standard_normal((3 * step + 5, 4, 4)) + 5 * np.eye(4)
+        scale = _svd_rule(stack)[3]
+        assert _certified(stack[:9], scale[:9], DEFAULT_TOL.eq_tol)
+        # sigma_min 1e-8: cleared by the rule, not by the certificate
+        stack[step + 7] = np.diag([1.0, 1.0, 1.0, 1e-8])
+        assert not _certified(stack[step:step + 9], scale[step:step + 9],
+                              DEFAULT_TOL.eq_tol)
+        seen = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            seen.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert _assert_solve_follows_svd_rule(stack).size == 0
+        assert seen == [len(stack), step]              # the rule's, then solve's
+        # a refusal in a later chunk is named as the whole-stack rule names it
+        stack[2 * step + 3] = np.diag([1.0, 1.0, 1.0, 1e-12])
+        seen.clear()
+        assert list(_assert_solve_follows_svd_rule(stack)) == [2 * step + 3]
+        assert seen == [len(stack), step, step]
+        stack[5] = np.diag([1.0, 1.0, 1e-13, 1.0])
+        assert list(_assert_solve_follows_svd_rule(stack)) == [5, 2 * step + 3]
 
     @pytest.mark.parametrize("shape", [(50, 64), (2000, 4)])
     def test_well_conditioned_stack_skips_the_svd(self, monkeypatch, shape):
