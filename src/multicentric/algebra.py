@@ -409,18 +409,39 @@ def sup_norm(f: VectorFunction) -> float:
     return float(np.abs(f.values).max())
 
 
+def _norm_pass(sigma, w, fv, square: bool):
+    """op_norm of the values ``fv``, and with ``square`` those of their square.
+
+    One pass over the differences D_ij = f_i - f_j, built _PRODUCT_ROWS
+    rows of i at a time.  Row i of B_f(w) sums to
+    |f_i - w sum_j sigma_ij D_ij| + |w| sum_j |sigma_ij| |D_ij|, the two
+    sums being products of sigma and |sigma| with D and |D|.  The square
+    goes through polyprod's einsum on the same blocks, so it is bit for
+    bit polyprod(f, f).  Returns (norm, square values or None).
+    """
+    aw, asig = np.abs(w), np.abs(sigma)
+    rows = np.empty(fv.shape)
+    corr = np.empty_like(fv) if square else None
+    for lo in range(0, len(fv), _PRODUCT_ROWS):
+        blk = slice(lo, lo + _PRODUCT_ROWS)
+        fd = fv[blk, None, :] - fv[None, :, :]
+        rows[blk] = np.abs(fv[blk] - w * np.matmul(sigma[blk, None, :], fd)[:, 0])
+        rows[blk] += aw * np.matmul(asig[blk, None, :], np.abs(fd))[:, 0]
+        if square:
+            corr[blk] = np.einsum("ij,ijm,ijm->im", sigma[blk], fd, fd)
+    sq = fv * fv - w[None, :] * corr if square else None
+    return float(rows.max()), sq
+
+
 def op_norm(f: VectorFunction) -> float:
     """Operator norm of multiplication by f on the sampled algebra.
 
     Computed exactly as the max over samples of the infinity-induced norm
-    (largest absolute row sum) of B_f(w): row i of B_f(w) sums to
-    |f_i - sum_j off_ij| + sum_j |off_ij|, read straight from the
-    off-diagonal tensor, so the (m, d, d) matrices are never built.
+    (largest absolute row sum) of B_f(w), read from row blocks of the
+    differences f_i - f_j, so neither the (m, d, d) matrices nor a
+    (d, d, m) tensor is built.
     """
-    off = _off_diagonal(f)
-    rows = np.abs(f.values - off.sum(axis=1))
-    rows += np.abs(off).sum(axis=1)
-    return float(rows.max())
+    return _norm_pass(f.ctx.sigma, f.samples.points, f.values, False)[0]
 
 
 def spectrum_multiset(f: VectorFunction) -> np.ndarray:
@@ -450,34 +471,31 @@ def spectrum(f: VectorFunction) -> np.ndarray:
 def spectral_radius_iter(f: VectorFunction, k_max: int) -> np.ndarray:
     """The sequence ||f^(2^k)||^(1/2^k) for k = 0..k_max.
 
-    Repeated polyproduct squaring with renormalization at every step; the
-    norm logs are accumulated so that neither overflow nor underflow can
-    occur for any spectral radius.  Entries collapse to exactly 0 once a
-    power vanishes (nilpotent elements).
+    Repeated polyproduct squaring.  Before each step the current power b
+    is scaled by the power of two of its largest value, which is exact,
+    and the scale is kept as an exponent, so that neither overflow nor
+    underflow can occur for any spectral radius.  Each step is one pass
+    over the differences of b that gives both its norm and its square
+    (the last step skips the square): k_max + 1 passes in all.  Entries
+    collapse to exactly 0 once a power vanishes (nilpotent elements).
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    out = np.empty(k_max + 1, dtype=float)
-    r = op_norm(f)
-    if not np.isfinite(r):
-        raise AlgebraOverflow("operator norm is not finite at k=0")
-    if r == 0.0:
-        out[:] = 0.0
-        return out
-    log_norm = np.log(r)           # log ||f^(2^k)|| for current k
-    out[0] = r
-    b = f / r
-    for k in range(1, k_max + 1):
-        b2 = polyprod(b, b)
-        rk = op_norm(b2)
-        if not np.isfinite(rk):
-            raise AlgebraOverflow(f"operator norm overflowed at k={k}")
+    out = np.zeros(k_max + 1, dtype=float)
+    sigma, w = f.ctx.sigma, f.samples.points
+    b, shift = f.values, 0             # f^(2^k) = 2^shift * b
+    for k in range(k_max + 1):
+        e = int(np.frexp(np.abs(b).max())[1])
+        b = np.ldexp(b.view(float), -e).view(np.complex128)
+        shift += e
+        rk, b = _norm_pass(sigma, w, b, k < k_max)
         if rk == 0.0:
-            out[k:] = 0.0
-            return out
-        log_norm = 2.0 * log_norm + np.log(rk)
-        out[k] = np.exp(log_norm / 2.0 ** k)
-        b = b2 / rk
+            return out                 # zero from k on
+        out[k] = (np.ldexp(rk, shift) if k == 0      # op_norm(f), exactly
+                  else np.exp((np.log(rk) + shift * np.log(2.0)) / 2.0 ** k))
+        if not np.isfinite(out[k]):
+            raise AlgebraOverflow(f"operator norm is not finite at k={k}")
+        shift *= 2
     return out
 
 

@@ -30,3 +30,8 @@ DEFAULT_TOL = Tolerances()
 # Relative tolerance used when matching a value p(z) against the stored
 # sample points of a function.
 MATCH_RTOL = 1e-9
+
+# Bytes of one block of a stacked temporary that is built a block of rows
+# at a time: the singularity certificate's matrix chunks and the root
+# kernel's pairwise differences.
+CHUNK_BYTES = 1 << 20

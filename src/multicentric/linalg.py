@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import CHUNK_BYTES as _CHUNK_BYTES, DEFAULT_TOL, Tolerances
 from .errors import AlgebraOverflow, DimensionTooLarge, SingularMatrix
 from .polynomials import Polynomial, roots
 
@@ -100,16 +100,13 @@ def _smallest_sv(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False).min(axis=1, initial=np.inf)
 
 
-# Matrices per certificate chunk: about 1 MiB of them, so the scaled
-# copy, its Gram matrix and the factor stay small beside the stack.
-_CHUNK_BYTES = 1 << 20
-
-
 def _screen(stack: np.ndarray, scale: np.ndarray, eq_tol: float) -> np.ndarray:
     """Smallest singular value of each matrix in a chunk that the
     certificate does not clear, and inf for every certified matrix
     (which clears the refusal rule)."""
     smin = np.full(stack.shape[0], np.inf)
+    # About 1 MiB of matrices per chunk, so the scaled copy, its Gram
+    # matrix and the factor stay small beside the stack.
     step = max(1, _CHUNK_BYTES // (16 * stack.shape[-1] ** 2))
     for lo in range(0, stack.shape[0], step):
         part = slice(lo, lo + step)

@@ -11,7 +11,8 @@ within each center's distance to its nearest other center; farther rows
 start on the circle of the Fujiwara bound of p - w.  A row leaves the
 batch as soon as all its points converge, and its start depends only on
 its own w, so a row's result does not depend on the rows beside it.
-Multiplicities are kept: a k-fold root comes back as a cluster of k
+The kernel's Aberth correction sums are built in place, about 1 MiB of
+pairwise differences (``CHUNK_BYTES``) at a time.  Multiplicities are kept: a k-fold root comes back as a cluster of k
 nearby points whose residuals are below tolerance, which
 :func:`cluster_points` groups by a grid hash.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import CHUNK_BYTES, DEFAULT_TOL, Tolerances
 from .errors import CentersDegenerate, ConvergenceFailure
 
 __all__ = [
@@ -176,8 +177,12 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
     rows never mix, so each row ends as it would alone: collided iterates
     are jittered, by 1e-8 of the row's largest start modulus, in a step
     that moves no other row, which only costs the others one iteration of
-    the step cap.  A final Newton polish runs over all rows.  Overflow
-    shows up as non-finite iterates and is raised, never warned about.
+    the step cap.  The correction sums sum_k 1 / (z_j - z_k) are built
+    from the (rows, deg, deg) pairwise differences a block of about
+    CHUNK_BYTES at a time, inverted in place; each row's sum runs along
+    its own contiguous row, so the blocking does not change a bit.  A
+    final Newton polish runs over all rows.  Overflow shows up as
+    non-finite iterates and is raised, never warned about.
     """
     deg = len(monic) - 1
     with np.errstate(all="ignore"):
@@ -195,6 +200,7 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
         za, wa, ra = z, ws[:, None], radius
         frozen = np.zeros((ws.size, deg), dtype=bool)
         idx = np.arange(deg)
+        block = max(1, CHUNK_BYTES // (16 * deg * deg))
         for _ in range(_MAX_ITER):
             pv = npp.polyval(za, monic) - wa
             bscale = npp.polyval(np.abs(za), absc) + np.abs(wa) * _DOWN
@@ -216,15 +222,22 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
             dv = np.where(dv == 0, 1.0, dv)
             newton = pv / dv
 
-            diff = za[:, :, None] - za[:, None, :]
-            diff[:, idx, idx] = np.inf
-            bad = (diff == 0).any(axis=(1, 2))
+            # ssum[i, j] = sum_{k != j} 1 / (z_ij - z_ik), one block of
+            # rows of the pairwise differences at a time
+            ssum = np.empty_like(za)
+            bad = np.empty(za.shape[0], dtype=bool)
+            for lo in range(0, za.shape[0], block):
+                rows = slice(lo, lo + block)
+                diff = za[rows, :, None] - za[rows, None, :]
+                diff[:, idx, idx] = np.inf
+                bad[rows] = (diff == 0).any(axis=(1, 2))
+                np.divide(1.0, diff, out=diff)
+                diff.sum(axis=2, out=ssum[rows])
             if np.count_nonzero(bad):
                 # collided iterates: deterministic jitter, then continue
                 za[bad] = za[bad] + 1e-8 * ra[bad, None] * np.exp(0.7j * idx)[None, :]
                 frozen[bad] = False
                 continue
-            ssum = (1.0 / diff).sum(axis=2)
             denom = 1.0 - newton * ssum
             small = np.abs(denom) < 1e-12
             step = np.where(small, newton, newton / np.where(small, 1.0, denom))

@@ -45,7 +45,7 @@ from multicentric.errors import (
     SampleMiss,
 )
 from multicentric.linalg import eigenvalues
-from multicentric.polynomials import Centers
+from multicentric.polynomials import Centers, fiber_batch
 
 
 @pytest.fixture
@@ -668,12 +668,39 @@ class TestPolyprodBlocks:
         assert np.array_equal(polyprod(f, twin).values, polyprod(f, f).values)
 
 
-class TestOpNorm:
-    @pytest.mark.parametrize("d", [2, 5, 16])
-    def test_matches_matrix_row_sums(self, d):
-        rng = np.random.default_rng(d)
+def _op_norm_function(d):
+    """A random function on 30 samples; circle centers at d = 64."""
+    rng = np.random.default_rng(d)
+    if d == 64:
+        ss = SampleSet(AlgebraContext(Centers(_circle_centers(rng, d))),
+                       1.5 * (rng.uniform(-1, 1, 30) + 1j * rng.uniform(-1, 1, 30)))
+    else:
         _, ss = _context(rng, d, 30)
-        f = _rand_function(rng, ss)
+    return _rand_function(rng, ss)
+
+
+def _radius_recursion(f, k_max):
+    """||f^(2^k)||^(1/2^k): square, take the matrix row-sum norm, divide by it.
+
+    The recursion spectral_radius_iter replaced, kept as the test oracle.
+    """
+    norm = lambda g: np.abs(mult_matrices(g)).sum(axis=2).max()
+    r = norm(f)
+    out, log_norm, b = [r], np.log(r), f / r
+    for k in range(1, k_max + 1):
+        b2 = polyprod(b, b)
+        rk = norm(b2)
+        log_norm = 2.0 * log_norm + np.log(rk)
+        out.append(np.exp(log_norm / 2.0 ** k))
+        b = b2 / rk
+    return np.array(out)
+
+
+class TestOpNorm:
+    # d = 9 ends on a partial block of rows, d = 64 spans eight
+    @pytest.mark.parametrize("d", [2, 5, 16, 9, 64])
+    def test_matches_matrix_row_sums(self, d):
+        f = _op_norm_function(d)
         want = np.abs(mult_matrices(f)).sum(axis=2).max()
         assert op_norm(f) == pytest.approx(want, rel=1e-14, abs=0)
 
@@ -684,6 +711,24 @@ class TestOpNorm:
                       VectorFunction(ss, [[1.0], [-1.0]]))
         assert op_norm(sq) == 0.0
         assert np.abs(mult_matrices(sq)).sum(axis=2).max() == 0.0
+
+
+class TestSpectralRadiusPasses:
+    @pytest.mark.parametrize("d", [2, 5, 9, 64])
+    def test_matches_the_squaring_recursion(self, d):
+        f = _op_norm_function(d)
+        seq = spectral_radius_iter(f, 6)
+        assert seq[0] == op_norm(f)
+        want = _radius_recursion(f, 6)
+        assert np.abs(seq - want).max() <= 1e-12 * np.abs(want).min()
+
+    @pytest.mark.parametrize("c", [1e-200, 3e-9j, 7e150, -1e250])
+    def test_scales_with_the_function(self, c):
+        # ||(c f)^n||^(1/n) = |c| ||f^n||^(1/n): the exponent bookkeeping
+        # keeps the powers of c f in range at both ends
+        f = _op_norm_function(5)
+        seq, ref = spectral_radius_iter(c * f, 6), spectral_radius_iter(f, 6)
+        assert np.abs(seq - abs(c) * ref).max() <= 1e-12 * abs(c) * ref.min()
 
 
 class TestMemory:
@@ -725,4 +770,19 @@ class TestMemory:
                                    + 1j * rng.uniform(-1, 1, self.M)))
         f = _rand_function(rng, ss)
         _, peak = self._peak(op_norm, f)
-        assert peak <= 2 * self.D * self.D * self.M * 16
+        assert peak <= 0.5 * self.D * self.D * self.M * 16
+
+    def test_spectral_radius_builds_row_blocks(self):
+        rng = np.random.default_rng(3)
+        ctx = AlgebraContext(Centers(_circle_centers(rng, self.D)))
+        ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, self.M)
+                                   + 1j * rng.uniform(-1, 1, self.M)))
+        _, peak = self._peak(spectral_radius_iter, _rand_function(rng, ss), 3)
+        assert peak <= 0.5 * self.D * self.D * self.M * 16
+
+    def test_fiber_batch_builds_row_blocks(self):
+        rng = np.random.default_rng(4)
+        cen = Centers(_circle_centers(rng, self.D))
+        ws = 1.5 * (rng.uniform(-1, 1, self.M) + 1j * rng.uniform(-1, 1, self.M))
+        _, peak = self._peak(fiber_batch, cen, ws)
+        assert peak <= 0.5 * self.D * self.D * self.M * 16

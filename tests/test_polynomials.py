@@ -192,12 +192,16 @@ class TestFiber:
         pts = fiber_batch(cen, ws)
         assert _backward_err(cen, ws, pts) <= DEFAULT_TOL.root_tol
 
-    @pytest.mark.parametrize("d", [4, 24])
+    @pytest.mark.parametrize("d", [4, 24, 64])
     def test_batch_rows_equal_single_rows(self, d):
         # Converged rows leave the batch early; every row must still end
         # exactly as it does when solved alone.
         rng = np.random.default_rng(d)
-        cen = Centers(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        if d == 64:     # a jittered circle; random normal centers cancel
+            cen = Centers((1.0 + rng.uniform(-0.06, 0.06, d)) * np.exp(
+                2j * np.pi * (np.arange(d) + rng.uniform(-0.2, 0.2, d)) / d))
+        else:
+            cen = Centers(rng.standard_normal(d) + 1j * rng.standard_normal(d))
         crit = cen.critical_values
         ws = np.concatenate([
             0.1 * (rng.standard_normal(4) + 1j * rng.standard_normal(4)),
@@ -205,6 +209,11 @@ class TestFiber:
             [0.0],
             crit[:3] + 1e-10, crit[:3] * (1 + 1e-6),
         ])
+        if d == 64:
+            # a block of the kernel's pairwise differences holds 16 rows
+            # at d = 64; 40 more rows make the batch span four
+            ws = np.concatenate([ws, 2.0 * (rng.standard_normal(40)
+                                            + 1j * rng.standard_normal(40))])
         rng.shuffle(ws)
         batch = fiber_batch(cen, ws)
         for i, w in enumerate(ws):
