@@ -189,7 +189,9 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
         dcoef = npp.polyder(monic)
         # Both sides of the backward-error test are scaled by 2^-64: the
         # deg + 2 terms of the scale can each be finite while their sum is
-        # not.  A scale that still overflows accepts nothing.
+        # not.  A scale that still overflows accepts nothing.  The scale
+        # is floored only at the smallest normal number, so the test stays
+        # relative for polynomials that are small near their roots.
         absc = np.abs(monic) * _DOWN
         z = np.array(z0, dtype=np.complex128)
         radius = np.abs(z).max(axis=1)
@@ -204,7 +206,7 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
         for _ in range(_MAX_ITER):
             pv = npp.polyval(za, monic) - wa
             bscale = npp.polyval(np.abs(za), absc) + np.abs(wa) * _DOWN
-            bscale = np.maximum(bscale, _DOWN)
+            bscale = np.maximum(bscale, np.finfo(float).tiny)
             ok = ((np.abs(pv) * _DOWN <= tol.root_tol * bscale)
                   & np.isfinite(bscale))
             done = ok.all(axis=1)
@@ -265,7 +267,9 @@ def roots(q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     The one-row case of the batched kernel with w = 0, started on the
     circle of radius 1 + max(|a_0|, ..., |a_{deg-1}|) (Cauchy's bound of
-    the monic form); degree 1 is solved exactly.  Raises
+    the monic form); degree 1 is solved exactly, and k zero lowest
+    coefficients give k roots at exactly 0 (the kernel's relative
+    backward-error test is met there only where |q| underflows).  Raises
     ConvergenceFailure when the coefficients span a range too wide to
     normalise in floating point.
     """
@@ -273,6 +277,10 @@ def roots(q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     deg = len(c) - 1
     if deg < 1:
         raise ValueError("root finding requires degree >= 1")
+    if deg > 1 and c[0] == 0:      # z^k divides q
+        k = int(np.flatnonzero(c)[0])
+        rest = roots(c[k:], tol) if k < deg else np.empty(0, np.complex128)
+        return np.concatenate([np.zeros(k, np.complex128), rest])
     with np.errstate(all="ignore"):
         monic = c / c[-1]
     if not np.all(np.isfinite(monic)):

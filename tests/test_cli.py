@@ -75,6 +75,12 @@ class TestCommands:
         rts = sorted(as_complex(r).real for r in got["roots"])
         assert np.abs(np.array(rts) - [-1.0, 1.0]).max() < 1e-12
 
+    def test_roots_of_small_scale(self, capsys):
+        # (z - 1e-6)(z - 2e-6)
+        got = run_json(capsys, "roots", "--poly", '{"coeffs":[2e-12,-3e-6,1]}')
+        rts = sorted((as_complex(r) for r in got["roots"]), key=abs)
+        assert np.abs(np.array(rts) - [1e-6, 2e-6]).max() <= 1e-20
+
     def test_basis(self, capsys):
         got = run_json(capsys, "basis", "--centers", CENTERS, "--z", "2")
         vals = [as_complex(v) for v in got["values"]]

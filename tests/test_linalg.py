@@ -380,6 +380,16 @@ def test_eigenvalues_diagonal_exactish():
     _match_multisets(eigenvalues(a), [1.0, -2.0, 3.5], 1e-10)
 
 
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_eigenvalues_of_scaled_matrices(s):
+    # T diag(ev) T^-1 with known eigenvalues of size s; entries ~ s
+    rng = np.random.default_rng(12)
+    t = _rand_matrix(rng, 6) + 3.0 * np.eye(6)
+    ev = s * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    a = t @ np.diag(ev) @ npl.inv(t)
+    _match_multisets(eigenvalues(a), ev, 1e-10 * s)
+
+
 def test_eigenvalue_dimension_cap():
     n = EIG_DIM_CAP + 1
     with pytest.raises(DimensionTooLarge):

@@ -30,12 +30,12 @@ WIDE_RANGE = {
 
 
 def _backward_err(cen, ws, pts):
-    """Worst |p(z) - w| / max(sum_k |c_k| |z|^k + |w|, 1) over a (m, d) stack."""
+    """Worst |p(z) - w| / (sum_k |c_k| |z|^k + |w|) over a (m, d) stack."""
     c = cen.poly.coeffs
     ws = np.asarray(ws, dtype=np.complex128)[:, None]
     res = np.abs(npp.polyval(pts, c) - ws)
     scale = npp.polyval(np.abs(pts), np.abs(c)).real + np.abs(ws)
-    return float((res / np.maximum(scale, 1.0)).max())
+    return float((res / np.maximum(scale, np.finfo(float).tiny)).max())
 
 
 def _match_multisets(a, b, tol):
@@ -118,6 +118,66 @@ class TestRoots:
             with pytest.raises(ConvergenceFailure):
                 roots(WIDE_RANGE[name])
         assert [str(w.message) for w in caught] == []
+
+
+# Scales of roots, centers and fibers over which the backward-error test
+# of the root kernel must stay relative.
+SCALES = [1e-6, 1e-3, 1e-2, 1.0, 1e3, 1e6]
+
+
+class TestScaledInputs:
+    """Roots, critical points and fibers of inputs scaled by s.
+
+    Each is checked against an oracle that does not share the kernel:
+    known roots, or a product form over the centers.
+    """
+
+    def test_two_small_roots(self):
+        # (z - 1e-6)(z - 2e-6)
+        _match_multisets(roots([2e-12, -3e-6, 1.0]), [1e-6, 2e-6], 1e-20)
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_known_roots(self, s):
+        rng = np.random.default_rng(7)
+        rts = s * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        _match_multisets(roots(npp.polyfromroots(rts)), rts, 1e-12 * s)
+
+    # At s = 1e6 the constant term of z^8 - s^8 is 1e48, and the start
+    # circle of radius 1 + 1e48 overflows polyval.
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e-2, 1.0, 1e3])
+    def test_circle_of_roots(self, s):
+        c = np.zeros(9, dtype=np.complex128)
+        c[0], c[8] = -s ** 8, 1.0
+        _match_multisets(roots(c), s * np.exp(2j * np.pi * np.arange(8) / 8),
+                         1e-12 * s)
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_roots_at_zero_are_exact(self, k):
+        # z^k (z - 1e6)(z - 1): the k zero roots meet the relative test
+        # only where the polynomial underflows, so they are split off
+        got = roots(npp.polyfromroots([0.0] * k + [1e6, 1.0]))
+        assert np.count_nonzero(got == 0) == k
+        _match_multisets(got[got != 0], [1e6, 1.0], 1e-9)
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_critical_points(self, s):
+        # p'/p = sum_j 1 / (z - lambda_j) vanishes at every critical point
+        rng = np.random.default_rng(8)
+        cen = Centers(s * (rng.standard_normal(6) + 1j * rng.standard_normal(6)))
+        gaps = cen.critical_points[:, None] - cen.lambdas[None, :]
+        resid = np.abs((1.0 / gaps).sum(axis=1)) / (1.0 / np.abs(gaps)).sum(axis=1)
+        assert resid.max() <= 1e-12
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_fibers(self, s):
+        # prod_j (z - lambda_j) = w at every fiber point; |w| ~ s^6
+        rng = np.random.default_rng(9)
+        cen = Centers(s * (rng.standard_normal(6) + 1j * rng.standard_normal(6)))
+        ws = 3.0 * s ** 6 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        pts = fiber_batch(cen, ws)
+        prod = np.prod(pts[:, :, None] - cen.lambdas[None, None, :], axis=2)
+        assert (np.abs(prod - ws[:, None]) <= 1e-11 * np.abs(ws)[:, None]).all()
+        assert _backward_err(cen, ws, pts) <= DEFAULT_TOL.root_tol
 
 
 class TestFiber:
