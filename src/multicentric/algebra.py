@@ -32,7 +32,6 @@ from .errors import (
 from .polynomials import (
     Centers,
     Fiber,
-    Polynomial,
     _critical_rows,
     cluster_points,
     fiber,
@@ -553,14 +552,6 @@ class CharacteristicCoeffs:
     @property
     def d(self) -> int:
         return self.coeffs.shape[1]
-
-    def charpoly(self, i: int) -> Polynomial:
-        d = self.d
-        asc = np.empty(d + 1, dtype=np.complex128)
-        asc[d] = 1.0
-        for k in range(1, d + 1):
-            asc[d - k] = (-1.0) ** k * self.coeffs[i, k - 1]
-        return Polynomial(asc)
 
     def pi_values(self, lam) -> np.ndarray:
         """pi_f(lam, w_i) for all samples by Horner's rule; shape (m,).
