@@ -12,9 +12,10 @@ start on the circle of the Fujiwara bound of p - w.  A row leaves the
 batch as soon as all its points converge, and its start depends only on
 its own w, so a row's result does not depend on the rows beside it.
 The kernel's Aberth correction sums are built in place, about 1 MiB of
-pairwise differences (``CHUNK_BYTES``) at a time.  Multiplicities are kept: a k-fold root comes back as a cluster of k
-nearby points whose residuals are below tolerance, which
-:func:`cluster_points` groups by a grid hash.
+pairwise differences (``CHUNK_BYTES``) at a time, and its backward-error
+test is relative at every scale.  Multiplicities are kept: a k-fold root
+comes back as a cluster of k nearby points whose residuals are below
+tolerance, which :func:`cluster_points` groups by a grid hash.
 """
 
 from __future__ import annotations
