@@ -20,7 +20,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import linalg
-from .config import DEFAULT_TOL, MATCH_RTOL, Tolerances
+from .config import CHUNK_BYTES, DEFAULT_TOL, MATCH_RTOL, Tolerances
 from .errors import (
     AlgebraOverflow,
     ContextMismatch,
@@ -368,31 +368,46 @@ def algebra_power(f: VectorFunction, n: int) -> VectorFunction:
     return out
 
 
-def _off_diagonal(f: VectorFunction) -> np.ndarray:
-    """off[i, j, m] = w_m sigma_ij (f_i - f_j)(w_m), the one (d, d, m) tensor.
+def _mult_block(f: VectorFunction, cols: slice) -> np.ndarray:
+    """B_f(w) for the samples in ``cols``; shape (k, d, d).
 
-    These are the off-diagonal entries of B_f(w_m); the diagonal of the
-    tensor is zero since sigma_ii = 0.
+    The off-diagonal entries are (w sigma_ij) (f_i - f_j)(w), the factor
+    formed first, and the diagonal entry of row i is f_i(w) minus the row
+    sum, taken j = 0, 1, ... in turn (numpy would sum the contiguous last
+    axis pairwise, in an order that depends on d); sigma_ii = 0 makes the
+    diagonal of the product zero.  Each entry goes through the same
+    operations whatever the slice, so a block is bit for bit the same
+    rows of the whole stack.
     """
-    w, sigma = f.samples.points, f.ctx.sigma
-    off = f.values[:, None, :] - f.values[None, :, :]
-    for i in range(f.d):            # a (d, m) factor at a time
-        np.multiply(w * sigma[i, :, None], off[i], out=off[i])
-    return off
+    w, fv = f.samples.points[cols], f.values[:, cols].T        # (k,), (k, i)
+    b = fv[:, :, None] - fv[:, None, :]                        # (k, i, j)
+    np.multiply(w[:, None, None] * f.ctx.sigma, b, out=b)
+    rowsum = b[:, :, 0].copy()
+    for j in range(1, f.d):
+        rowsum += b[:, :, j]
+    idx = np.arange(f.d)
+    b[:, idx, idx] = fv - rowsum
+    return b
+
+
+def _sample_chunks(f: VectorFunction):
+    """Slices of about CHUNK_BYTES of (d, d) matrices covering the samples."""
+    step = max(1, CHUNK_BYTES // (16 * f.d * f.d))
+    return [slice(lo, lo + step) for lo in range(0, f.m, step)]
 
 
 def mult_matrices(f: VectorFunction) -> np.ndarray:
     """Multiplication matrices B_f(w) for every sample; shape (m, d, d).
 
     B_f(w) g(w) = (f * g)(w) for all g, so the algebra action of f on the
-    fiber over w is this single d x d matrix.
+    fiber over w is this single d x d matrix.  The output is filled about
+    1 MiB of matrices (``CHUNK_BYTES``) at a time, so no temporary is
+    larger than one chunk.
     """
-    off = _off_diagonal(f)                             # (i, j, m)
-    rowsum = off.sum(axis=1)                           # (i, m)
-    b = np.moveaxis(off, 2, 0).copy()                  # (m, i, j)
-    idx = np.arange(f.d)
-    b[:, idx, idx] = (f.values - rowsum).T
-    return b
+    out = np.empty((f.m, f.d, f.d), dtype=np.complex128)
+    for cols in _sample_chunks(f):
+        out[cols] = _mult_block(f, cols)
+    return out
 
 
 def mult_matrix(f: VectorFunction, w_index: int) -> np.ndarray:
@@ -400,7 +415,7 @@ def mult_matrix(f: VectorFunction, w_index: int) -> np.ndarray:
     m = f.m
     if not 0 <= w_index < m:
         raise IndexError(f"sample index {w_index} out of range [0, {m})")
-    return mult_matrices(f)[w_index]
+    return _mult_block(f, slice(w_index, w_index + 1))[0]
 
 
 def sup_norm(f: VectorFunction) -> float:
@@ -501,8 +516,10 @@ def spectral_radius_iter(f: VectorFunction, k_max: int) -> np.ndarray:
 def invert(f: VectorFunction) -> VectorFunction:
     """Inverse under the polyproduct, refusing when f^ vanishes on a fiber.
 
-    Solves B_f(w) g(w) = 1 for all samples in one stacked call and
-    verifies the product afterwards.
+    Solves B_f(w) g(w) = 1 for every sample, building and solving the
+    matrices about 1 MiB of them (``CHUNK_BYTES``) at a time, so the
+    whole (m, d, d) stack is never held, and verifies the product
+    afterwards.
     """
     tol = f.ctx.tol
     gv = f.gelfand_values()
@@ -515,18 +532,22 @@ def invert(f: VectorFunction) -> VectorFunction:
             f"representation vanishes near z={witness} "
             f"(|f^| = {flat[amin]:.3e})"
         )
-    try:
-        vals = linalg.solve(mult_matrices(f), np.ones((f.m, f.d)), tol).T
-    except SingularMatrix as exc:
-        # A multiple fiber point can hide a representation zero from the
-        # eq_tol screen above; the singular system is the proof.
-        i = exc.index
-        k = int(np.argmin(np.abs(gv[i])))
-        witness = complex(f.samples.fiber_points[i, k])
-        raise NotInvertible(
-            f"multiplication matrix at w={complex(f.samples.points[i])} "
-            f"is singular (representation vanishes near z={witness})"
-        ) from None
+    vals = np.empty_like(f.values)
+    for cols in _sample_chunks(f):
+        block = _mult_block(f, cols)
+        try:
+            x = linalg.solve(block, np.ones(block.shape[:2]), tol)
+        except SingularMatrix as exc:
+            # A multiple fiber point can hide a representation zero from the
+            # eq_tol screen above; the singular system is the proof.
+            i = cols.start + exc.index
+            k = int(np.argmin(np.abs(gv[i])))
+            witness = complex(f.samples.fiber_points[i, k])
+            raise NotInvertible(
+                f"multiplication matrix at w={complex(f.samples.points[i])} "
+                f"is singular (representation vanishes near z={witness})"
+            ) from None
+        vals[:, cols] = x.T
     g = VectorFunction(f.samples, vals)
     resid = polyprod(f, g).values - 1.0
     check_scale = max(1.0, sup_norm(f) * sup_norm(g))

@@ -150,6 +150,38 @@ _MAX_ITER = 400
 _DOWN = 2.0 ** -64
 
 
+def _horner(z, coeffs, dcoeffs=None, abscoeffs=None):
+    """Values at z of ``coeffs`` and ``dcoeffs``, and of ``abscoeffs`` at |z|.
+
+    One loop over the powers updates every requested value in place,
+    with the arithmetic of ``npp.polyval``: start at c[-1] + z * 0, then
+    p = p * z + c[k] down to k = 0, so each value is bit for bit
+    ``npp.polyval``'s.  ``dcoeffs`` has one coefficient fewer than
+    ``coeffs`` (a derivative) and ``abscoeffs`` is real.  Returns the
+    three values, None for the sets not given.
+    """
+    p = z * 0
+    p += coeffs[-1]
+    dp = s = None
+    if dcoeffs is not None:
+        dp = z * 0
+        dp += dcoeffs[-1]
+    if abscoeffs is not None:
+        az = np.abs(z)
+        s = az * 0
+        s += abscoeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        p *= z
+        p += coeffs[k]
+        if dp is not None and k:
+            dp *= z
+            dp += dcoeffs[k - 1]
+        if s is not None:
+            s *= az
+            s += abscoeffs[k]
+    return p, dp, s
+
+
 def _newton_polish(z, coeffs, dcoeffs, w):
     """Newton-refine converged iterates in place of the raw Aberth stop.
 
@@ -159,8 +191,8 @@ def _newton_polish(z, coeffs, dcoeffs, w):
     only shrinks the residual cluster, so polishing is always safe.
     """
     for _ in range(2):
-        pv = npp.polyval(z, coeffs) - w
-        dv = npp.polyval(z, dcoeffs)
+        pv, dv, _ = _horner(z, coeffs, dcoeffs)
+        pv -= w
         step = np.where(dv == 0, 0.0, pv / np.where(dv == 0, 1.0, dv))
         z = z - step
     return z
@@ -205,9 +237,10 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
         idx = np.arange(deg)
         block = max(1, CHUNK_BYTES // (16 * deg * deg))
         for _ in range(_MAX_ITER):
-            pv = npp.polyval(za, monic) - wa
-            bscale = npp.polyval(np.abs(za), absc) + np.abs(wa) * _DOWN
-            bscale = np.maximum(bscale, np.finfo(float).tiny)
+            pv, dv, bscale = _horner(za, monic, dcoef, absc)
+            pv -= wa
+            bscale += np.abs(wa) * _DOWN
+            np.maximum(bscale, np.finfo(float).tiny, out=bscale)
             ok = ((np.abs(pv) * _DOWN <= tol.root_tol * bscale)
                   & np.isfinite(bscale))
             done = ok.all(axis=1)
@@ -218,10 +251,9 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
                     return _newton_polish(z, monic, dcoef, ws[:, None])
                 live = ~done
                 act, za, wa, ra = act[live], za[live], wa[live], ra[live]
-                frozen, ok, pv = frozen[live], ok[live], pv[live]
+                frozen, ok, pv, dv = frozen[live], ok[live], pv[live], dv[live]
             frozen |= ok
 
-            dv = npp.polyval(za, dcoef)
             dv = np.where(dv == 0, 1.0, dv)
             newton = pv / dv
 
@@ -533,8 +565,9 @@ def _critical_rows(dcoeffs, points, ws, critical_values,
     the magnitude of p' accumulated there, or when w_i lies within
     crit_tol of a known critical value.
     """
-    dv = np.abs(npp.polyval(points, dcoeffs))
-    dscale = np.maximum(npp.polyval(np.abs(points), np.abs(dcoeffs)).real, 1.0)
+    dv, _, dscale = _horner(points, dcoeffs, abscoeffs=np.abs(dcoeffs))
+    dv = np.abs(dv)
+    dscale = np.maximum(dscale, 1.0)
     flags = np.any(dv <= tol.crit_tol * dscale, axis=1)
     if len(critical_values):
         gaps = np.abs(ws[:, None] - np.asarray(critical_values)[None, :])

@@ -37,7 +37,8 @@ from multicentric.algebra import (
     spectrum_multiset,
     sup_norm,
 )
-from multicentric.config import DEFAULT_TOL
+from multicentric import linalg
+from multicentric.config import CHUNK_BYTES, DEFAULT_TOL
 from multicentric.errors import (
     AlgebraOverflow,
     ContextMismatch,
@@ -668,6 +669,58 @@ class TestPolyprodBlocks:
         assert np.array_equal(polyprod(f, twin).values, polyprod(f, f).values)
 
 
+def _mult_matrices_one_shot(f):
+    """B_f(w) from one (d, d, m) tensor moved to (m, d, d) at the end."""
+    w, sigma = f.samples.points, f.ctx.sigma
+    off = f.values[:, None, :] - f.values[None, :, :]
+    for i in range(f.d):
+        np.multiply(w * sigma[i, :, None], off[i], out=off[i])
+    rowsum = off.sum(axis=1)
+    b = np.moveaxis(off, 2, 0).copy()
+    idx = np.arange(f.d)
+    b[:, idx, idx] = (f.values - rowsum).T
+    return b
+
+
+def _chunked_function(d):
+    """Near-unit values on 3.5 chunks of samples; circle centers."""
+    rng = np.random.default_rng(d)
+    step = CHUNK_BYTES // (16 * d * d)
+    m = 3 * step + step // 2
+    ss = SampleSet(AlgebraContext(Centers(_circle_centers(rng, d))),
+                   1.5 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)))
+    vals = 1.0 + 1e-3 * (rng.standard_normal((d, m))
+                         + 1j * rng.standard_normal((d, m)))
+    return VectorFunction(ss, vals)
+
+
+class TestMultBlocks:
+    @pytest.mark.parametrize("d", [1, 2, 9, 64])
+    def test_matches_one_shot_bit_for_bit(self, d):
+        f = _chunked_function(d)
+        mats = mult_matrices(f)
+        assert mats.tobytes() == _mult_matrices_one_shot(f).tobytes()
+        for i in (0, f.m // 2, f.m - 1):
+            assert mult_matrix(f, i).tobytes() == mats[i].tobytes()
+
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_invert_solves_the_stack_bit_for_bit(self, d):
+        f = _chunked_function(d)
+        want = linalg.solve(mult_matrices(f), np.ones((f.m, f.d))).T
+        assert invert(f).values.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("at", [5, 16390])
+    def test_refusal_names_the_sample_in_its_chunk(self, at):
+        # 16400 samples are more than one d = 2 chunk (16384); only w = -1
+        # is singular, as in test_not_invertible_names_the_singular_sample
+        ctx = AlgebraContext(Centers([1.0, -1.0]))
+        ws = 2.0 + 1e-3 * (1 + 1j) * np.arange(16399)
+        ss = SampleSet(ctx, np.insert(ws, at, -1.0))
+        f = VectorFunction.constant(ss, [1.0, -1.0])
+        with pytest.raises(NotInvertible, match=r"w=\(-1\+0j\)"):
+            invert(f)
+
+
 def _sampled_function(d):
     """A random function on 30 samples; circle centers at d = 64."""
     rng = np.random.default_rng(d)
@@ -778,6 +831,23 @@ class TestMemory:
         ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, self.M)
                                    + 1j * rng.uniform(-1, 1, self.M)))
         _, peak = self._peak(spectral_radius_iter, _rand_function(rng, ss), 3)
+        assert peak <= 0.5 * self.D * self.D * self.M * 16
+
+    def test_mult_matrices_builds_sample_chunks(self):
+        rng = np.random.default_rng(5)
+        ctx = AlgebraContext(Centers(_circle_centers(rng, self.D)))
+        ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, self.M)
+                                   + 1j * rng.uniform(-1, 1, self.M)))
+        out, peak = self._peak(mult_matrices, _rand_function(rng, ss))
+        assert peak <= 1.1 * out.nbytes
+
+    def test_invert_never_holds_the_stack(self):
+        rng = np.random.default_rng(6)
+        ctx = AlgebraContext(Centers(_circle_centers(rng, self.D)))
+        ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, self.M)
+                                   + 1j * rng.uniform(-1, 1, self.M)))
+        f = VectorFunction(ss, 1.0 + 1e-3 * _rand_function(rng, ss).values)
+        _, peak = self._peak(invert, f)
         assert peak <= 0.5 * self.D * self.D * self.M * 16
 
     def test_fiber_batch_builds_row_blocks(self):

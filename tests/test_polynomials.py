@@ -9,6 +9,7 @@ from multicentric.errors import CentersDegenerate, ConvergenceFailure
 from multicentric.polynomials import (
     Centers,
     Polynomial,
+    _horner,
     cluster_points,
     critical_points,
     fiber,
@@ -118,6 +119,24 @@ class TestRoots:
             with pytest.raises(ConvergenceFailure):
                 roots(WIDE_RANGE[name])
         assert [str(w.message) for w in caught] == []
+
+
+class TestHorner:
+    @pytest.mark.parametrize("deg", [1, 2, 5, 64])
+    def test_matches_polyval_bit_for_bit(self, deg):
+        # the root kernel's fused loop must leave every root unchanged
+        rng = np.random.default_rng(deg)
+        c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        z = (rng.standard_normal((40, deg)) + 1j * rng.standard_normal((40, deg))) \
+            * 10.0 ** rng.uniform(-8, 8, (40, deg))
+        z[0, 0] = 0.0
+        dc, ac = npp.polyder(c), np.abs(c)
+        with np.errstate(all="ignore"):
+            p, dp, s = _horner(z, c, dc, ac)
+            want = (npp.polyval(z, c), npp.polyval(z, dc), npp.polyval(np.abs(z), ac))
+            assert _horner(z, c)[1:] == (None, None)
+        for got, ref in zip((p, dp, s), want):
+            assert got.tobytes() == ref.tobytes()
 
 
 # Scales of roots, centers and fibers over which the backward-error test
