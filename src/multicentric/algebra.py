@@ -131,15 +131,13 @@ class AlgebraContext:
                 if j:
                     np.subtract(zf, lam[j], out=fac)
                     acc *= fac
-        # Row by row, so no d-fold temporary is made.  ell_j prod_{k != j}
-        # (lambda_j - lambda_k) may be off by an ulp, so exact center hits
-        # are pinned to exact unit values.
-        for j in range(self._d):
-            if not np.isfinite(flat[j]).all():
-                raise AlgebraOverflow("basis values are not finite at the given z")
-            hit = zf == lam[j]
-            if hit.any():
-                flat[j, hit] = 1.0
+        # One pass over the whole output for each check; their boolean
+        # masks are 1/16 of its size.  ell_j prod_{k != j} (lambda_j -
+        # lambda_k) may be off by an ulp, so exact center hits are pinned
+        # to exact unit values.
+        if not np.isfinite(flat).all():
+            raise AlgebraOverflow("basis values are not finite at the given z")
+        flat[zf == lam[:, None]] = 1.0
         return out
 
     def fiber(self, w) -> Fiber:

@@ -15,7 +15,8 @@ The kernel's Aberth correction sums are built in place, about 1 MiB of
 pairwise differences (``CHUNK_BYTES``) at a time, and its backward-error
 test is relative at every scale.  Multiplicities are kept: a k-fold root
 comes back as a cluster of k nearby points whose residuals are below
-tolerance, which :func:`cluster_points` groups by a grid hash.
+tolerance, which :func:`cluster_points` groups: an array pass over a grid
+of cells, then first fit over the points that share a neighbourhood.
 """
 
 from __future__ import annotations
@@ -207,15 +208,16 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
     below root_tol relative to the coefficient magnitude accumulated at
     z, plus |w|), so clusters standing in for multiple roots terminate as
     well.  A row leaves the active arrays once all its points pass.  The
-    rows never mix, so each row ends as it would alone: collided iterates
-    are jittered, by 1e-8 of the row's largest start modulus, in a step
-    that moves no other row, which only costs the others one iteration of
-    the step cap.  The correction sums sum_k 1 / (z_j - z_k) are built
-    from the (rows, deg, deg) pairwise differences a block of about
-    CHUNK_BYTES at a time, inverted in place; each row's sum runs along
-    its own contiguous row, so the blocking does not change a bit.  A
-    final Newton polish runs over all rows.  Overflow shows up as
-    non-finite iterates and is raised, never warned about.
+    rows never mix, so each row ends as it would alone: collided iterates,
+    which make the row's correction sums non-finite, are jittered by 1e-8
+    of the row's largest start modulus, in a step that moves no other
+    row, which only costs the others one iteration of the step cap.  The
+    correction sums sum_k 1 / (z_j - z_k) are built from the (rows, deg,
+    deg) pairwise differences a block of about CHUNK_BYTES at a time,
+    inverted in place; each row's sum runs along its own contiguous row,
+    so the blocking does not change a bit.  A final Newton polish runs
+    over all rows.  Overflow shows up as non-finite start points or
+    iterates and is raised, never warned about.
     """
     deg = len(monic) - 1
     with np.errstate(all="ignore"):
@@ -227,6 +229,9 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
         # relative for polynomials that are small near their roots.
         absc = np.abs(monic) * _DOWN
         z = np.array(z0, dtype=np.complex128)
+        # a start that is not finite would be taken for a collision
+        if not np.isfinite(z).all():
+            raise ConvergenceFailure("root iteration produced non-finite iterates")
         radius = np.abs(z).max(axis=1)
 
         # The active rows: their indices, iterates, right hand sides,
@@ -260,16 +265,16 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
             # ssum[i, j] = sum_{k != j} 1 / (z_ij - z_ik), one block of
             # rows of the pairwise differences at a time
             ssum = np.empty_like(za)
-            bad = np.empty(za.shape[0], dtype=bool)
             for lo in range(0, za.shape[0], block):
                 rows = slice(lo, lo + block)
                 diff = za[rows, :, None] - za[rows, None, :]
                 diff[:, idx, idx] = np.inf
-                bad[rows] = (diff == 0).any(axis=(1, 2))
                 np.divide(1.0, diff, out=diff)
                 diff.sum(axis=2, out=ssum[rows])
+            # collided iterates (1/0 makes the row's sums non-finite):
+            # deterministic jitter, then continue
+            bad = ~np.isfinite(ssum).all(axis=1)
             if np.count_nonzero(bad):
-                # collided iterates: deterministic jitter, then continue
                 za[bad] = za[bad] + 1e-8 * ra[bad, None] * np.exp(0.7j * idx)[None, :]
                 frozen[bad] = False
                 continue
@@ -376,8 +381,53 @@ def fiber_batch(centers: "Centers", ws,
     return out
 
 
+# Offsets of the four grids of 2 x 2 super-cells, and the shift by 2**42
+# that keeps their super-cell indices (exact integers below 2**40) apart.
+_OFFSETS = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])[:, :, None]
+_GRID_SHIFT = 2.0 ** 42 * np.arange(4)[:, None]
+
+
+def _paired(order, same) -> np.ndarray:
+    """Mask of the points ``order`` sorts that equal a sorted neighbour.
+
+    ``same[k]`` tells whether sorted entries k and k + 1 match.
+    """
+    out = np.zeros(order.size, dtype=bool)
+    out[order[1:][same]] = True
+    out[order[:-1][same]] = True
+    return out
+
+
+def _crowded(kx, ky) -> np.ndarray:
+    """Whether another point lies in each point's 3 x 3 block of cells.
+
+    ``kx`` and ``ky`` hold exact integer cell indices below 2**41.  Two
+    cells are at most one step apart in both coordinates iff they share
+    a 2 x 2 super-cell of one of the four grids offset by (0|1, 0|1), so
+    one lexsort of the super-cells of all four grids finds every crowded
+    point.  A point with no other point in its own or a neighbouring
+    column, or then row, is not crowded; one sort per coordinate drops
+    those first.
+    """
+    cand = np.arange(kx.size)
+    for k in (kx, ky):
+        kc = k[cand]
+        order = np.argsort(kc)
+        kc = kc[order]
+        cand = cand[_paired(order, kc[1:] - kc[:-1] <= 1.0)]
+    out = np.zeros(kx.size, dtype=bool)
+    if cand.size:
+        sx = (np.floor((kx[cand] + _OFFSETS[0]) * 0.5) + _GRID_SHIFT).ravel()
+        sy = np.floor((ky[cand] + _OFFSETS[1]) * 0.5).ravel()
+        order = np.lexsort((sy, sx))
+        sx, sy = sx[order], sy[order]
+        hit = _paired(order, (sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1]))
+        out[cand] = hit.reshape(4, cand.size).any(axis=0)
+    return out
+
+
 def cluster_points(points, radius: float):
-    """Greedy first-fit clustering of complex points, in expected O(n).
+    """Greedy first-fit clustering of complex points, in expected O(n log n).
 
     Returns (representatives, counts).  Points are taken in input order;
     each joins the lowest-index group whose anchor (first member) lies
@@ -385,10 +435,15 @@ def cluster_points(points, radius: float):
     are the group means, members taken in input order.  Non-finite points
     are singletons.  Raises ValueError unless 0 <= radius < inf.
 
-    Anchors are hashed on a square grid of side at least 2 * radius, so
+    Points are hashed on a square grid of side at least 2 * radius, so
     every anchor within the radius lies in the 3 x 3 block of cells
     around the point.  The side is also at least 2**-40 times the largest
     coordinate, which keeps the cell indices exact integers below 2**41.
+    One array pass (:func:`_crowded`) finds the crowded points, those
+    with another finite point in their block; first fit runs over these
+    alone, in input order, through a hash of the anchors' cells.  Every
+    other point is a group of its own, as nothing else lies within the
+    radius of it.  Groups come out in the order of their anchors.
     """
     pts = np.asarray(points, dtype=np.complex128).ravel()
     radius = float(radius)
@@ -398,15 +453,16 @@ def cluster_points(points, radius: float):
     coords = pts.view(np.float64)          # re and im, interleaved
     span = float(np.abs(coords[np.isfinite(coords)]).max(initial=0.0))
     cell = max(2.0 * radius, span * 2.0 ** -40, np.finfo(float).tiny)
-    keys = np.floor(coords / cell).tolist()
-    groups: list[list[int]] = []
-    grid: dict[tuple, list[int]] = {}
     with np.errstate(all="ignore"):
-        for i, (p, x, y, ok) in enumerate(zip(pts, keys[::2], keys[1::2],
-                                              np.isfinite(pts).tolist())):
-            if not ok:          # no distance to it is within a finite radius
-                groups.append([i])
-                continue
+        keys = np.floor(coords / cell)
+        kx, ky = keys[::2], keys[1::2]
+        finite = np.flatnonzero(np.isfinite(pts))
+        crowded = finite[_crowded(kx[finite], ky[finite])]
+        groups: list[list[int]] = []
+        grid: dict[tuple, list[int]] = {}
+        for i, x, y in zip(crowded.tolist(), kx[crowded].tolist(),
+                           ky[crowded].tolist()):
+            p = pts[i]
             near = []
             for dx in (-1.0, 0.0, 1.0):
                 for dy in (-1.0, 0.0, 1.0):
@@ -418,9 +474,18 @@ def cluster_points(points, radius: float):
             else:
                 grid.setdefault((x, y), []).append(len(groups))
                 groups.append([i])
-        reps = np.array([np.mean(pts[g]) for g in groups], dtype=np.complex128)
-    counts = np.array([len(g) for g in groups], dtype=int)
-    return reps, counts
+        # one-point groups first: np.mean along an axis of length 1 gives
+        # bit for bit np.mean of each point alone (not a copy: it turns
+        # some -0.0 parts into 0.0)
+        reps = np.mean(pts[:, None], axis=1)
+        counts = np.ones(pts.size, dtype=int)
+        anchor = np.ones(pts.size, dtype=bool)
+        for g in groups:
+            if len(g) > 1:
+                reps[g[0]] = np.mean(pts[g])
+                counts[g[0]] = len(g)
+                anchor[g[1:]] = False
+    return reps[anchor], counts[anchor]
 
 
 def refine_multiple_root(coeffs, z0, mult: int, radius: float):

@@ -3,12 +3,17 @@ import warnings
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
+from hypothesis import given, strategies as st
 
 from multicentric.config import DEFAULT_TOL
 from multicentric.errors import CentersDegenerate, ConvergenceFailure
 from multicentric.polynomials import (
     Centers,
     Polynomial,
+    _aberth,
+    _circle,
+    _crowded,
+    _fujiwara_radius,
     _horner,
     cluster_points,
     critical_points,
@@ -299,6 +304,33 @@ class TestFiber:
             assert np.array_equal(batch[i], fiber_batch(cen, [w])[0]), w
 
 
+class TestCollisionBranch:
+    """The root kernel's jitter of a row whose iterates collide."""
+
+    def test_collided_row_converges_beside_an_ordinary_row(self):
+        cen = Centers([1.0, -1.0, 0.5j, 2.0 - 1j])
+        monic = cen.poly.coeffs
+        ws = np.array([0.3 + 0.2j, -0.7 + 0.1j])
+        start = _circle(_fujiwara_radius(monic, ws), cen.d)
+        start[0, 1] = start[0, 0]      # 1 / 0 in the row's correction sums
+        got = _aberth(monic, ws, start, DEFAULT_TOL)
+        alone = _aberth(monic, ws[1:], start[1:], DEFAULT_TOL)[0]
+        assert got[1].tobytes() == alone.tobytes()
+        # product-form oracle: prod_j (z - lambda_j) = w at every point
+        diff = got[0][:, None] - cen.lambdas[None, :]
+        res = np.abs(np.prod(diff, axis=1) - ws[0])
+        scale = np.prod(np.abs(diff), axis=1) + abs(ws[0])
+        assert (res <= 1e-14 * scale).all()
+        _match_multisets(got[0], fiber_batch(cen, ws[:1])[0], 1e-12)
+
+    def test_non_finite_start_raises_at_once(self):
+        # |w| overflows in the Fujiwara bound, so the start circle of the
+        # first row is not finite
+        with pytest.raises(ConvergenceFailure, match="non-finite iterates"):
+            fiber_batch(Centers([1.0, -1.0, 2.0]),
+                        [complex(1.7e308, 1.7e308), 0.5])
+
+
 def _first_fit(points, radius):
     """The quadratic first-fit loop the grid hash replaced (test oracle)."""
     pts = np.asarray(points, dtype=np.complex128).ravel()
@@ -356,7 +388,79 @@ def _cluster_cases():
     return cases
 
 
-CLUSTER_CASES = _cluster_cases()
+# radius 1, cell side 2: a chain across the border x = 2 whose third point
+# lies within the radius of the second member but not of the anchor, a
+# pair across the corner (2, 2) and one across (4, -4), a crowded point
+# that joins nobody (-0.0 shares a cell with 1.9), and a point within the
+# radius of two anchors, the later-placed anchor listed first
+CHAINS = np.array([
+    100.0, 1.9, 2.1, 2.95,
+    1.95 + 1.95j, -50j, 2.05 + 2.05j,
+    11.5 + 10j, 10.0 + 10j, 10.75 + 10j,
+    -0.0, 3.9 - 3.9j, 4.1 - 4.1j,
+])
+
+
+def _crowding_cases():
+    """Isolated points beside crowded ones, at sizes 1 to 5,000."""
+    rng = np.random.default_rng(11)
+    cases = {"crowded-chains": (CHAINS, 1.0)}
+    iso = rng.uniform(-1, 1, 500) + 1j * rng.uniform(-1, 1, 500)
+    ring = np.repeat(iso[:50], 3) + 1.5e-6 * np.exp(
+        2j * np.pi * rng.uniform(size=150))
+    x = np.concatenate([iso, ring])
+    rng.shuffle(x)
+    cases["isolated-and-crowded"] = (x, 1e-6)
+    cases["identical-5000"] = (np.full(5000, 0.3 - 0.7j), 1e-10)
+    # the spectrum multiset of wide-samples: 4,000 values, all singletons
+    # at the eq_tol radius of their scale
+    x = rng.uniform(-3, 3, 4000) + 1j * rng.uniform(-3, 3, 4000)
+    cases["singletons-eq-tol-4000"] = (
+        x, DEFAULT_TOL.eq_tol * max(1.0, float(np.abs(x).max())))
+    # span 1 and radius 2**-42: the cell side is 2**-40, so the cell
+    # indices reach +-2**40; the points sit a quarter cell apart
+    base = np.array([1.0, -1.0, 1j, -1j, 1 - 1j, -1 + 1j])
+    step = np.arange(-3, 4) * 2.0 ** -42
+    x = (base[:, None] + (step[:, None] + 1j * step[None, :]).ravel()).ravel()
+    rng.shuffle(x)
+    cases["cells-near-2**40"] = (x, 2.0 ** -42)
+    cases["one-point"] = (np.array([3 + 4j]), 0.5)
+    cases["two-near"] = (np.array([1 + 1j, 1 + 1j + 1e-7]), 1e-6)
+    cases["two-apart"] = (np.array([1.0, 2.0]), 0.1)
+    return cases
+
+
+CLUSTER_CASES = {**_cluster_cases(), **_crowding_cases()}
+
+_FINITE = st.complex_numbers(max_magnitude=5.0, allow_nan=False,
+                             allow_infinity=False)
+
+
+@st.composite
+def _cluster_inputs(draw):
+    """Clustered, gridded or duplicated points and a radius, possibly 0."""
+    radius = draw(st.sampled_from([0.0, 1e-9, 0.1, 0.5, 1.0]))
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["clustered", "gridded", "duplicated"]))
+    if kind == "clustered":        # up to two radii around a few centers
+        cen = draw(st.lists(_FINITE, min_size=1, max_size=5))
+        offs = draw(st.lists(st.tuples(
+            st.integers(0, len(cen) - 1), st.floats(-2, 2), st.floats(-2, 2)),
+            min_size=n, max_size=n))
+        pts = [cen[k] + radius * complex(x, y) for k, x, y in offs]
+    elif kind == "gridded":        # lattice steps of half or one radius
+        step = draw(st.sampled_from([0.5, 1.0])) * (radius or 1.0)
+        ij = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                           min_size=n, max_size=n))
+        pts = [step * complex(i, j) for i, j in ij]
+    else:
+        vals = draw(st.lists(_FINITE, min_size=1, max_size=4))
+        pts = [vals[k] for k in draw(st.lists(
+            st.integers(0, len(vals) - 1), min_size=n, max_size=n))]
+    pts += draw(st.lists(st.sampled_from(
+        [complex(np.nan, 0), complex(np.inf, 1), complex(-np.inf, np.nan)]),
+        max_size=2))
+    return np.array(pts, dtype=np.complex128), radius
 
 
 class TestClusterPoints:
@@ -368,6 +472,30 @@ class TestClusterPoints:
         assert np.array_equal(counts, want_counts)
         assert np.array_equal(reps, want_reps, equal_nan=True)
         assert reps.tobytes() == want_reps.tobytes()
+
+    @given(_cluster_inputs())
+    def test_matches_first_fit_property(self, case):
+        pts, radius = case
+        reps, counts = cluster_points(pts, radius)
+        want_reps, want_counts = _first_fit(pts, radius)
+        assert np.array_equal(counts, want_counts)
+        assert reps.tobytes() == want_reps.tobytes()
+
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                    max_size=40),
+           st.sampled_from([0.0, 2.0 ** 40 - 6, -2.0 ** 40 + 6]))
+    def test_crowded_is_the_3x3_block_test(self, cells, shift):
+        k = np.array(cells, dtype=float).reshape(-1, 2) + shift
+        kx, ky = k[:, 0], k[:, 1]
+        near = (np.abs(kx[:, None] - kx) <= 1) & (np.abs(ky[:, None] - ky) <= 1)
+        np.fill_diagonal(near, False)
+        assert np.array_equal(_crowded(kx, ky), near.any(axis=1))
+
+    def test_chains_and_ties(self):
+        reps, counts = cluster_points(CHAINS, 1.0)
+        assert counts.tolist() == [1, 2, 1, 2, 1, 2, 1, 1, 2]
+        assert reps[2] == 2.95                      # near a member only
+        assert reps[5] == (11.5 + 10j + 10.75 + 10j) / 2   # the earlier anchor
 
     def test_huge_points_cluster_without_warnings(self):
         with warnings.catch_warnings(record=True) as caught:
