@@ -20,7 +20,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import linalg
-from .config import CHUNK_BYTES, DEFAULT_TOL, MATCH_RTOL, Tolerances
+from .config import DEFAULT_TOL, MATCH_RTOL, Tolerances, blocks
 from .errors import (
     AlgebraOverflow,
     ContextMismatch,
@@ -112,32 +112,34 @@ class AlgebraContext:
         product.  At a center the result is exactly 0 or 1: the zeros
         carry an exact zero factor and the ones are pinned.  Raises
         AlgebraOverflow when a value is not finite (z too large for
-        floating point).
+        floating point).  The points go a block at a time: the running
+        products take 32 bytes a point, about CHUNK_BYTES a block, and
+        the checks' boolean masks d bytes a point.
         """
         z = np.asarray(z, dtype=np.complex128)
-        lam, ell = self.lambdas, self.ell
-        out = np.empty((self._d,) + z.shape, dtype=np.complex128)
-        flat, zf = out.reshape(self._d, -1), z.reshape(-1)   # views
-        acc = np.ones_like(zf)
-        fac = np.empty_like(zf)
-        with np.errstate(all="ignore"):
-            flat[0] = 1.0
-            for j in range(1, self._d):      # flat[j] = prod_{k<j} (z - lambda_k)
-                np.subtract(zf, lam[j - 1], out=fac)
-                np.multiply(flat[j - 1], fac, out=flat[j])
-            for j in range(self._d - 1, -1, -1):  # acc = prod_{k>j} (z - lambda_k)
-                np.multiply(acc, ell[j], out=fac)
-                flat[j] *= fac
-                if j:
-                    np.subtract(zf, lam[j], out=fac)
-                    acc *= fac
-        # One pass over the whole output for each check; their boolean
-        # masks are 1/16 of its size.  ell_j prod_{k != j} (lambda_j -
-        # lambda_k) may be off by an ulp, so exact center hits are pinned
-        # to exact unit values.
-        if not np.isfinite(flat).all():
-            raise AlgebraOverflow("basis values are not finite at the given z")
-        flat[zf == lam[:, None]] = 1.0
+        lam, ell, d = self.lambdas, self.ell, self._d
+        out = np.empty((d,) + z.shape, dtype=np.complex128)
+        flat, zall = out.reshape(d, -1), z.reshape(-1)   # views
+        for cols in blocks(zall.size, 32):
+            part, zf = flat[:, cols], zall[cols]         # views
+            acc = np.ones_like(zf)
+            fac = np.empty_like(zf)
+            with np.errstate(all="ignore"):
+                part[0] = 1.0
+                for j in range(1, d):        # part[j] = prod_{k<j} (z - lambda_k)
+                    np.subtract(zf, lam[j - 1], out=fac)
+                    np.multiply(part[j - 1], fac, out=part[j])
+                for j in range(d - 1, -1, -1):   # acc = prod_{k>j} (z - lambda_k)
+                    np.multiply(acc, ell[j], out=fac)
+                    part[j] *= fac
+                    if j:
+                        np.subtract(zf, lam[j], out=fac)
+                        acc *= fac
+            # ell_j prod_{k != j} (lambda_j - lambda_k) may be off by an
+            # ulp, so exact center hits are pinned to exact unit values.
+            if not np.isfinite(part).all():
+                raise AlgebraOverflow("basis values are not finite at the given z")
+            part[zf == lam[:, None]] = 1.0
         return out
 
     def fiber(self, w) -> Fiber:
@@ -322,21 +324,27 @@ _PRODUCT_ROWS = 8
 def polyprod(f: VectorFunction, g: VectorFunction) -> VectorFunction:
     """Polyproduct f * g (componentwise sigma form, vectorized over M).
 
-    The differences (f_i - f_j)(w) and (g_i - g_j)(w) are built
-    _PRODUCT_ROWS rows of i at a time, so the temporaries are
-    (_PRODUCT_ROWS, d, m) instead of (d, d, m); each block goes through
-    the same einsum, so the result does not depend on the blocking.  A
-    square (g is f) reuses the f block.
+    The product is pointwise in w, so it is built one block at a time: at
+    most _PRODUCT_ROWS rows of i by about CHUNK_BYTES / (16 rows d)
+    samples.  Each block forms the differences (f_i - f_j)(w) and
+    (g_i - g_j)(w), a (rows, d, samples) tensor of about CHUNK_BYTES
+    each, and writes f_i g_i - w sum_j sigma_ij (f_i - f_j)(g_i - g_j)
+    straight into the output, so the only arrays whose size grows with m
+    are the output and the copy its VectorFunction keeps.  The sum is one
+    einsum per block, whose rounding does not depend on the number of
+    samples in the block, so the result is bit for bit the same for any
+    blocking.  A square (g is f) reuses the f block.
     """
     samples = _common_samples(f, g)
-    sigma, fv, gv = f.ctx.sigma, f.values, g.values
-    corr = np.empty_like(fv)
-    for lo in range(0, f.d, _PRODUCT_ROWS):
-        rows = slice(lo, lo + _PRODUCT_ROWS)
-        fd = fv[rows, None, :] - fv[None, :, :]
-        gd = fd if g is f else gv[rows, None, :] - gv[None, :, :]
-        corr[rows] = np.einsum("ij,ijm,ijm->im", sigma[rows], fd, gd)
-    vals = fv * gv - samples.points[None, :] * corr
+    sigma, fv, gv, w = f.ctx.sigma, f.values, g.values, samples.points
+    vals = np.empty_like(fv)
+    for cols in blocks(f.m, 16 * min(_PRODUCT_ROWS, f.d) * f.d):
+        for lo in range(0, f.d, _PRODUCT_ROWS):
+            rows = slice(lo, lo + _PRODUCT_ROWS)
+            fd = fv[rows, None, cols] - fv[None, :, cols]
+            gd = fd if g is f else gv[rows, None, cols] - gv[None, :, cols]
+            corr = np.einsum("ij,ijm,ijm->im", sigma[rows], fd, gd)
+            vals[rows, cols] = fv[rows, cols] * gv[rows, cols] - w[cols] * corr
     return VectorFunction(samples, vals)
 
 
@@ -390,8 +398,7 @@ def _mult_block(f: VectorFunction, cols: slice) -> np.ndarray:
 
 def _sample_chunks(f: VectorFunction):
     """Slices of about CHUNK_BYTES of (d, d) matrices covering the samples."""
-    step = max(1, CHUNK_BYTES // (16 * f.d * f.d))
-    return [slice(lo, lo + step) for lo in range(0, f.m, step)]
+    return blocks(f.m, 16 * f.d * f.d)
 
 
 def mult_matrices(f: VectorFunction) -> np.ndarray:
@@ -427,9 +434,13 @@ def _norm_pass(sigma, w, fv, square: bool):
     One pass over the differences D_ij = f_i - f_j, built _PRODUCT_ROWS
     rows of i at a time.  Row i of B_f(w) sums to
     |f_i - w sum_j sigma_ij D_ij| + |w| sum_j |sigma_ij| |D_ij|, the two
-    sums being products of sigma and |sigma| with D and |D|.  The square
-    goes through polyprod's einsum on the same blocks, so it is bit for
-    bit polyprod(f, f).  Returns (norm, square values or None).
+    sums being products of sigma and |sigma| with D and |D|.  The blocks
+    span all samples, unlike polyprod's: those two sums are batched
+    matmuls, whose rounding changes with the number of columns, so
+    splitting the samples would change the norm's last bits.  The square
+    goes through polyprod's einsum, whose rounding does not depend on
+    the columns, so it is bit for bit polyprod(f, f).  Returns (norm,
+    square values or None).
     """
     aw, asig = np.abs(w), np.abs(sigma)
     rows = np.empty(fv.shape)
@@ -517,18 +528,22 @@ def invert(f: VectorFunction) -> VectorFunction:
     Solves B_f(w) g(w) = 1 for every sample, building and solving the
     matrices about 1 MiB of them (``CHUNK_BYTES``) at a time, so the
     whole (m, d, d) stack is never held, and verifies the product
-    afterwards.
+    afterwards with the sample-blocked polyprod.  The full-size
+    temporaries are dropped as soon as they are used: the |f^| screen,
+    and the solution buffer once the result holds its copy.
     """
     tol = f.ctx.tol
     gv = f.gelfand_values()
     scale = max(1.0, sup_norm(f))
     flat = np.abs(gv).ravel()
     amin = int(np.argmin(flat))
-    if flat[amin] <= tol.eq_tol * scale:
+    least = flat[amin]
+    del flat
+    if least <= tol.eq_tol * scale:
         witness = complex(f.samples.fiber_points.ravel()[amin])
         raise NotInvertible(
             f"representation vanishes near z={witness} "
-            f"(|f^| = {flat[amin]:.3e})"
+            f"(|f^| = {least:.3e})"
         )
     vals = np.empty_like(f.values)
     for cols in _sample_chunks(f):
@@ -547,9 +562,9 @@ def invert(f: VectorFunction) -> VectorFunction:
             ) from None
         vals[:, cols] = x.T
     g = VectorFunction(f.samples, vals)
-    resid = polyprod(f, g).values - 1.0
+    del vals                     # g holds its own copy
+    worst = float(np.abs(polyprod(f, g).values - 1.0).max())
     check_scale = max(1.0, sup_norm(f) * sup_norm(g))
-    worst = float(np.abs(resid).max())
     if worst > 1e3 * tol.eq_tol * check_scale:
         raise ConvergenceFailure(
             f"inverse verification failed (residual {worst:.3e})"

@@ -309,6 +309,9 @@ def cmd_specmap(args) -> int:
 
 def cmd_verify(args) -> int:
     overrides = {"cases": args.cases, "d": args.d, "samples": args.samples}
+    for name, value in overrides.items():
+        if value is not None and value < 1:
+            raise ValueError(f"--{name} must be at least 1, got {value}")
     if args.suite == "all":
         reports = verify_mod.run_all(args.seed, **overrides)
     else:

@@ -31,7 +31,18 @@ DEFAULT_TOL = Tolerances()
 # sample points of a function.
 MATCH_RTOL = 1e-9
 
-# Bytes of one block of a stacked temporary that is built a block of rows
-# at a time: the singularity certificate's matrix chunks and the root
-# kernel's pairwise differences.
+# Bytes of one block of a temporary that is built a block of rows at a
+# time (see blocks): the matrix chunks of the singularity certificate and
+# of invert, the root kernel's pairwise differences and fiber rows, and
+# the sample blocks of the polyproduct, basis values and criticality test.
 CHUNK_BYTES = 1 << 20
+
+
+def blocks(n: int, row_bytes: int) -> list:
+    """Slices covering range(n), each of about CHUNK_BYTES of rows.
+
+    A row takes ``row_bytes`` bytes of the temporary being blocked; every
+    slice holds at least one row.
+    """
+    step = max(1, CHUNK_BYTES // row_bytes)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import CHUNK_BYTES as _CHUNK_BYTES, DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, Tolerances, blocks
 from .errors import AlgebraOverflow, DimensionTooLarge, SingularMatrix
 from .polynomials import Polynomial, roots
 
@@ -107,9 +107,7 @@ def _screen(stack: np.ndarray, scale: np.ndarray, eq_tol: float) -> np.ndarray:
     smin = np.full(stack.shape[0], np.inf)
     # About 1 MiB of matrices per chunk, so the scaled copy, its Gram
     # matrix and the factor stay small beside the stack.
-    step = max(1, _CHUNK_BYTES // (16 * stack.shape[-1] ** 2))
-    for lo in range(0, stack.shape[0], step):
-        part = slice(lo, lo + step)
+    for part in blocks(stack.shape[0], 16 * stack.shape[-1] ** 2):
         if not _certified(stack[part], scale[part], eq_tol):
             smin[part] = _smallest_sv(stack[part])
     return smin

@@ -11,12 +11,15 @@ within each center's distance to its nearest other center; farther rows
 start on the circle of the Fujiwara bound of p - w.  A row leaves the
 batch as soon as all its points converge, and its start depends only on
 its own w, so a row's result does not depend on the rows beside it.
-The kernel's Aberth correction sums are built in place, about 1 MiB of
-pairwise differences (``CHUNK_BYTES``) at a time, and its backward-error
-test is relative at every scale.  Multiplicities are kept: a k-fold root
-comes back as a cluster of k nearby points whose residuals are below
-tolerance, which :func:`cluster_points` groups: an array pass over a grid
-of cells, then first fit over the points that share a neighbourhood.
+That lets :func:`fiber_batch` run the kernel one block of rows at a
+time, and the kernel build its Aberth correction sums about 1 MiB of
+pairwise differences (``CHUNK_BYTES``) at a time, so the scratch of a
+fiber solve stays a few ``CHUNK_BYTES`` however many rows it has.  The
+backward-error test is relative at every scale.  Multiplicities are
+kept: a k-fold root comes back as a cluster of k nearby points whose
+residuals are below tolerance, which :func:`cluster_points` groups: an
+array pass over a grid of cells, then first fit over the points that
+share a neighbourhood.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .config import CHUNK_BYTES, DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, Tolerances, blocks
 from .errors import CentersDegenerate, ConvergenceFailure
 
 __all__ = [
@@ -183,27 +186,25 @@ def _horner(z, coeffs, dcoeffs=None, abscoeffs=None):
     return p, dp, s
 
 
-def _newton_polish(z, coeffs, dcoeffs, w):
-    """Newton-refine converged iterates in place of the raw Aberth stop.
+def _newton_step(z, pv, dv):
+    """One Newton step z - pv / dv from the values pv and dv at z.
 
-    The Aberth loop exits on a backward-error test, which can leave simple
-    roots a few orders above machine accuracy when |p'| is small there.
-    Two Newton sweeps close that gap; near multiple roots the step p/p'
-    only shrinks the residual cluster, so polishing is always safe.
+    Where dv is 0 the point stays.  The Aberth loop exits on a
+    backward-error test, which can leave simple roots a few orders above
+    machine accuracy when |p'| is small there; two Newton steps close
+    that gap, and near multiple roots the step only shrinks the residual
+    cluster, so polishing is always safe.
     """
-    for _ in range(2):
-        pv, dv, _ = _horner(z, coeffs, dcoeffs)
-        pv -= w
-        step = np.where(dv == 0, 0.0, pv / np.where(dv == 0, 1.0, dv))
-        z = z - step
-    return z
+    return z - np.where(dv == 0, 0.0, pv / np.where(dv == 0, 1.0, dv))
 
 
 def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
     """Roots of monic(z) - w for every w in ``ws``; shape (len(ws), deg).
 
     ``monic`` holds finite ascending coefficients with leading 1, and row
-    i of ``z0`` holds the deg start points of row i.  A point is frozen
+    i of ``z0`` holds the deg start points of row i.  Its arrays are
+    (rows, deg), about 15 of them live at once, so a caller bounds the
+    scratch by the number of rows it passes.  A point is frozen
     once its residual passes the backward-error test (|monic(z) - w|
     below root_tol relative to the coefficient magnitude accumulated at
     z, plus |w|), so clusters standing in for multiple roots terminate as
@@ -215,9 +216,11 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
     correction sums sum_k 1 / (z_j - z_k) are built from the (rows, deg,
     deg) pairwise differences a block of about CHUNK_BYTES at a time,
     inverted in place; each row's sum runs along its own contiguous row,
-    so the blocking does not change a bit.  A final Newton polish runs
-    over all rows.  Overflow shows up as non-finite start points or
-    iterates and is raised, never warned about.
+    so the blocking does not change a bit.  Converged points get two
+    Newton polish steps: the first as their row leaves, from the values
+    of p - w and p' that the test has just computed, the second in one
+    sweep over all rows at the end.  Overflow shows up as non-finite
+    start points or iterates and is raised, never warned about.
     """
     deg = len(monic) - 1
     with np.errstate(all="ignore"):
@@ -240,20 +243,22 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
         za, wa, ra = z, ws[:, None], radius
         frozen = np.zeros((ws.size, deg), dtype=bool)
         idx = np.arange(deg)
-        block = max(1, CHUNK_BYTES // (16 * deg * deg))
+        tiny = np.finfo(float).tiny
         for _ in range(_MAX_ITER):
             pv, dv, bscale = _horner(za, monic, dcoef, absc)
             pv -= wa
             bscale += np.abs(wa) * _DOWN
-            np.maximum(bscale, np.finfo(float).tiny, out=bscale)
+            np.maximum(bscale, tiny, out=bscale)
             ok = ((np.abs(pv) * _DOWN <= tol.root_tol * bscale)
                   & np.isfinite(bscale))
             done = ok.all(axis=1)
             ndone = np.count_nonzero(done)
             if ndone:
-                z[act[done]] = za[done]
+                z[act[done]] = _newton_step(za[done], pv[done], dv[done])
                 if ndone == act.size:
-                    return _newton_polish(z, monic, dcoef, ws[:, None])
+                    pv, dv, _ = _horner(z, monic, dcoef)
+                    pv -= ws[:, None]
+                    return _newton_step(z, pv, dv)
                 live = ~done
                 act, za, wa, ra = act[live], za[live], wa[live], ra[live]
                 frozen, ok, pv, dv = frozen[live], ok[live], pv[live], dv[live]
@@ -265,8 +270,7 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
             # ssum[i, j] = sum_{k != j} 1 / (z_ij - z_ik), one block of
             # rows of the pairwise differences at a time
             ssum = np.empty_like(za)
-            for lo in range(0, za.shape[0], block):
-                rows = slice(lo, lo + block)
+            for rows in blocks(za.shape[0], 16 * deg * deg):
                 diff = za[rows, :, None] - za[rows, None, :]
                 diff[:, idx, idx] = np.inf
                 np.divide(1.0, diff, out=diff)
@@ -360,15 +364,21 @@ def fiber_batch(centers: "Centers", ws,
     further for each j, breaks the real symmetry on which a real p and a
     real w would otherwise stall.  Other rows start on the circle of the
     Fujiwara bound of p - w.  The rule reads only the row's own w.
+
+    As no row's result depends on the rows beside it, the start points
+    are built and the kernel run one block of rows at a time, its (rows,
+    d) arrays a quarter of CHUNK_BYTES each: the kernel holds about 15 of
+    them, so its scratch stays a few CHUNK_BYTES whatever len(ws) is.
     """
     ws = np.asarray(ws, dtype=np.complex128).ravel()
     d = centers.d
     out = np.empty((ws.size, d), dtype=np.complex128)
     zero_rows = ws == 0
     out[zero_rows] = centers.lambdas
-    live = ~zero_rows
-    if live.any():
-        wl = ws[live]
+    live = np.flatnonzero(~zero_rows)
+    for blk in blocks(live.size, 4 * 16 * d):
+        rows = live[blk]
+        wl = ws[rows]
         lam, ell, near = centers.lambdas, centers.ell, centers._near
         with np.errstate(all="ignore"):
             shift = wl[:, None] * ell[None, :]
@@ -377,7 +387,7 @@ def fiber_batch(centers: "Centers", ws,
             nudge = np.where(np.isfinite(near), 1e-3 * near, 0.0) * np.exp(
                 1j * (0.4 + 2.0 * np.pi * np.arange(d) / d))
             z0[local] = lam + shift[local] + nudge
-        out[live] = _aberth(centers.poly.coeffs, wl, z0, tol)
+        out[rows] = _aberth(centers.poly.coeffs, wl, z0, tol)
     return out
 
 
@@ -628,16 +638,20 @@ def _critical_rows(dcoeffs, points, ws, critical_values,
 
     Row i is critical when p' is small at one of its points, relative to
     the magnitude of p' accumulated there, or when w_i lies within
-    crit_tol of a known critical value.
+    crit_tol of a known critical value.  Rows are tested a block at a
+    time, so the scratch is a few CHUNK_BYTES whatever the row count.
     """
-    dv, _, dscale = _horner(points, dcoeffs, abscoeffs=np.abs(dcoeffs))
-    dv = np.abs(dv)
-    dscale = np.maximum(dscale, 1.0)
-    flags = np.any(dv <= tol.crit_tol * dscale, axis=1)
-    if len(critical_values):
-        gaps = np.abs(ws[:, None] - np.asarray(critical_values)[None, :])
-        wscale = np.maximum(1.0, np.abs(ws))[:, None]
-        flags |= np.any(gaps <= tol.crit_tol * wscale, axis=1)
+    absd, crit = np.abs(dcoeffs), np.asarray(critical_values)
+    flags = np.empty(len(ws), dtype=bool)
+    for rows in blocks(len(ws), 16 * points.shape[1]):
+        dv, _, dscale = _horner(points[rows], dcoeffs, abscoeffs=absd)
+        dv = np.abs(dv)
+        dscale = np.maximum(dscale, 1.0)
+        flags[rows] = np.any(dv <= tol.crit_tol * dscale, axis=1)
+        if crit.size:
+            gaps = np.abs(ws[rows, None] - crit[None, :])
+            wscale = np.maximum(1.0, np.abs(ws[rows]))[:, None]
+            flags[rows] |= np.any(gaps <= tol.crit_tol * wscale, axis=1)
     return flags
 
 

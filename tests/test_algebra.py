@@ -8,7 +8,6 @@ f(3) = (2, 0), g(3) = (1, -1):
                                                         [1.5, -1.5]]
 """
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +15,7 @@ import numpy.linalg as npl
 import pytest
 
 from multicentric.algebra import (
+    _PRODUCT_ROWS,
     AlgebraContext,
     SampleSet,
     VectorFunction,
@@ -668,6 +668,20 @@ class TestPolyprodBlocks:
         twin = VectorFunction(ss, f.values)     # equal values, not the same object
         assert np.array_equal(polyprod(f, twin).values, polyprod(f, f).values)
 
+    @pytest.mark.parametrize("d", [1, 2, 9, 64])
+    def test_sample_blocks_bit_for_bit(self, d):
+        # two full blocks of samples and a last block one sample wide
+        step = CHUNK_BYTES // (16 * min(_PRODUCT_ROWS, d) * d)
+        m = 2 * step + 1
+        rng = np.random.default_rng(d)
+        ctx = AlgebraContext(Centers(_circle_centers(rng, d)))
+        ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, m)
+                                   + 1j * rng.uniform(-1, 1, m)))
+        f, g = _rand_function(rng, ss), _rand_function(rng, ss)
+        for a, b in ((f, g), (f, f)):
+            want = _polyprod_one_shot(a, b)
+            assert polyprod(a, b).values.tobytes() == want.tobytes()
+
 
 def _mult_matrices_one_shot(f):
     """B_f(w) from one (d, d, m) tensor moved to (m, d, d) at the end."""
@@ -789,70 +803,112 @@ class TestMemory:
 
     D, M = 64, 400
 
-    def _peak(self, fn, *args):
-        tracemalloc.start()
-        try:
-            out = fn(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return out, peak
-
-    def test_basis_values_builds_in_place(self):
+    def test_basis_values_builds_in_place(self, peak_alloc):
         rng = np.random.default_rng(0)
         ctx = AlgebraContext(Centers(_circle_centers(rng, self.D)))
         z = rng.standard_normal((self.M, self.D)) \
             + 1j * rng.standard_normal((self.M, self.D))
-        out, peak = self._peak(ctx.basis_values, z)
+        out, peak = peak_alloc(ctx.basis_values, z)
         assert peak <= 1.1 * out.nbytes
 
-    def test_polyprod_builds_row_blocks(self):
+    def test_polyprod_builds_row_blocks(self, peak_alloc):
         rng = np.random.default_rng(2)
         ctx = AlgebraContext(Centers(_circle_centers(rng, self.D)))
         ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, self.M)
                                    + 1j * rng.uniform(-1, 1, self.M)))
         f, g = _rand_function(rng, ss), _rand_function(rng, ss)
         for args in ((f, g), (f, f)):
-            _, peak = self._peak(polyprod, *args)
+            _, peak = peak_alloc(polyprod, *args)
             assert peak <= 0.5 * self.D * self.D * self.M * 16
 
-    def test_op_norm_skips_the_matrices(self):
+    def test_op_norm_skips_the_matrices(self, peak_alloc):
         rng = np.random.default_rng(1)
         ctx = AlgebraContext(Centers(_circle_centers(rng, self.D)))
         ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, self.M)
                                    + 1j * rng.uniform(-1, 1, self.M)))
         f = _rand_function(rng, ss)
-        _, peak = self._peak(op_norm, f)
+        _, peak = peak_alloc(op_norm, f)
         assert peak <= 0.5 * self.D * self.D * self.M * 16
 
-    def test_spectral_radius_builds_row_blocks(self):
+    def test_spectral_radius_builds_row_blocks(self, peak_alloc):
         rng = np.random.default_rng(3)
         ctx = AlgebraContext(Centers(_circle_centers(rng, self.D)))
         ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, self.M)
                                    + 1j * rng.uniform(-1, 1, self.M)))
-        _, peak = self._peak(spectral_radius_iter, _rand_function(rng, ss), 3)
+        _, peak = peak_alloc(spectral_radius_iter, _rand_function(rng, ss), 3)
         assert peak <= 0.5 * self.D * self.D * self.M * 16
 
-    def test_mult_matrices_builds_sample_chunks(self):
+    def test_mult_matrices_builds_sample_chunks(self, peak_alloc):
         rng = np.random.default_rng(5)
         ctx = AlgebraContext(Centers(_circle_centers(rng, self.D)))
         ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, self.M)
                                    + 1j * rng.uniform(-1, 1, self.M)))
-        out, peak = self._peak(mult_matrices, _rand_function(rng, ss))
+        out, peak = peak_alloc(mult_matrices, _rand_function(rng, ss))
         assert peak <= 1.1 * out.nbytes
 
-    def test_invert_never_holds_the_stack(self):
+    def test_invert_never_holds_the_stack(self, peak_alloc):
         rng = np.random.default_rng(6)
         ctx = AlgebraContext(Centers(_circle_centers(rng, self.D)))
         ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, self.M)
                                    + 1j * rng.uniform(-1, 1, self.M)))
         f = VectorFunction(ss, 1.0 + 1e-3 * _rand_function(rng, ss).values)
-        _, peak = self._peak(invert, f)
+        _, peak = peak_alloc(invert, f)
         assert peak <= 0.5 * self.D * self.D * self.M * 16
 
-    def test_fiber_batch_builds_row_blocks(self):
+    def test_fiber_batch_builds_row_blocks(self, peak_alloc):
         rng = np.random.default_rng(4)
         cen = Centers(_circle_centers(rng, self.D))
         ws = 1.5 * (rng.uniform(-1, 1, self.M) + 1j * rng.uniform(-1, 1, self.M))
-        _, peak = self._peak(fiber_batch, cen, ws)
+        _, peak = peak_alloc(fiber_batch, cen, ws)
         assert peak <= 0.5 * self.D * self.D * self.M * 16
+
+
+@pytest.fixture(scope="module", params=[20_000, 40_000], ids=["m", "2m"])
+def wide_samples(request):
+    """d = 4 centers and m samples in the square |Re w|, |Im w| <= 3.
+
+    The wide-samples shape, with a near-unit f, so invert never meets a
+    zero, and a random g.  Returns (samples, f, g).
+    """
+    m = request.param
+    rng = np.random.default_rng(11)
+    ctx = AlgebraContext(Centers(1.5 * _circle_centers(rng, 4)))
+    ss = SampleSet(ctx, 3.0 * (rng.uniform(-1, 1, m)
+                               + 1j * rng.uniform(-1, 1, m)))
+    f = VectorFunction(ss, 1.0 + 1e-3 * _rand_function(rng, ss).values)
+    return ss, f, _rand_function(rng, ss)
+
+
+class TestWideMemory:
+    """Peak allocations at the wide-samples shape, d = 4 and m = 2e4, and at 2m.
+
+    Each cap is the call's full-size arrays plus a few CHUNK_BYTES of
+    scratch.  The caps hold at both m, so the scratch does not grow with
+    the number of samples.
+    """
+
+    def test_fiber_batch(self, wide_samples, peak_alloc):
+        ss = wide_samples[0]
+        out, peak = peak_alloc(fiber_batch, ss.ctx.centers, ss.points)
+        assert peak <= out.nbytes + 8 * CHUNK_BYTES
+
+    def test_sample_set(self, wide_samples, peak_alloc):
+        ss = wide_samples[0]
+        got, peak = peak_alloc(SampleSet, ss.ctx, ss.points)
+        out = sum(a.nbytes for a in (got.points, got.fiber_points,
+                                     got.fiber_critical, got.basis_at_fibers))
+        assert peak <= out + 6 * CHUNK_BYTES
+
+    def test_polyprod(self, wide_samples, peak_alloc):
+        # the values and the copy their VectorFunction keeps
+        _, f, g = wide_samples
+        for args in ((f, g), (f, f)):
+            out, peak = peak_alloc(polyprod, *args)
+            assert peak <= 2 * out.values.nbytes + 4 * CHUNK_BYTES
+
+    def test_invert(self, wide_samples, peak_alloc):
+        # the result, and the verification product with its copy
+        _, f, _ = wide_samples
+        f.gelfand_values()          # cached on f: not the call's scratch
+        out, peak = peak_alloc(invert, f)
+        assert peak <= 3 * out.values.nbytes + 5 * CHUNK_BYTES

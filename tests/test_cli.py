@@ -313,6 +313,24 @@ class TestExitCodes:
         assert code == 1
         assert "CriticalValue" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["homomorphism", "--cases", "0", "--samples", "3"], "--cases"),
+        (["homomorphism", "--cases", "-4"], "--cases"),
+        (["eigenvalue-identity", "--d", "0", "--cases", "1"], "--d"),
+        (["eigenvalue-identity", "--d", "-1", "--cases", "1"], "--d"),
+        (["homomorphism", "--samples", "0"], "--samples"),
+        (["all", "--cases", "0"], "--cases"),
+    ], ids=["cases-0", "cases-negative", "d-0", "d-negative", "samples-0",
+            "all-cases-0"])
+    def test_verify_counts_below_one_are_2(self, capsys, argv, flag):
+        # they used to fall back to the defaults, or hit a numpy error
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert flag in lines[0]
+
     def test_verify_failure_is_1(self, capsys, monkeypatch):
         # force a failing case through an impossible tolerance override
         import multicentric.verify as verify_mod

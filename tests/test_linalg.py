@@ -6,18 +6,16 @@ numpy.linalg; the characteristic polynomial and the eigenvalues are
 hand-written and keep numpy.linalg as an independent oracle.
 """
 
-import tracemalloc
 import warnings
 
 import numpy as np
 import numpy.linalg as npl
 import pytest
 
-from multicentric.config import DEFAULT_TOL
+from multicentric.config import CHUNK_BYTES, DEFAULT_TOL
 from multicentric.errors import AlgebraOverflow, DimensionTooLarge, SingularMatrix
 from multicentric.linalg import (
     EIG_DIM_CAP,
-    _CHUNK_BYTES,
     _certified,
     char_poly,
     eigenvalues,
@@ -254,7 +252,7 @@ class TestCertificate:
 
     def test_only_uncleared_chunks_get_singular_values(self, monkeypatch):
         rng = np.random.default_rng(3)
-        step = _CHUNK_BYTES // (16 * 4 * 4)            # 4x4 matrices per chunk
+        step = CHUNK_BYTES // (16 * 4 * 4)            # 4x4 matrices per chunk
         stack = rng.standard_normal((3 * step + 5, 4, 4)) + 5 * np.eye(4)
         scale = _svd_rule(stack)[3]
         assert _certified(stack[:9], scale[:9], DEFAULT_TOL.eq_tol)
@@ -296,19 +294,14 @@ class TestCertificate:
         assert np.abs(np.einsum("kij,kj->ki", stack, x) - rhs).max() < 1e-12
 
     @pytest.mark.parametrize("shape", [(400, 64), (20000, 4)])
-    def test_certificate_works_in_chunks(self, shape):
+    def test_certificate_works_in_chunks(self, shape, peak_alloc):
         # the stack's absolute values take half its size; the scaled copy,
         # Gram matrices and factors of one chunk stay within a few MiB
         m, n = shape
         rng = np.random.default_rng(n)
         stack = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
         stack = stack / np.sqrt(n) + 3.0 * np.eye(n)
-        tracemalloc.start()
-        try:
-            solve(stack, np.ones((m, n)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_alloc(solve, stack, np.ones((m, n)))
         assert peak <= 0.6 * stack.nbytes + 4 * 2 ** 20
 
 

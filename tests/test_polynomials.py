@@ -5,7 +5,7 @@ import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import given, strategies as st
 
-from multicentric.config import DEFAULT_TOL
+from multicentric.config import CHUNK_BYTES, DEFAULT_TOL
 from multicentric.errors import CentersDegenerate, ConvergenceFailure
 from multicentric.polynomials import (
     Centers,
@@ -204,6 +204,49 @@ class TestScaledInputs:
         assert _backward_err(cen, ws, pts) <= DEFAULT_TOL.root_tol
 
 
+@st.composite
+def _fiber_rows(draw):
+    """Centers and fiber rows, with a permutation and a subset of the rows.
+
+    The centers are clustered (within ~1e-2 of 1), far apart (moduli
+    growing by 3 per center) or spread on a unit grid, then scaled by
+    1e-3 to 1e3.  The rows mix w = 0, |w| from 1e-6 to 1e6 times the
+    scale of p, and points next to critical values, where Newton steps
+    converge slowly and a change in the stopping test shows in the bits.
+    """
+    d = draw(st.integers(1, 6))
+    jitter = draw(st.lists(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+                           min_size=d, max_size=d))
+    unit = np.array([k + complex(x, y) for k, (x, y) in enumerate(jitter)])
+    kind = draw(st.sampled_from(["clustered", "far-apart", "spread"]))
+    if kind == "clustered":
+        lam = 1.0 + 2e-3 * unit
+    elif kind == "far-apart":
+        lam = (1.0 + unit) * 3.0 ** np.arange(d)
+    else:
+        lam = unit - unit.mean()
+    s = 10.0 ** draw(st.integers(-3, 3))
+    cen = Centers(s * lam)
+    pscale = float(np.prod(np.abs(cen.lambdas - cen.lambdas.mean()))) or s
+    crit = cen.critical_values
+    ws = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["zero", "scaled", "critical", "critical"]))
+        if kind == "zero":
+            ws.append(0.0)
+        elif kind == "critical" and crit.size:
+            c = crit[draw(st.integers(0, crit.size - 1))]
+            ws.append(c * (1.0 + draw(st.sampled_from([1e-10, 1e-6, -1e-3]))))
+        else:
+            x, y = draw(st.floats(-2, 2)), draw(st.floats(-2, 2))
+            ws.append(pscale * 10.0 ** draw(st.integers(-6, 6)) * complex(x, y))
+    n = len(ws)
+    perm = draw(st.permutations(range(n)))
+    sub = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                        unique=True))
+    return cen, np.array(ws, dtype=np.complex128), perm, sub
+
+
 class TestFiber:
     def test_points_are_preimages(self):
         cen = Centers([1.0, -1.0, 0.5j])
@@ -302,6 +345,33 @@ class TestFiber:
         batch = fiber_batch(cen, ws)
         for i, w in enumerate(ws):
             assert np.array_equal(batch[i], fiber_batch(cen, [w])[0]), w
+
+    @pytest.mark.parametrize("d", [4, 64])
+    def test_row_blocks_solve_alone_bit_for_bit(self, d):
+        # fiber_batch runs the kernel on blocks of the rows with w != 0;
+        # zero rows around the first block boundary shift it in the input
+        step = CHUNK_BYTES // (64 * d)
+        rng = np.random.default_rng(d)
+        cen = Centers((1.0 + rng.uniform(-0.06, 0.06, d)) * np.exp(
+            2j * np.pi * (np.arange(d) + rng.uniform(-0.2, 0.2, d)) / d))
+        live = 2.0 * (rng.uniform(-1, 1, 2 * step + 3)
+                      + 1j * rng.uniform(-1, 1, 2 * step + 3))
+        ws = np.insert(live, [0, step - 1, step, step, step + 1, 2 * step], 0.0)
+        got = fiber_batch(cen, ws)
+        alone = [fiber_batch(cen, live[lo:lo + step])
+                 for lo in range(0, live.size, step)]
+        assert got[ws != 0].tobytes() == np.concatenate(alone).tobytes()
+        assert (got[ws == 0] == cen.lambdas).all()
+
+    @given(_fiber_rows())
+    def test_rows_are_independent(self, case):
+        # what the row blocks rely on: a row ends the same in any batch
+        cen, ws, perm, sub = case
+        batch = fiber_batch(cen, ws)
+        assert fiber_batch(cen, ws[perm]).tobytes() == batch[perm].tobytes()
+        assert fiber_batch(cen, ws[sub]).tobytes() == batch[sub].tobytes()
+        for i in range(ws.size):
+            assert fiber_batch(cen, ws[i:i + 1]).tobytes() == batch[i].tobytes()
 
 
 class TestCollisionBranch:

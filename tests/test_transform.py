@@ -5,8 +5,6 @@ the fiber over 3 is {2, -2}, the representation takes 3 at z = 2 and
 -1 at z = -2, and the fiber Lagrange weight delta_1(1; w=3) is 3/4.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -241,7 +239,7 @@ class TestRoundTrips:
         for i, w in enumerate(ss.points):
             assert np.array_equal(got[:, i], inverse_transform(ctx, phi, w))
 
-    def test_sample_set_call_holds_no_full_basis(self):
+    def test_sample_set_call_holds_no_full_basis(self, peak_alloc):
         # the (d, m, d) basis of every fiber would be d times the result;
         # the inversion keeps only (m, d) arrays alive at a time
         d, m = 32, 500
@@ -249,12 +247,7 @@ class TestRoundTrips:
         rng = np.random.default_rng(12)
         ss = SampleSet(ctx, 3.0 * (rng.standard_normal(m)
                                    + 1j * rng.standard_normal(m)))
-        tracemalloc.start()
-        try:
-            got = inverse_transform(ctx, lambda z: z * z, ss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = peak_alloc(inverse_transform, ctx, lambda z: z * z, ss)
         assert got.shape == (d, m)
         assert peak < 12 * got.nbytes < d * got.nbytes
 
