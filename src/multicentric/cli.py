@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -50,23 +49,30 @@ __all__ = ["main", "entry"]
 def _resolve_json(text: str, field: str):
     """Inline JSON or a path to a JSON file."""
     stripped = text.strip()
-    if stripped.startswith(("{", "[")) or stripped[:1].isdigit() \
-            or stripped.startswith("-"):
+    if stripped.startswith(("{", "[", "-")) or stripped[:1].isdigit():
         return ser.loads(stripped, field)
-    if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
+    try:
+        with open(text, encoding="utf-8") as fh:
             return ser.loads(fh.read(), field)
-    raise MalformedInput(
-        f"{field}: {text!r} is neither inline JSON nor an existing file")
+    except FileNotFoundError:
+        raise MalformedInput(f"--{field}: {text!r} is neither inline JSON "
+                             "nor an existing file") from None
+    except OSError as exc:
+        raise MalformedInput(
+            f"--{field}: cannot read {text!r} ({exc.strerror})") from None
 
 
-def _scalar(text: str, field: str) -> complex:
-    return ser.decode_complex(_resolve_json(text, field), field)
+def _read(args, name: str, decode, *extra):
+    """Decode the argument --name, inline JSON or a file, with decode."""
+    return decode(_resolve_json(getattr(args, name), name), name, *extra)
 
 
-def _tol(args) -> Tolerances:
-    return Tolerances(eq_tol=args.tol, crit_tol=args.crit_tol,
-                      root_tol=args.root_tol)
+def _centers(args, tol):
+    return _read(args, "centers", ser.decode_centers, tol)
+
+
+def _context(args, tol) -> AlgebraContext:
+    return AlgebraContext(_centers(args, tol), tol)
 
 
 def _flatten(obj, prefix=""):
@@ -98,17 +104,20 @@ def _emit(result, args, rows=None) -> None:
     else:
         text = ser.dumps(result) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationFailure(f"--output: cannot write {args.output!r} "
+                                    f"({exc.strerror})") from None
     else:
         sys.stdout.write(text)
 
 
 def _load_function(args, tol):
-    f = ser.decode_function(_resolve_json(args.f, "f"), "f", tol)
-    if getattr(args, "centers", None):
-        c = ser.decode_centers(_resolve_json(args.centers, "centers"),
-                               "centers", tol)
+    f = _read(args, "f", ser.decode_function, tol)
+    if args.centers:
+        c = _centers(args, tol)
         if not np.array_equal(np.sort_complex(c.lambdas),
                               np.sort_complex(f.ctx.centers.lambdas)):
             raise ContextMismatch(
@@ -118,41 +127,46 @@ def _load_function(args, tol):
 
 def _load_pair(args, tol):
     f = _load_function(args, tol)
-    g = ser.decode_function(_resolve_json(args.g, "g"), "g", tol)
+    g = _read(args, "g", ser.decode_function, tol)
     if not f.samples.same_as(g.samples):
         raise ContextMismatch(
             "f and g carry different centers or sample points")
     return f, f.__class__(f.samples, g.values)
 
 
+def _matrix_and_spectrum(args):
+    return (_read(args, "matrix", ser.decode_matrix),
+            _read(args, "spectrum", ser.decode_spectrum))
+
+
+def _decode_rows(obj, field: str) -> list:
+    if not isinstance(obj, list) or not obj:
+        raise MalformedInput(f"{field}: expected a nonempty array of arrays")
+    return [ser.decode_complex_list(row, f"{field}[{i}]")
+            for i, row in enumerate(obj)]
+
+
 # ------------------------------------------------------------- commands
 
 
-def cmd_roots(args) -> int:
-    tol = _tol(args)
-    q = ser.decode_polynomial(_resolve_json(args.poly, "poly"), "poly")
-    rts = roots(q, tol)
+def cmd_roots(args, tol) -> int:
+    rts = roots(_read(args, "poly", ser.decode_polynomial), tol)
     _emit({"roots": ser.encode_complex_list(rts)}, args)
     return 0
 
 
-def cmd_basis(args) -> int:
-    tol = _tol(args)
-    c = ser.decode_centers(_resolve_json(args.centers, "centers"),
-                           "centers", tol)
-    ctx = AlgebraContext(c, tol)
-    z = _scalar(args.z, "z")
+def cmd_basis(args, tol) -> int:
+    ctx = _context(args, tol)
+    z = _read(args, "z", ser.decode_complex)
     vals = ctx.basis_values(np.asarray(z))
     _emit({"z": ser.encode_complex(z),
            "values": ser.encode_complex_list(vals)}, args)
     return 0
 
 
-def cmd_fiber(args) -> int:
-    tol = _tol(args)
-    c = ser.decode_centers(_resolve_json(args.centers, "centers"),
-                           "centers", tol)
-    w = _scalar(args.w, "w")
+def cmd_fiber(args, tol) -> int:
+    c = _centers(args, tol)
+    w = _read(args, "w", ser.decode_complex)
     fib = fiber(c, w, tol)
     _emit({"w": ser.encode_complex(w),
            "points": ser.encode_complex_list(fib.points),
@@ -160,56 +174,48 @@ def cmd_fiber(args) -> int:
     return 0
 
 
-def cmd_gelfand(args) -> int:
-    tol = _tol(args)
+def cmd_gelfand(args, tol) -> int:
     f = _load_function(args, tol)
-    z = _scalar(args.z, "z")
+    z = _read(args, "z", ser.decode_complex)
     val = gelfand_eval(f, z)
     _emit({"z": ser.encode_complex(z),
            "value": ser.encode_complex(val)}, args)
     return 0
 
 
-def cmd_invtransform(args) -> int:
-    tol = _tol(args)
-    c = ser.decode_centers(_resolve_json(args.centers, "centers"),
-                           "centers", tol)
-    ctx = AlgebraContext(c, tol)
-    groups = ser.decode_phi_samples(_resolve_json(args.phi, "phi"), "phi")
+def cmd_invtransform(args, tol) -> int:
+    ctx = _context(args, tol)
+    groups = _read(args, "phi", ser.decode_phi_samples)
     samples = []
     for w, pairs in groups:
         vec = inverse_transform(ctx, pairs, w)
         samples.append({"w": ser.encode_complex(w),
                         "f": ser.encode_complex_list(vec)})
-    _emit({"centers": ser.encode_complex_list(c.lambdas),
+    _emit({"centers": ser.encode_complex_list(ctx.centers.lambdas),
            "samples": samples}, args)
     return 0
 
 
-def cmd_polyprod(args) -> int:
-    tol = _tol(args)
+def cmd_polyprod(args, tol) -> int:
     f, g = _load_pair(args, tol)
     _emit(ser.encode_function(polyprod(f, g)), args)
     return 0
 
 
-def cmd_norm(args) -> int:
-    tol = _tol(args)
+def cmd_norm(args, tol) -> int:
     f = _load_function(args, tol)
     _emit({"sup_norm": sup_norm(f), "op_norm": op_norm(f)}, args)
     return 0
 
 
-def cmd_spectrum(args) -> int:
-    tol = _tol(args)
+def cmd_spectrum(args, tol) -> int:
     f = _load_function(args, tol)
     _emit({"values": ser.encode_complex_list(spectrum(f)),
            "multiset": ser.encode_complex_list(spectrum_multiset(f))}, args)
     return 0
 
 
-def cmd_charfunc(args) -> int:
-    tol = _tol(args)
+def cmd_charfunc(args, tol) -> int:
     f = _load_function(args, tol)
     cc = characteristic(f)
     out = {
@@ -217,26 +223,22 @@ def cmd_charfunc(args) -> int:
         "coeffs": [ser.encode_complex_list(row) for row in cc.coeffs],
     }
     if args.lam is not None:
-        lam = _scalar(args.lam, "lam")
+        lam = _read(args, "lam", ser.decode_complex)
         out["lam"] = ser.encode_complex(lam)
         out["pi_values"] = ser.encode_complex_list(cc.pi_values(lam))
     _emit(out, args)
     return 0
 
 
-def cmd_invert(args) -> int:
-    tol = _tol(args)
+def cmd_invert(args, tol) -> int:
     f = _load_function(args, tol)
     _emit(ser.encode_function(invert(f)), args)
     return 0
 
 
-def cmd_characters(args) -> int:
-    tol = _tol(args)
-    c = ser.decode_centers(_resolve_json(args.centers, "centers"),
-                           "centers", tol)
-    ctx = AlgebraContext(c, tol)
-    w0 = _scalar(args.w0, "w0")
+def cmd_characters(args, tol) -> int:
+    ctx = _context(args, tol)
+    w0 = _read(args, "w0", ser.decode_complex)
     ss = SampleSet(ctx, [w0])
     etas = characters_at(ctx, ss, w0)
     _emit({
@@ -247,12 +249,9 @@ def cmd_characters(args) -> int:
     return 0
 
 
-def cmd_radical(args) -> int:
-    tol = _tol(args)
-    c = ser.decode_centers(_resolve_json(args.centers, "centers"),
-                           "centers", tol)
-    ctx = AlgebraContext(c, tol)
-    w0 = _scalar(args.w0, "w0")
+def cmd_radical(args, tol) -> int:
+    ctx = _context(args, tol)
+    w0 = _read(args, "w0", ser.decode_complex)
     basis = radical_basis_at(ctx, w0)
     _emit({
         "w0": ser.encode_complex(w0),
@@ -262,40 +261,29 @@ def cmd_radical(args) -> int:
 
 
 def _chi_ingredients(args, tol):
-    a = ser.decode_matrix(_resolve_json(args.matrix, "matrix"), "matrix")
-    s = ser.decode_spectrum(_resolve_json(args.spectrum, "spectrum"),
-                            "spectrum")
+    a, s = _matrix_and_spectrum(args)
     f = _load_function(args, tol)
     if args.poly:
-        p = ser.decode_polynomial(_resolve_json(args.poly, "poly"), "poly")
+        p = _read(args, "poly", ser.decode_polynomial)
     else:
         p = f.ctx.p
     return a, s, p, f
 
 
-def cmd_chi(args) -> int:
-    tol = _tol(args)
+def cmd_chi(args, tol) -> int:
     a, s, p, f = _chi_ingredients(args, tol)
     _emit(ser.encode_matrix(chi_A(a, s, p, f, tol)), args)
     return 0
 
 
-def cmd_hermite(args) -> int:
-    tol = _tol(args)
-    a = ser.decode_matrix(_resolve_json(args.matrix, "matrix"), "matrix")
-    s = ser.decode_spectrum(_resolve_json(args.spectrum, "spectrum"),
-                            "spectrum")
-    raw = _resolve_json(args.values, "values")
-    if not isinstance(raw, list) or not raw:
-        raise MalformedInput("values: expected a nonempty array of arrays")
-    data = [ser.decode_complex_list(row, f"values[{i}]")
-            for i, row in enumerate(raw)]
+def cmd_hermite(args, tol) -> int:
+    a, s = _matrix_and_spectrum(args)
+    data = _read(args, "values", _decode_rows)
     _emit(ser.encode_matrix(hermite_matrix_function(a, s, data, tol)), args)
     return 0
 
 
-def cmd_specmap(args) -> int:
-    tol = _tol(args)
+def cmd_specmap(args, tol) -> int:
     a, s, p, f = _chi_ingredients(args, tol)
     rep = spectral_mapping_check(a, s, p, f, tol)
     _emit({
@@ -307,7 +295,8 @@ def cmd_specmap(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, tol) -> int:
+    # The suites run at the default tolerances; tol is not used.
     overrides = {"cases": args.cases, "d": args.d, "samples": args.samples}
     for name, value in overrides.items():
         if value is not None and value < 1:
@@ -365,113 +354,67 @@ def _build_parser() -> argparse.ArgumentParser:
                                 parser_class=lambda **kw: argparse.ArgumentParser(
                                     parents=[flags], **kw))
 
-    sp = sub.add_parser("roots", help="roots of a polynomial")
-    sp.add_argument("--poly", required=True)
-    sp.set_defaults(fn=cmd_roots)
+    def command(name, fn, summary, *required, function=False):
+        # A function command reads --f, and checks it against an optional
+        # --centers.
+        sp = sub.add_parser(name, help=summary)
+        if function:
+            sp.add_argument("--f", required=True)
+            sp.add_argument("--centers")
+        for flag in required:
+            sp.add_argument(flag, required=True)
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("basis", help="interpolation basis values at z")
-    sp.add_argument("--centers", required=True)
-    sp.add_argument("--z", required=True)
-    sp.set_defaults(fn=cmd_basis)
-
-    sp = sub.add_parser("fiber", help="preimages of w under the centers' polynomial")
-    sp.add_argument("--centers", required=True)
-    sp.add_argument("--w", required=True)
-    sp.set_defaults(fn=cmd_fiber)
-
-    sp = sub.add_parser("gelfand", help="scalar representation value at z")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--centers")
-    sp.add_argument("--z", required=True)
-    sp.set_defaults(fn=cmd_gelfand)
-
-    sp = sub.add_parser("invtransform",
-                        help="vector function from scalar samples on fibers")
-    sp.add_argument("--centers", required=True)
+    command("roots", cmd_roots, "roots of a polynomial", "--poly")
+    command("basis", cmd_basis, "interpolation basis values at z",
+            "--centers", "--z")
+    command("fiber", cmd_fiber, "preimages of w under the centers' polynomial",
+            "--centers", "--w")
+    command("gelfand", cmd_gelfand, "scalar representation value at z",
+            "--z", function=True)
+    sp = command("invtransform", cmd_invtransform,
+                 "vector function from scalar samples on fibers", "--centers")
     sp.add_argument("--phi", required=True,
                     help='[{"w": .., "values": [{"z": .., "phi": ..}, ..]}, ..]')
-    sp.set_defaults(fn=cmd_invtransform)
-
-    sp = sub.add_parser("polyprod", help="product in the algebra")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--g", required=True)
-    sp.add_argument("--centers")
-    sp.set_defaults(fn=cmd_polyprod)
-
-    sp = sub.add_parser("norm", help="sup and operator norms")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--centers")
-    sp.set_defaults(fn=cmd_norm)
-
-    sp = sub.add_parser("spectrum", help="representation values on all fibers")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--centers")
-    sp.set_defaults(fn=cmd_spectrum)
-
-    sp = sub.add_parser("charfunc",
-                        help="elementary symmetric coefficients per sample")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--centers")
+    command("polyprod", cmd_polyprod, "product in the algebra", "--g",
+            function=True)
+    command("norm", cmd_norm, "sup and operator norms", function=True)
+    command("spectrum", cmd_spectrum, "representation values on all fibers",
+            function=True)
+    sp = command("charfunc", cmd_charfunc,
+                 "elementary symmetric coefficients per sample", function=True)
     sp.add_argument("--lam", help="also evaluate the characteristic at lam")
-    sp.set_defaults(fn=cmd_charfunc)
-
-    sp = sub.add_parser("invert", help="inverse in the algebra")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--centers")
-    sp.set_defaults(fn=cmd_invert)
-
-    sp = sub.add_parser("characters",
-                        help="multiplicative functionals over w0")
-    sp.add_argument("--centers", required=True)
-    sp.add_argument("--w0", required=True)
-    sp.set_defaults(fn=cmd_characters)
-
-    sp = sub.add_parser("radical", help="radical directions over w0")
-    sp.add_argument("--centers", required=True)
-    sp.add_argument("--w0", required=True)
-    sp.set_defaults(fn=cmd_radical)
-
-    sp = sub.add_parser("chi", help="matrix functional calculus chi_A(f)")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--spectrum", required=True)
-    sp.add_argument("--f", required=True)
+    command("invert", cmd_invert, "inverse in the algebra", function=True)
+    command("characters", cmd_characters, "multiplicative functionals over w0",
+            "--centers", "--w0")
+    command("radical", cmd_radical, "radical directions over w0",
+            "--centers", "--w0")
+    sp = command("chi", cmd_chi, "matrix functional calculus chi_A(f)",
+                 "--matrix", "--spectrum", function=True)
     sp.add_argument("--poly", help="override the change of variable")
-    sp.add_argument("--centers")
-    sp.set_defaults(fn=cmd_chi)
-
-    sp = sub.add_parser("hermite",
-                        help="matrix function from derivative data")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--spectrum", required=True)
+    sp = command("hermite", cmd_hermite, "matrix function from derivative data",
+                 "--matrix", "--spectrum")
     sp.add_argument("--values", required=True,
                     help="per eigenvalue: [phi, phi', ...] as [re,im] pairs")
-    sp.set_defaults(fn=cmd_hermite)
-
-    sp = sub.add_parser("specmap",
-                        help="spectral mapping check for chi_A(f)")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--spectrum", required=True)
-    sp.add_argument("--f", required=True)
+    sp = command("specmap", cmd_specmap, "spectral mapping check for chi_A(f)",
+                 "--matrix", "--spectrum", function=True)
     sp.add_argument("--poly")
-    sp.add_argument("--centers")
-    sp.set_defaults(fn=cmd_specmap)
-
-    sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("suite",
-                    choices=sorted(verify_mod.SUITES) + ["all"])
+    sp = command("verify", cmd_verify, "run a verification suite")
+    sp.add_argument("suite", choices=sorted(verify_mod.SUITES) + ["all"])
     sp.add_argument("--cases", type=int, default=None)
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--samples", type=int, default=None)
-    sp.set_defaults(fn=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        tol = Tolerances(eq_tol=args.tol, crit_tol=args.crit_tol,
+                         root_tol=args.root_tol)
+        return args.fn(args, tol)
     except (ValidationFailure, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

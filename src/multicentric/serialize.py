@@ -62,6 +62,27 @@ def decode_complex_list(obj, field: str) -> np.ndarray:
     )
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer, or a float with an integral value (2.0)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise MalformedInput(f"{field}: expected an integer")
+
+
+def _records(obj, field: str, *keys):
+    """Yield (tag, record) over a nonempty array of objects with ``keys``."""
+    if not isinstance(obj, list) or not obj:
+        raise MalformedInput(f"{field}: expected a nonempty array")
+    for i, rec in enumerate(obj):
+        tag = f"{field}[{i}]"
+        if not isinstance(rec, dict) or not all(k in rec for k in keys):
+            raise MalformedInput(
+                f"{tag}: expected an object with {' and '.join(keys)}")
+        yield tag, rec
+
+
 def encode_matrix(a) -> dict:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
@@ -79,10 +100,8 @@ def decode_matrix(obj, field: str = "matrix") -> np.ndarray:
     for key in ("rows", "cols", "data"):
         if key not in obj:
             raise MalformedInput(f"{field}.{key}: missing")
-    try:
-        r, c = int(obj["rows"]), int(obj["cols"])
-    except (TypeError, ValueError, OverflowError):
-        raise MalformedInput(f"{field}.rows/cols: expected integers") from None
+    r = _integer(obj["rows"], f"{field}.rows")
+    c = _integer(obj["cols"], f"{field}.cols")
     if r < 1 or c < 1:
         raise MalformedInput(f"{field}.rows/cols: must be positive")
     data = obj["data"]
@@ -135,17 +154,11 @@ def decode_function(obj, field: str = "function",
         raise MalformedInput(f"{field}: expected an object")
     if "centers" not in obj:
         raise MalformedInput(f"{field}.centers: missing")
-    if "samples" not in obj or not isinstance(obj["samples"], list) \
-            or not obj["samples"]:
-        raise MalformedInput(f"{field}.samples: expected a nonempty array")
     centers = Centers(decode_complex_list(obj["centers"], f"{field}.centers"),
                       tol)
     ctx = AlgebraContext(centers, tol)
     ws, cols = [], []
-    for i, s in enumerate(obj["samples"]):
-        tag = f"{field}.samples[{i}]"
-        if not isinstance(s, dict) or "w" not in s or "f" not in s:
-            raise MalformedInput(f"{tag}: expected an object with w and f")
+    for tag, s in _records(obj.get("samples"), f"{field}.samples", "w", "f"):
         ws.append(decode_complex(s["w"], f"{tag}.w"))
         col = decode_complex_list(s["f"], f"{tag}.f")
         if col.shape[0] != ctx.d:
@@ -159,27 +172,13 @@ def decode_function(obj, field: str = "function",
 
 def decode_phi_samples(obj, field: str = "phi") -> list:
     """[{w, values: [{z, phi}]}] -> [(w, [(z, phi), ...]), ...]."""
-    if not isinstance(obj, list) or not obj:
-        raise MalformedInput(f"{field}: expected a nonempty array")
     out = []
-    for i, group in enumerate(obj):
-        tag = f"{field}[{i}]"
-        if not isinstance(group, dict) or "w" not in group \
-                or "values" not in group:
-            raise MalformedInput(f"{tag}: expected an object with w and values")
+    for tag, group in _records(obj, field, "w", "values"):
         w = decode_complex(group["w"], f"{tag}.w")
-        vals = group["values"]
-        if not isinstance(vals, list) or not vals:
-            raise MalformedInput(f"{tag}.values: expected a nonempty array")
-        pairs = []
-        for k, entry in enumerate(vals):
-            etag = f"{tag}.values[{k}]"
-            if not isinstance(entry, dict) or "z" not in entry \
-                    or "phi" not in entry:
-                raise MalformedInput(f"{etag}: expected an object with z and phi")
-            pairs.append((decode_complex(entry["z"], f"{etag}.z"),
-                          decode_complex(entry["phi"], f"{etag}.phi")))
-        out.append((w, pairs))
+        entries = _records(group["values"], f"{tag}.values", "z", "phi")
+        out.append((w, [(decode_complex(e["z"], f"{etag}.z"),
+                         decode_complex(e["phi"], f"{etag}.phi"))
+                        for etag, e in entries]))
     return out
 
 
@@ -192,21 +191,12 @@ def encode_spectrum(s: SpectrumData) -> dict:
 
 
 def decode_spectrum(obj, field: str = "spectrum") -> SpectrumData:
-    if not isinstance(obj, dict) or "entries" not in obj \
-            or not isinstance(obj["entries"], list) or not obj["entries"]:
-        raise MalformedInput(f"{field}.entries: expected a nonempty array")
-    entries = []
-    for i, e in enumerate(obj["entries"]):
-        tag = f"{field}.entries[{i}]"
-        if not isinstance(e, dict) or "alpha" not in e or "n" not in e:
-            raise MalformedInput(f"{tag}: expected an object with alpha and n")
-        try:
-            n = int(e["n"])
-        except (TypeError, ValueError, OverflowError):
-            raise MalformedInput(f"{tag}.n: expected an integer") from None
-        entries.append((decode_complex(e["alpha"], f"{tag}.alpha"), n))
+    entries = obj.get("entries") if isinstance(obj, dict) else None
+    pairs = [(decode_complex(e["alpha"], f"{tag}.alpha"),
+              _integer(e["n"], f"{tag}.n"))
+             for tag, e in _records(entries, f"{field}.entries", "alpha", "n")]
     try:
-        return SpectrumData(entries)
+        return SpectrumData(pairs)
     except ValueError as exc:
         raise MalformedInput(f"{field}: {exc}") from None
 
@@ -223,27 +213,13 @@ def encode_matrix_spec(spec: TestMatrixSpec) -> dict:
 
 
 def decode_matrix_spec(obj, field: str = "matrix_spec") -> TestMatrixSpec:
-    if not isinstance(obj, dict) or "blocks" not in obj \
-            or not isinstance(obj["blocks"], list) or not obj["blocks"]:
-        raise MalformedInput(f"{field}.blocks: expected a nonempty array")
-    blocks = []
-    for i, b in enumerate(obj["blocks"]):
-        tag = f"{field}.blocks[{i}]"
-        if not isinstance(b, dict) or "alpha" not in b or "size" not in b:
-            raise MalformedInput(f"{tag}: expected an object with alpha and size")
-        try:
-            size = int(b["size"])
-        except (TypeError, ValueError, OverflowError):
-            raise MalformedInput(f"{tag}.size: expected an integer") from None
-        blocks.append((decode_complex(b["alpha"], f"{tag}.alpha"), size))
+    raw = obj.get("blocks") if isinstance(obj, dict) else None
+    blocks = [(decode_complex(b["alpha"], f"{tag}.alpha"),
+               _integer(b["size"], f"{tag}.size"))
+              for tag, b in _records(raw, f"{field}.blocks", "alpha", "size")]
     seed = obj.get("similarity_seed")
     if seed is not None:
-        try:
-            seed = int(seed)
-        except (TypeError, ValueError, OverflowError):
-            raise MalformedInput(
-                f"{field}.similarity_seed: expected an integer or null"
-            ) from None
+        seed = _integer(seed, f"{field}.similarity_seed")
     try:
         cond = float(obj.get("target_cond", 1.0))
     except (TypeError, ValueError, OverflowError):
@@ -264,3 +240,5 @@ def loads(text: str, field: str = "input"):
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{field}: invalid JSON ({exc.msg} at "
                              f"line {exc.lineno})") from None
+    except RecursionError:
+        raise MalformedInput(f"{field}: JSON nested too deeply") from None

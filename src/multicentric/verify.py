@@ -142,12 +142,13 @@ def _draw_context(rng, d) -> AlgebraContext:
         lam = _cplx(rng, d, 1.5)
         if _min_gap(lam) >= 0.5:
             return AlgebraContext(lam)
-    raise RuntimeError("center draw did not separate; widen the box")
+    raise ValueError(f"--d {d}: {d} centers 0.5 apart were not found in "
+                     "500 draws; choose a smaller --d")
 
 
 def _draw_samples(rng, ctx, m, fiber_sep=None) -> SampleSet:
     pts: list = []
-    for _ in range(500):
+    for _ in range(500 + 10 * m):
         if len(pts) == m:
             break
         w = complex(_cplx(rng, 1, 2.5)[0])

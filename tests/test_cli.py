@@ -64,6 +64,13 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def assert_one_error_line(err, *words):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    for word in words:
+        assert word in lines[0]
+
+
 def as_complex(pair):
     return complex(pair[0], pair[1])
 
@@ -330,6 +337,69 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert flag in lines[0]
+
+    def test_verify_unseparable_centers_is_2(self, capsys):
+        # 14 centers 0.5 apart do not fit the draw box: this used to end in
+        # a RuntimeError traceback
+        code, out, err = run(capsys, "verify", "homomorphism", "--d", "14",
+                             "--cases", "1")
+        assert code == 2 and out == ""
+        assert_one_error_line(err, "--d")
+
+    def test_verify_samples_beyond_the_old_draw_cap(self, capsys):
+        # the sample draw used to stop after 500 tries, so --samples above
+        # about 500 raised RuntimeError
+        got = run_json(capsys, "verify", "homomorphism", "--samples", "505",
+                       "--d", "2", "--cases", "1")
+        assert got["passed"] is True
+        assert got["cases"][0]["detail"] == "d=2 m=505"
+
+    def test_directory_input_is_2(self, capsys, tmp_path):
+        # used to end in an IsADirectoryError traceback with exit 1
+        code, out, err = run(capsys, "roots", "--poly", str(tmp_path))
+        assert code == 2 and out == ""
+        assert_one_error_line(err, "MalformedInput", "--poly")
+
+    def test_unreadable_input_is_2(self, capsys, monkeypatch, tmp_path):
+        import multicentric.cli as cli_mod
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        target = tmp_path / "f.json"
+        target.write_text(F_JSON)
+        monkeypatch.setattr(cli_mod, "open", refuse, raising=False)
+        code, out, err = run(capsys, "norm", "--f", str(target))
+        assert code == 2 and out == ""
+        assert_one_error_line(err, "MalformedInput", "--f", "Permission denied")
+
+    def test_output_into_missing_directory_is_2(self, capsys, tmp_path):
+        # used to end in a FileNotFoundError traceback with exit 1
+        code, out, err = run(capsys, "norm", "--f", F_JSON, "--output",
+                             str(tmp_path / "missing" / "out.json"))
+        assert code == 2 and out == ""
+        assert_one_error_line(err, "--output")
+
+    def test_deeply_nested_file_is_2(self, capsys, tmp_path):
+        # json gives up with a RecursionError, which used to escape
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "roots", "--poly", str(deep))
+        assert code == 2 and out == ""
+        assert_one_error_line(err, "MalformedInput", "poly")
+
+    @pytest.mark.parametrize("matrix, spectrum, field", [
+        (A_JSON, '{"entries": [{"alpha": 0, "n": 0.5}]}', "entries[0].n"),
+        (A_JSON, '{"entries": [{"alpha": 0, "n": true}]}', "entries[0].n"),
+        ('{"rows": "1", "cols": true, "data": [0]}', S_JSON, "matrix.rows"),
+        ('{"rows": 2, "cols": true, "data": [0, 0]}', S_JSON, "matrix.cols"),
+    ], ids=["n-half", "n-true", "rows-string", "cols-true"])
+    def test_non_integer_fields_are_2(self, capsys, matrix, spectrum, field):
+        # these used to be truncated or coerced to int and run
+        code, out, err = run(capsys, "chi", "--matrix", matrix,
+                             "--spectrum", spectrum, "--f", FC_JSON)
+        assert code == 2 and out == ""
+        assert_one_error_line(err, "MalformedInput", field)
 
     def test_verify_failure_is_1(self, capsys, monkeypatch):
         # force a failing case through an impossible tolerance override

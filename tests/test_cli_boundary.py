@@ -1,0 +1,183 @@
+"""The CLI boundary: every input ends in an answer or in exit code 1 or 2.
+
+A property test sends mutated JSON payloads for every decoder through
+``cli.main`` in process and asserts a clean outcome: exit code 0, 1 or 2,
+no escaping exception, no warning, and exactly one ``error:`` line on
+failure.  A digest check pins the stdout and exit codes of the benchmark's
+CLI session, so a refactor of the boundary cannot change a valid answer.
+"""
+
+import contextlib
+import copy
+import hashlib
+import importlib.util
+import io
+import json
+import platform
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multicentric.cli import main
+
+F = {"centers": [[1, 0], [-1, 0]],
+     "samples": [{"w": [3, 0], "f": [[2, 0], [0, 0]]},
+                 {"w": [0.5, 0.5], "f": [1, [0, 2]]}]}
+G = {"centers": [[1, 0], [-1, 0]],
+     "samples": [{"w": [3, 0], "f": [[1, 0], [-1, 0]]},
+                 {"w": [0.5, 0.5], "f": [3, 1]}]}
+FC = {"centers": [[0, 1], [0, -1]],
+      "samples": [{"w": [1, 0], "f": [[2, 0], [0, -1]]}]}
+A = {"rows": 2, "cols": 2, "data": [[0, 0], [1, 0], [0, 0], [0, 0]]}
+S = {"entries": [{"alpha": [0, 0], "n": 1}]}
+J3 = {"rows": 3, "cols": 3, "data": [0, 1, 0, 0, 0, 1, 0, 0, 0]}
+S3 = {"entries": [{"alpha": 0, "n": 2}]}
+C = [[1, 0], [-1, 0]]
+PHI = [{"w": [3, 0], "values": [{"z": [2, 0], "phi": [3, 0]},
+                                {"z": [-2, 0], "phi": [-1, 0]}]}]
+
+# One valid call per decoder and command: (command, {flag: payload}).
+COMMANDS = [
+    ("roots", {"poly": {"coeffs": [[-1, 0], [0, 0], [1, 0]]}}),
+    ("basis", {"centers": C, "z": [2, 0]}),
+    ("basis", {"centers": {"lambdas": C}, "z": 2}),
+    ("fiber", {"centers": C, "w": [3, 0]}),
+    ("gelfand", {"f": F, "z": [2, 0]}),
+    ("invtransform", {"centers": C, "phi": PHI}),
+    ("polyprod", {"f": F, "g": G, "centers": C}),
+    ("norm", {"f": F}),
+    ("spectrum", {"f": F}),
+    ("charfunc", {"f": F, "lam": [5, 0]}),
+    ("invert", {"f": F}),
+    ("characters", {"centers": C, "w0": 3}),
+    ("radical", {"centers": C, "w0": -1}),
+    ("chi", {"matrix": A, "spectrum": S, "f": FC}),
+    ("chi", {"matrix": A, "spectrum": S, "f": FC,
+             "poly": {"coeffs": [1, 0, 1]}}),
+    ("hermite", {"matrix": J3, "spectrum": S3, "values": [[0, 0, 2]]}),
+    ("specmap", {"matrix": A, "spectrum": S, "f": FC}),
+]
+
+DELETE = object()
+# Type swaps, bools, strings, fractional integers, empty arrays, NaN and
+# numbers beyond the float range (JSON reads 1e400 as infinity).
+MUTANTS = [DELETE, True, False, None, "1", "x", 0.5, 2.5, -1, 0, 3,
+           10 ** 400, -10 ** 400, float("nan"), float("inf"), float("-inf"),
+           [], {}, [1, 2, 3], [[0, 0]], {"a": 1}, [True, 0], [0.5, 1e-3]]
+# Whole-argument texts: a directory, a missing file, broken JSON, nesting
+# past the parser's recursion limit.
+TEXTS = [".", "", "no-such-file.json", "{", "[" * 5000 + "]" * 5000]
+
+
+def _paths(obj, path=()):
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _paths(value, path + (i,))
+
+
+def _mutate(obj, path, mutant):
+    if not path:
+        return {} if mutant is DELETE else mutant
+    obj = copy.deepcopy(obj)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutant is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = mutant
+    return obj
+
+
+@st.composite
+def mutated_argv(draw):
+    name, payloads = draw(st.sampled_from(COMMANDS))
+    payloads = dict(payloads)
+    for _ in range(draw(st.integers(1, 3))):
+        flag = draw(st.sampled_from(sorted(payloads)))
+        path = draw(st.sampled_from(list(_paths(payloads[flag]))))
+        payloads[flag] = _mutate(payloads[flag], path,
+                                 draw(st.sampled_from(MUTANTS)))
+    # --flag=value, so that argparse does not read "-1" as an option
+    args = {flag: json.dumps(obj) for flag, obj in payloads.items()}
+    if draw(st.integers(0, 4)) == 0:
+        flag = draw(st.sampled_from(sorted(args)))
+        args[flag] = draw(st.sampled_from(TEXTS))
+    return [name] + [f"--{flag}={text}" for flag, text in args.items()]
+
+
+def run_main(argv):
+    """main(argv) in process: (code, stdout, stderr, warnings)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+@settings(max_examples=300)
+@given(mutated_argv())
+def test_mutated_payloads_end_cleanly(argv):
+    code, _, err, caught = run_main(argv)
+    assert code in (0, 1, 2)
+    assert not caught, [str(w.message) for w in caught]
+    lines = err.splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+# ------------------------------------------------- byte-identical outputs
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+# (exit code, first 16 hex digits of the sha256 of stdout) of every call
+# of the cli-verify session at seed 0, recorded before the input loaders
+# were merged.  Other numpy builds may round the last digit differently.
+RECORDED_WITH = ("2.4.6", "x86_64")
+SESSION_DIGESTS = {
+    "fiber-1": (0, "21c02c3d091dd3e3"),
+    "fiber-2": (0, "4721b5b63724cbc2"),
+    "polyprod-fg": (0, "0a9f47402ff7f82e"),
+    "polyprod-gf": (0, "06c1e6ccdb3e1180"),
+    "invert": (0, "196e30b534810919"),
+    "spectrum": (0, "0c1880e454dbab9d"),
+    "charfunc": (0, "ffc0cc4a22c6667a"),
+    "characters-0": (0, "efc8fc5a49af2453"),
+    "characters-w": (0, "d054872f97115bef"),
+    "roots": (0, "8018d05808642530"),
+    "chi": (0, "21baaf2f722f2b7b"),
+    "specmap": (0, "564413fcaf2448ce"),
+    "roots-wilkinson20": (1, "e3b0c44298fc1c14"),
+    "roots-wide-range": (1, "e3b0c44298fc1c14"),
+    "malformed-json": (2, "e3b0c44298fc1c14"),
+    "verify-all": (0, "1f653440c4f346e5"),
+}
+
+
+def _session(seed):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.CliVerify(seed).calls
+
+
+@pytest.mark.skipif((np.__version__, platform.machine()) != RECORDED_WITH,
+                    reason="digests recorded with numpy 2.4.6 on x86_64")
+def test_cli_session_outputs_unchanged():
+    got = {}
+    for label, argv, _ in _session(0):
+        code, out, _, _ = run_main(argv)
+        got[label] = (code, hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert got == SESSION_DIGESTS

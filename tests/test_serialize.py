@@ -84,6 +84,13 @@ class TestMatrixCodec:
             decode_matrix([[1, 2], [3, 4]])
         with pytest.raises(MalformedInput, match="rows"):
             decode_matrix({"rows": float("inf"), "cols": 2, "data": []})
+        # integer fields take JSON integers and integral floats only
+        for rows, cols, bad in (("1", 1, "rows"), (1, True, "cols"),
+                                (0.5, 1, "rows"), (1, "1", "cols")):
+            with pytest.raises(MalformedInput, match=bad):
+                decode_matrix({"rows": rows, "cols": cols, "data": [0]})
+        got = decode_matrix({"rows": 2.0, "cols": 1, "data": [1, 2]})
+        assert got.shape == (2, 1)
 
 
 class TestPolynomialCodec:
@@ -182,6 +189,11 @@ class TestSpectrumCodec:
             decode_spectrum({"entries": [{"alpha": 0.0, "n": "x"}]})
         with pytest.raises(MalformedInput, match="n"):
             decode_spectrum({"entries": [{"alpha": 0.0, "n": float("inf")}]})
+        for n in (0.5, True, False, "1", None, [1]):
+            with pytest.raises(MalformedInput, match=r"entries\[0\]\.n"):
+                decode_spectrum({"entries": [{"alpha": 0.0, "n": n}]})
+        assert decode_spectrum(
+            {"entries": [{"alpha": 0.0, "n": 2.0}]}).entries == ((0j, 2),)
         # duplicate eigenvalue rejected through the constructor
         with pytest.raises(MalformedInput):
             decode_spectrum({"entries": [{"alpha": 1.0, "n": 0},
@@ -210,6 +222,16 @@ class TestMatrixSpecCodec:
         with pytest.raises(MalformedInput, match="similarity_seed"):
             decode_matrix_spec({"blocks": [{"alpha": 0.0, "size": 1}],
                                 "similarity_seed": "yes"})
+        for size in (2.5, True, "1"):
+            with pytest.raises(MalformedInput, match="size"):
+                decode_matrix_spec({"blocks": [{"alpha": 0.0, "size": size}]})
+        for seed in (3.9, True, "1"):
+            with pytest.raises(MalformedInput, match="similarity_seed"):
+                decode_matrix_spec({"blocks": [{"alpha": 0.0, "size": 1}],
+                                    "similarity_seed": seed})
+        got = decode_matrix_spec({"blocks": [{"alpha": 0.0, "size": 2.0}],
+                                  "similarity_seed": 3.0})
+        assert got.blocks == ((0j, 2),) and got.similarity_seed == 3
 
 
 class TestLoads:
@@ -220,3 +242,8 @@ class TestLoads:
     def test_round_trip(self):
         obj = {"a": [1, 2], "b": {"c": None}}
         assert loads(dumps(obj)) == obj
+
+    def test_deep_nesting_is_malformed(self):
+        # the json parser gives up with a RecursionError past the limit
+        with pytest.raises(MalformedInput, match="nested too deeply"):
+            loads("[" * 100000 + "]" * 100000, "deep")
