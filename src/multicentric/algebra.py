@@ -170,19 +170,37 @@ class SampleSet:
             raise ValueError("at least one sample point is required")
         if not np.all(np.isfinite(pts)):
             raise ValueError("sample points must be finite")
-        if len(np.unique(pts)) != len(pts):
+        # sorted, equal points are neighbours (0.0 == -0.0 counts as equal)
+        srt = np.sort(pts)
+        if (srt[1:] == srt[:-1]).any():
             raise ValueError("sample points must be pairwise distinct")
+        fibers = fiber_batch(ctx.centers, pts, ctx.tol)
+        flags = _critical_rows(ctx.centers.deriv.coeffs, fibers, pts,
+                               ctx.centers.critical_values, ctx.tol)
+        self._set(ctx, pts, fibers, flags)
+
+    @classmethod
+    def _solved(cls, ctx: AlgebraContext, points, fibers, flags) -> "SampleSet":
+        """A SampleSet whose fibers and criticality flags are already known.
+
+        ``points`` must be finite and pairwise distinct, and ``fibers``
+        and ``flags`` what ``fiber_batch`` and ``_critical_rows`` give for
+        them; nothing is checked or solved again, and the arrays are kept,
+        not copied.
+        """
+        out = cls.__new__(cls)
+        out._set(ctx, points, fibers, flags)
+        return out
+
+    def _set(self, ctx, pts, fibers, flags):
         self.ctx = ctx
         pts.flags.writeable = False
         self.points = pts
-        self.fiber_points = fiber_batch(ctx.centers, pts, ctx.tol)
-        self.fiber_points.flags.writeable = False
-        flags = _critical_rows(ctx.centers.deriv.coeffs, self.fiber_points, pts,
-                               ctx.centers.critical_values, ctx.tol)
+        fibers.flags.writeable = False
+        self.fiber_points = fibers
         flags.flags.writeable = False
         self.fiber_critical = flags
-
-        self.basis_at_fibers = ctx.basis_values(self.fiber_points)  # (d, m, d)
+        self.basis_at_fibers = ctx.basis_values(fibers)  # (d, m, d)
         self.basis_at_fibers.flags.writeable = False
 
     @property

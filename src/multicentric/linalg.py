@@ -9,7 +9,8 @@ matrices at a time.  The singular values, which decide and name a
 refusal, are computed only for the chunks the certificate cannot clear.
 Eigenvalues go through the
 characteristic polynomial (Faddeev-LeVerrier recursion) and the
-simultaneous root finder, which caps the supported dimension.
+simultaneous root finder, which caps the supported dimension; both take
+one matrix or a stack.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances, blocks
 from .errors import AlgebraOverflow, DimensionTooLarge, SingularMatrix
-from .polynomials import Polynomial, roots
+from .polynomials import Polynomial, _roots_rows, roots
 
 __all__ = [
     "EIG_DIM_CAP",
@@ -46,10 +47,6 @@ def _as_squares(a, ndims) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def _scale(a: np.ndarray) -> float:
-    return max(1.0, float(np.abs(a).max())) if a.size else 1.0
 
 
 def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -173,43 +170,53 @@ def mat_poly_eval(q, a) -> np.ndarray:
     return out
 
 
-def char_poly(a) -> Polynomial:
+def char_poly(a):
     """Monic characteristic polynomial det(zI - A), ascending coefficients.
 
     Faddeev-LeVerrier recursion on the matrix prescaled by its largest
-    entry; coefficients are rescaled back afterwards.  Raises
-    AlgebraOverflow when a coefficient is not finite.
+    entry; coefficients are rescaled back afterwards.  For an (k, n, n)
+    stack the recursion runs on every matrix at once and returns the
+    (k, n + 1) coefficient rows, each bit for bit the coefficients of its
+    matrix alone.  Raises AlgebraOverflow when a coefficient is not
+    finite.
     """
-    a = as_square(a)
-    n = a.shape[0]
-    if n == 0:
-        return Polynomial([1.0])
-    s = _scale(a)
-    m = a / s
-    coeffs = np.zeros(n + 1, dtype=np.complex128)
-    coeffs[n] = 1.0
-    mk = np.eye(n, dtype=np.complex128)
+    a = _as_squares(a, (2, 3))
+    n = a.shape[-1]
+    s = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    coeffs = np.zeros(a.shape[:-2] + (n + 1,), dtype=np.complex128)
+    coeffs[..., n] = 1.0
+    m = a / s[..., None, None]
+    eye = np.eye(n, dtype=np.complex128)
+    mk = eye
     with np.errstate(all="ignore"):
         for k in range(1, n + 1):
             am = m @ mk
-            ck = -np.trace(am) / k
-            coeffs[n - k] = ck
-            mk = am + ck * np.eye(n, dtype=np.complex128)
-        coeffs = coeffs * s ** np.arange(n, -1, -1.0)
+            ck = -np.trace(am, axis1=-2, axis2=-1) / k
+            coeffs[..., n - k] = ck
+            mk = am + ck[..., None, None] * eye
+        coeffs = coeffs * s[..., None] ** np.arange(n, -1, -1.0)
     if not np.isfinite(coeffs).all():
         raise AlgebraOverflow("characteristic polynomial coefficients overflowed")
-    return Polynomial(coeffs)
+    return Polynomial(coeffs) if a.ndim == 2 else coeffs
 
 
 def eigenvalues(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """All eigenvalues with multiplicity, dimension capped at EIG_DIM_CAP."""
-    a = as_square(a)
-    n = a.shape[0]
+    """All eigenvalues with multiplicity, dimension capped at EIG_DIM_CAP.
+
+    An (k, n, n) stack gives the (k, n) eigenvalues of its matrices,
+    each row bit for bit those of its matrix alone, in one kernel call
+    (rows whose characteristic polynomial has a zero constant
+    coefficient are solved one by one).
+    """
+    a = _as_squares(a, (2, 3))
+    n = a.shape[-1]
     if n > EIG_DIM_CAP:
         raise DimensionTooLarge(f"dimension {n} exceeds cap {EIG_DIM_CAP}")
     if n == 0:
-        return np.empty(0, dtype=np.complex128)
-    return roots(char_poly(a), tol)
+        return np.empty(a.shape[:-1], dtype=np.complex128)
+    if a.ndim == 2:
+        return roots(char_poly(a), tol)
+    return _roots_rows(char_poly(a), tol)
 
 
 def nullspace(a, threshold: float) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Coefficients are stored densely in ascending powers.  One batched
 simultaneous (Ehrlich-Aberth) kernel solves q(z) - w = 0 for a vector of
-right hand sides from given start points: :func:`roots` is its one-row
-case with w = 0, started on a circle enclosing the roots, and
-:func:`fiber_batch` runs it over many w at once.  The fiber over w = 0 is
+right hand sides from given start points, with one q for every row or
+one q per row: :func:`roots` is its one-row case with w = 0, started on
+a circle enclosing the roots, and :func:`fiber_batch` runs it over many
+w at once.  The fiber over w = 0 is
 the set of centers and moves smoothly with w, so a fiber row starts at
 the first-order points lambda_j + w / p'(lambda_j) while those stay
 within each center's distance to its nearest other center; farther rows
@@ -148,10 +149,17 @@ def _coeff_array(q) -> np.ndarray:
     return Polynomial(q).coeffs
 
 
-# Step cap of the batched root kernel, and the exact power of two that
-# keeps its backward-error scale in range.
+# Step cap of the batched root kernel, the exact power of two that keeps
+# its backward-error scale in range, and the floor of that scale.
 _MAX_ITER = 400
 _DOWN = 2.0 ** -64
+_TINY = np.finfo(float).tiny
+
+
+def _columns(c):
+    """Coefficient k of every row as c[k]: a scalar of one shared row, or
+    a column (rows, 1) of a row per row of z."""
+    return c if c is None or c.ndim == 1 else c.T[:, :, None]
 
 
 def _horner(z, coeffs, dcoeffs=None, abscoeffs=None):
@@ -160,10 +168,14 @@ def _horner(z, coeffs, dcoeffs=None, abscoeffs=None):
     One loop over the powers updates every requested value in place,
     with the arithmetic of ``npp.polyval``: start at c[-1] + z * 0, then
     p = p * z + c[k] down to k = 0, so each value is bit for bit
-    ``npp.polyval``'s.  ``dcoeffs`` has one coefficient fewer than
-    ``coeffs`` (a derivative) and ``abscoeffs`` is real.  Returns the
-    three values, None for the sets not given.
+    ``npp.polyval``'s.  Each set is one coefficient row shared by all of
+    z, or one row per row of z (shape (len(z), n)).  ``dcoeffs`` has one
+    coefficient fewer than ``coeffs`` (a derivative) and ``abscoeffs``
+    is real.  Returns the three values, None for the sets not given.
     """
+    n = coeffs.shape[-1]
+    coeffs, dcoeffs, abscoeffs = (_columns(coeffs), _columns(dcoeffs),
+                                  _columns(abscoeffs))
     p = z * 0
     p += coeffs[-1]
     dp = s = None
@@ -174,7 +186,7 @@ def _horner(z, coeffs, dcoeffs=None, abscoeffs=None):
         az = np.abs(z)
         s = az * 0
         s += abscoeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
+    for k in range(n - 2, -1, -1):
         p *= z
         p += coeffs[k]
         if dp is not None and k:
@@ -193,15 +205,20 @@ def _newton_step(z, pv, dv):
     backward-error test, which can leave simple roots a few orders above
     machine accuracy when |p'| is small there; two Newton steps close
     that gap, and near multiple roots the step only shrinks the residual
-    cluster, so polishing is always safe.
+    cluster, so polishing is always safe.  Overwrites pv and dv.
     """
-    return z - np.where(dv == 0, 0.0, pv / np.where(dv == 0, 1.0, dv))
+    zero = dv == 0
+    dv[zero] = 1.0
+    step = np.divide(pv, dv, out=pv)
+    step[zero] = 0.0
+    return z - step
 
 
 def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
     """Roots of monic(z) - w for every w in ``ws``; shape (len(ws), deg).
 
-    ``monic`` holds finite ascending coefficients with leading 1, and row
+    ``monic`` holds finite ascending coefficients with leading 1: one row
+    shared by every w, or one row per w (shape (len(ws), deg + 1)).  Row
     i of ``z0`` holds the deg start points of row i.  Its arrays are
     (rows, deg), about 15 of them live at once, so a caller bounds the
     scratch by the number of rows it passes.  A point is frozen
@@ -222,9 +239,10 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
     sweep over all rows at the end.  Overflow shows up as non-finite
     start points or iterates and is raised, never warned about.
     """
-    deg = len(monic) - 1
+    deg = monic.shape[-1] - 1
+    rowwise = monic.ndim == 2
     with np.errstate(all="ignore"):
-        dcoef = npp.polyder(monic)
+        dcoef = monic[..., 1:] * np.arange(1, deg + 1)
         # Both sides of the backward-error test are scaled by 2^-64: the
         # deg + 2 terms of the scale can each be finite while their sum is
         # not.  A scale that still overflows accepts nothing.  The scale
@@ -237,18 +255,19 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
             raise ConvergenceFailure("root iteration produced non-finite iterates")
         radius = np.abs(z).max(axis=1)
 
-        # The active rows: their indices, iterates, right hand sides,
-        # start radii and frozen points.
+        # The active rows: their indices, iterates, right hand sides and
+        # their scaled moduli, start radii, coefficient rows and frozen
+        # points.
         act = np.arange(ws.size)
-        za, wa, ra = z, ws[:, None], radius
+        za, wa, wd, ra = z, ws[:, None], np.abs(ws)[:, None] * _DOWN, radius
+        ca, dca, aca = monic, dcoef, absc
         frozen = np.zeros((ws.size, deg), dtype=bool)
         idx = np.arange(deg)
-        tiny = np.finfo(float).tiny
         for _ in range(_MAX_ITER):
-            pv, dv, bscale = _horner(za, monic, dcoef, absc)
+            pv, dv, bscale = _horner(za, ca, dca, aca)
             pv -= wa
-            bscale += np.abs(wa) * _DOWN
-            np.maximum(bscale, tiny, out=bscale)
+            bscale += wd
+            np.maximum(bscale, _TINY, out=bscale)
             ok = ((np.abs(pv) * _DOWN <= tol.root_tol * bscale)
                   & np.isfinite(bscale))
             done = ok.all(axis=1)
@@ -260,12 +279,15 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
                     pv -= ws[:, None]
                     return _newton_step(z, pv, dv)
                 live = ~done
-                act, za, wa, ra = act[live], za[live], wa[live], ra[live]
+                act, za, wa, wd, ra = (act[live], za[live], wa[live],
+                                       wd[live], ra[live])
+                if rowwise:
+                    ca, dca, aca = ca[live], dca[live], aca[live]
                 frozen, ok, pv, dv = frozen[live], ok[live], pv[live], dv[live]
             frozen |= ok
 
-            dv = np.where(dv == 0, 1.0, dv)
-            newton = pv / dv
+            dv[dv == 0] = 1.0
+            newton = np.divide(pv, dv, out=pv)
 
             # ssum[i, j] = sum_{k != j} 1 / (z_ij - z_ik), one block of
             # rows of the pairwise differences at a time
@@ -282,16 +304,21 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
                 za[bad] = za[bad] + 1e-8 * ra[bad, None] * np.exp(0.7j * idx)[None, :]
                 frozen[bad] = False
                 continue
-            denom = 1.0 - newton * ssum
+            # the Aberth step newton / (1 - newton * ssum), the Newton
+            # step where that denominator nearly vanishes
+            denom = np.multiply(newton, ssum, out=ssum)
+            np.subtract(1.0, denom, out=denom)
             small = np.abs(denom) < 1e-12
-            step = np.where(small, newton, newton / np.where(small, 1.0, denom))
-            step = np.where(frozen, 0.0, step)
-            za = za - step
+            step = np.divide(newton, denom, out=denom)
+            step[small] = newton[small]
+            step[frozen] = 0.0
+            za -= step
             if not np.isfinite(za).all():
                 raise ConvergenceFailure("root iteration produced non-finite iterates")
 
         z[act] = za
-        worst = float(np.abs(npp.polyval(z, monic) - ws[:, None]).max())
+        pv = _horner(z, monic)[0] - ws[:, None]
+        worst = float(np.abs(pv).max())
     raise ConvergenceFailure(
         f"root iteration did not converge in {_MAX_ITER} steps "
         f"(worst residual {worst:.3e})"
@@ -332,9 +359,38 @@ def roots(q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         )
     if deg == 1:
         return np.array([-c[0] / c[1]], dtype=np.complex128)
-    radius = 1.0 + np.abs(monic[:-1]).max(keepdims=True)
-    return _aberth(monic, np.zeros(1, dtype=np.complex128),
-                   _circle(radius, deg), tol)[0]
+    return _cauchy_roots(monic[None, :], tol)[0]
+
+
+def _cauchy_roots(monic, tol: Tolerances) -> np.ndarray:
+    """Roots of each row of ``monic`` (shape (k, deg + 1), deg >= 2), each
+    row started on its own Cauchy circle; one kernel call."""
+    deg = monic.shape[1] - 1
+    radius = 1.0 + np.abs(monic[:, :-1]).max(axis=1)
+    return _aberth(monic, np.zeros(monic.shape[0], dtype=np.complex128),
+                   _circle(radius, deg), tol)
+
+
+def _roots_rows(c, tol: Tolerances) -> np.ndarray:
+    """Roots of every row of ``c``; shape (k, deg).
+
+    ``c`` holds k finite coefficient rows of degree deg >= 1 with leading
+    coefficient 1, as ``linalg.char_poly`` gives them.  Row i is bit for
+    bit ``roots(c[i])``: rows with a zero constant coefficient go through
+    :func:`roots` one at a time, the rest through one kernel call, whose
+    rows never mix.
+    """
+    k, deg = c.shape[0], c.shape[1] - 1
+    out = np.empty((k, deg), dtype=np.complex128)
+    zero = c[:, 0] == 0
+    for i in np.flatnonzero(zero):
+        out[i] = roots(c[i], tol)
+    rest = np.flatnonzero(~zero)
+    if deg == 1:
+        out[rest, 0] = -c[rest, 0] / c[rest, 1]
+    elif rest.size:
+        out[rest] = _cauchy_roots(c[rest] / c[rest, -1:], tol)
+    return out
 
 
 def _fujiwara_radius(monic, ws) -> np.ndarray:

@@ -41,9 +41,15 @@ from .calculus import (
     spectral_mapping_check,
     hausdorff_distance,
 )
-from .config import DEFAULT_TOL
+from .config import CHUNK_BYTES, DEFAULT_TOL
 from .errors import NoSimpleShiftFound
-from .polynomials import Polynomial, cluster_points, roots
+from .polynomials import (
+    Polynomial,
+    _critical_rows,
+    cluster_points,
+    fiber_batch,
+    roots,
+)
 from .transform import reconstruct, scalar_representation
 
 __all__ = ["CaseResult", "SuiteReport", "SUITES", "run_suite", "run_all"]
@@ -146,22 +152,69 @@ def _draw_context(rng, d) -> AlgebraContext:
                      "500 draws; choose a smaller --d")
 
 
+def _near_taken(taken, w: complex) -> bool:
+    """Whether abs(w - q) < 1e-6 for a point q of ``taken``.
+
+    A box test on the real and imaginary parts, which every such q
+    passes, picks the few points that abs() then decides one at a time.
+    """
+    box = ((np.abs(taken.real - w.real) < 1e-6)
+           & (np.abs(taken.imag - w.imag) < 1e-6))
+    return any(abs(w - q) < 1e-6 for q in taken[box].tolist())
+
+
 def _draw_samples(rng, ctx, m, fiber_sep=None) -> SampleSet:
-    pts: list = []
-    for _ in range(500 + 10 * m):
-        if len(pts) == m:
-            break
-        w = complex(_cplx(rng, 1, 2.5)[0])
-        if pts and min(abs(w - q) for q in pts) < 1e-6:
-            continue
+    """m sample points w = 2.5 (u + iv), with u and v uniform on [-1, 1].
+
+    The draws are taken in order.  A draw within 1e-6 of a point already
+    taken is skipped, and with ``fiber_sep`` so is one whose fiber is
+    critical or has two points closer than fiber_sep.  At most 500 + 10 m
+    draws are made.
+
+    Candidates come a batch at a time from a saved state of ``rng``, and
+    with ``fiber_sep`` each batch is screened with one fiber solve (a
+    row's fiber does not depend on the rows beside it).  Then the state
+    is restored and exactly the draws the rule consumed are made again,
+    so ``rng`` ends as after drawing the points one at a time, and the
+    screened fibers go to the SampleSet unsolved again.
+    """
+    limit = 500 + 10 * m
+    start = rng.bit_generator.state
+    pts = np.empty(m, dtype=np.complex128)
+    fibers = np.empty((m, ctx.d), dtype=np.complex128)
+    flags = np.zeros(m, dtype=bool)
+    n = used = 0
+    while n < m and used < limit:
+        size = min(limit - used, (m - n) * (1 if fiber_sep is None else 2))
+        # u and v of a draw are consecutive, as _cplx(rng, 1, 2.5) draws them
+        uv = rng.uniform(-1.0, 1.0, 2 * size)
+        cand = 2.5 * (uv[0::2] + 1j * uv[1::2])
         if fiber_sep is not None:
-            fib = ctx.fiber(w)
-            if fib.is_critical or _min_gap(fib.points) < fiber_sep:
+            fib = fiber_batch(ctx.centers, cand, ctx.tol)
+            crit = _critical_rows(ctx.centers.deriv.coeffs, fib, cand,
+                                  ctx.centers.critical_values, ctx.tol)
+            gaps = np.abs(fib[:, :, None] - fib[:, None, :])
+            gaps[:, np.arange(ctx.d), np.arange(ctx.d)] = np.inf
+            good = ~crit & (gaps.min(axis=(1, 2)) >= fiber_sep)
+        for i, w in enumerate(cand.tolist()):
+            used += 1
+            if n and _near_taken(pts[:n], w):
                 continue
-        pts.append(w)
-    if len(pts) < m:
+            if fiber_sep is not None:
+                if not good[i]:
+                    continue
+                fibers[n], flags[n] = fib[i], crit[i]
+            pts[n] = w
+            n += 1
+            if n == m:
+                break
+    rng.bit_generator.state = start
+    rng.uniform(-1.0, 1.0, 2 * used)
+    if n < m:
         raise RuntimeError("sample draw exhausted; loosen the constraints")
-    return SampleSet(ctx, np.array(pts))
+    if fiber_sep is None:
+        return SampleSet(ctx, pts)
+    return SampleSet._solved(ctx, pts, fibers, flags)
 
 
 def _draw_function(rng, samples, scale=1.0) -> VectorFunction:
@@ -188,7 +241,8 @@ def _draw_matrix_spec(rng, max_cond) -> TestMatrixSpec:
     return TestMatrixSpec(list(zip(alphas, sizes.tolist())), seed2, cond)
 
 
-def _draw_simplifying(rng, s: SpectrumData) -> Polynomial:
+def _draw_simplifying(rng, s: SpectrumData):
+    """A simplifying q for the spectrum, and the roots of q."""
     base = simplifying_poly(s)
     # A constant shift moves every beta together, so the beta separation
     # is fixed by the spectrum itself; reject hopeless spectra up front.
@@ -208,7 +262,7 @@ def _draw_simplifying(rng, s: SpectrumData) -> Polynomial:
             continue
         if _min_gap(np.asarray(q(s.alphas))) < 0.25:
             continue
-        return q
+        return q, rts
     raise RuntimeError("no well-separated simplifying polynomial found")
 
 
@@ -236,14 +290,14 @@ def _draw_calculus(rng, max_cond):
         spec = _draw_matrix_spec(rng, max_cond)
         s = spec.spectrum_data()
         try:
-            q = _draw_simplifying(rng, s)
+            q, rts = _draw_simplifying(rng, s)
             break
         except RuntimeError:
             continue
     else:
         raise RuntimeError("no usable spectrum draw in 40 attempts")
     a, _, _ = spec.assemble()
-    ss = _function_at_betas(rng, AlgebraContext(roots(q)), q(s.alphas))
+    ss = _function_at_betas(rng, AlgebraContext(rts), q(s.alphas))
     return spec, s, q, a, ss
 
 
@@ -353,16 +407,38 @@ def suite_nilpotent(seed=0) -> SuiteReport:
     return SuiteReport("nilpotent", seed, tuple(results))
 
 
+def _identity_worst(gv, eig, d) -> float:
+    """Worst eigenvalue-to-fiber-value gap of one case, relative to the
+    fiber values, or inf where the nearest matches are not a bijection.
+
+    Row i of ``gv`` holds the fiber values of sample i and row i of
+    ``eig`` the eigenvalues of its multiplication matrix.
+    """
+    worst = 0.0
+    for g, e in zip(gv, eig):
+        gaps = np.abs(e[:, None] - g[None, :])
+        row = gaps.argmin(axis=1)
+        ok_bijection = len(set(row.tolist())) == d
+        dev = float(gaps.min(axis=1).max())
+        scale = max(1.0, float(np.abs(g).max()))
+        worst = max(worst, dev / scale if ok_bijection else np.inf)
+    return worst
+
+
 def suite_eigenvalue_identity(seed=0, cases=200, d=None) -> SuiteReport:
-    """Eigenvalues of every B_f(w) match the fiber values of f^."""
+    """Eigenvalues of every B_f(w) match the fiber values of f^.
+
+    The matrices of a dimension go to one stacked eigenvalue solve, in
+    stacks of about CHUNK_BYTES, after the cases that own them are drawn.
+    """
     rng = np.random.default_rng(seed)
     dims = [d] if d else [2, 3, 4, 5]
     per_dim = max(1, cases // len(dims))
     results = []
-    idx = 0
     for dd in dims:
         ctx = _draw_context(rng, dd)
-        for _ in range(per_dim):
+        pending = []          # (case id, fiber values, matrices)
+        for k in range(per_dim):
             ss = _draw_samples(rng, ctx, 3, fiber_sep=0.2)
             for _ in range(500):
                 f = _draw_function(rng, ss, scale=1.5)
@@ -371,19 +447,18 @@ def suite_eigenvalue_identity(seed=0, cases=200, d=None) -> SuiteReport:
                     break
             else:
                 raise RuntimeError("fiber-value separation not reached")
-            mats = mult_matrices(f)
-            worst = 0.0
-            for i in range(ss.m):
-                eig = linalg.eigenvalues(mats[i])
-                gaps = np.abs(eig[:, None] - gv[i][None, :])
-                row = gaps.argmin(axis=1)
-                ok_bijection = len(set(row.tolist())) == dd
-                dev = float(gaps.min(axis=1).max())
-                scale = max(1.0, float(np.abs(gv[i]).max()))
-                worst = max(worst, dev / scale if ok_bijection else np.inf)
-            results.append(_case(f"eigenvalue-identity-{idx:03d}", worst,
-                                 1e-8, f"d={dd} samples={ss.m}"))
-            idx += 1
+            pending.append((f"eigenvalue-identity-{len(results) + len(pending):03d}",
+                            gv, mult_matrices(f)))
+            if (k + 1 == per_dim
+                    or 16 * dd * dd * ss.m * len(pending) >= CHUNK_BYTES):
+                eig = linalg.eigenvalues(np.concatenate([p[2] for p in pending]))
+                at = 0
+                for case_id, vals, mats in pending:
+                    worst = _identity_worst(vals, eig[at:at + len(mats)], dd)
+                    at += len(mats)
+                    results.append(_case(case_id, worst, 1e-8,
+                                         f"d={dd} samples={len(mats)}"))
+                pending = []
     return SuiteReport("eigenvalue-identity", seed, tuple(results))
 
 

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import numpy.linalg as npl
 import pytest
+from hypothesis import given, strategies as st
 
 from multicentric.algebra import (
     _PRODUCT_ROWS,
@@ -500,6 +501,46 @@ class TestRadical:
                 f = VectorFunction(ss, vec.reshape(d, 1))
                 power = algebra_power(f, d)
                 assert np.abs(power.values).max() <= 1e-12
+
+
+class TestSamplePoints:
+    """SampleSet refuses repeated points, by a sort of the points."""
+
+    @pytest.mark.parametrize("pts", [
+        [3.0, 3.0],
+        [0.0, -0.0],
+        [1j, complex(-0.0, 1.0)],
+        [complex(2.0, 0.0), complex(2.0, -0.0)],
+        [1.0, 2.0j, -1.0, 2.0j],
+    ])
+    def test_repeated_points_are_refused(self, two_center, pts):
+        ctx, _, _, _ = two_center
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            SampleSet(ctx, pts)
+
+    @pytest.mark.parametrize("pts", [
+        [0.0, 5e-324],
+        [1.0, 1.0 + 1e-15j, 1.0 - 1e-15j],
+        [2.0j, -2.0j, 2.0, -2.0],
+    ])
+    def test_nearby_distinct_points_are_kept(self, two_center, pts):
+        ctx, _, _, _ = two_center
+        assert SampleSet(ctx, pts).m == len(pts)
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                              st.sampled_from([0.0, -0.0, 1.0, -3.0])),
+                    min_size=1, max_size=8))
+    def test_refuses_exactly_what_unique_counts_as_repeated(self, parts):
+        ctx = AlgebraContext(Centers([1.0, -1.0]))
+        pts = np.array([complex(x, y) for x, y in parts])
+        repeated = len(np.unique(pts)) != len(pts)
+        try:
+            SampleSet(ctx, pts)
+            refused = False
+        except ValueError as exc:
+            assert "pairwise distinct" in str(exc)
+            refused = True
+        assert refused == repeated
 
 
 class TestOutOfRange:

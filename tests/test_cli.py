@@ -517,6 +517,16 @@ class TestConsoleScript:
         assert "Traceback" not in proc.stderr
         assert len(json.loads(proc.stdout)["values"]) == 3
 
+    def test_polyprod_leaves_numpy_ma_unimported(self):
+        # np.unique on complex input imports numpy.ma, 15-30 ms of every
+        # cold call that decodes a function; SampleSet sorts instead
+        code = ("import sys\nfrom multicentric.cli import main\n"
+                f"code = main(['polyprod', '--f', {F_JSON!r}, '--g', {G_JSON!r}])\n"
+                "print(code, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
     def test_installed_script(self):
         exe = shutil.which("multicentric")
         assert exe, "console script not installed"

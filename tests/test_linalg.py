@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import numpy.linalg as npl
 import pytest
+from hypothesis import given, strategies as st
 
 from multicentric.config import CHUNK_BYTES, DEFAULT_TOL
 from multicentric.errors import AlgebraOverflow, DimensionTooLarge, SingularMatrix
@@ -387,6 +388,64 @@ def test_eigenvalue_dimension_cap():
     n = EIG_DIM_CAP + 1
     with pytest.raises(DimensionTooLarge):
         eigenvalues(np.eye(n, dtype=np.complex128))
+
+
+@st.composite
+def _matrix_stacks(draw):
+    """Stacks of 1 to 6 matrices of one size n = 1..8, each at its own
+    scale 1e-3 to 1e3; some are strictly upper triangular with integer
+    entries, whose characteristic polynomial is exactly z^n (a zero
+    constant coefficient), and some have a zero first column."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    a = np.empty((k, n, n), dtype=np.complex128)
+    for i in range(k):
+        kind = draw(st.sampled_from(["dense", "dense", "nilpotent", "column"]))
+        s = 10.0 ** draw(st.integers(-3, 3))
+        if kind == "nilpotent":
+            a[i] = np.triu(rng.integers(-3, 4, (n, n)), 1)
+        else:
+            a[i] = _rand_matrix(rng, n, s)
+            if kind == "column":
+                a[i][:, 0] = 0.0
+    return a
+
+
+class TestStacks:
+    """char_poly and eigenvalues of a stack, row by row its matrices'."""
+
+    @given(_matrix_stacks())
+    def test_stack_rows_equal_one_matrix_calls(self, a):
+        coeffs = char_poly(a)
+        eig = eigenvalues(a)
+        assert coeffs.shape == (a.shape[0], a.shape[1] + 1)
+        assert eig.shape == a.shape[:2]
+        for i in range(a.shape[0]):
+            assert coeffs[i].tobytes() == char_poly(a[i]).coeffs.tobytes()
+            assert eig[i].tobytes() == eigenvalues(a[i]).tobytes()
+
+    def test_nilpotent_rows_go_through_one_row_roots(self):
+        a = np.stack([np.triu(np.ones((3, 3)), 1),
+                      np.diag([1.0, 2.0, 3.0]),
+                      np.zeros((3, 3))]).astype(np.complex128)
+        coeffs = char_poly(a)
+        assert list(coeffs[:, 0] == 0) == [True, False, True]
+        eig = eigenvalues(a)
+        assert (eig[0] == 0).all() and (eig[2] == 0).all()
+        _match_multisets(eig[1], [1.0, 2.0, 3.0], 1e-12)
+
+    def test_empty_and_capped_stacks(self):
+        assert eigenvalues(np.zeros((4, 0, 0))).shape == (4, 0)
+        assert char_poly(np.zeros((4, 0, 0))).tolist() == [[1.0]] * 4
+        with pytest.raises(DimensionTooLarge):
+            eigenvalues(np.zeros((2, EIG_DIM_CAP + 1, EIG_DIM_CAP + 1)))
+
+    def test_overflow_in_one_matrix_raises(self):
+        a = np.stack([np.eye(2), [[1.0, 1e200], [1e200, 1.0]]])
+        with pytest.raises(AlgebraOverflow):
+            char_poly(a)
 
 
 class TestNullspace:

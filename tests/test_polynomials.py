@@ -15,6 +15,7 @@ from multicentric.polynomials import (
     _crowded,
     _fujiwara_radius,
     _horner,
+    _roots_rows,
     cluster_points,
     critical_points,
     fiber,
@@ -142,6 +143,18 @@ class TestHorner:
             assert _horner(z, c)[1:] == (None, None)
         for got, ref in zip((p, dp, s), want):
             assert got.tobytes() == ref.tobytes()
+
+    def test_one_row_per_z_row_matches_polyval(self):
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        z = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        dc = c[:, 1:] * np.arange(1, 5)
+        p, dp, s = _horner(z, c, dc, np.abs(c))
+        for i in range(6):
+            assert p[i].tobytes() == npp.polyval(z[i], c[i]).tobytes()
+            assert dp[i].tobytes() == npp.polyval(z[i], dc[i]).tobytes()
+            assert s[i].tobytes() == npp.polyval(np.abs(z[i]),
+                                                 np.abs(c[i])).tobytes()
 
 
 # Scales of roots, centers and fibers over which the backward-error test
@@ -399,6 +412,58 @@ class TestCollisionBranch:
         with pytest.raises(ConvergenceFailure, match="non-finite iterates"):
             fiber_batch(Centers([1.0, -1.0, 2.0]),
                         [complex(1.7e308, 1.7e308), 0.5])
+
+
+@st.composite
+def _root_rows(draw):
+    """Monic rows of one degree 1..8 with roots at scales 1e-3 to 1e3.
+
+    Some rows have a root at exactly 0 (a zero constant coefficient),
+    some a double root, where the kernel needs many steps.
+    """
+    n = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        s = 10.0 ** draw(st.integers(-3, 3))
+        parts = draw(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+                              min_size=n, max_size=n))
+        rts = s * np.array([complex(x, y) for x, y in parts])
+        kind = draw(st.sampled_from(["plain", "plain", "zero", "double"]))
+        if kind == "zero":
+            rts[0] = 0.0
+        elif kind == "double" and n > 1:
+            rts[1] = rts[0]
+        rows.append(npp.polyfromroots(rts))
+    return np.array(rows, dtype=np.complex128)
+
+
+class TestRowwiseKernel:
+    """One coefficient row per problem: rows end as their one-row calls."""
+
+    @given(_root_rows())
+    def test_rows_equal_one_row_roots(self, c):
+        got = _roots_rows(c, DEFAULT_TOL)
+        for i in range(len(c)):
+            assert got[i].tobytes() == roots(c[i]).tobytes()
+
+    def test_zero_constant_rows_beside_kernel_rows(self):
+        c = np.array([npp.polyfromroots(r) for r in
+                      ([0.0, 1.0, 2j], [1.0, -1.0, 0.5j], [0.0, 0.0, 3.0])],
+                     dtype=np.complex128)
+        assert list(c[:, 0] == 0) == [True, False, True]
+        got = _roots_rows(c, DEFAULT_TOL)
+        for i in range(3):
+            assert got[i].tobytes() == roots(c[i]).tobytes()
+        _match_multisets(got[2], [0.0, 0.0, 3.0], 1e-12)
+
+    @given(_fiber_rows())
+    def test_shared_row_equals_a_row_per_w(self, case):
+        cen, ws, _, _ = case
+        monic = cen.poly.coeffs
+        z0 = _circle(_fujiwara_radius(monic, ws), cen.d)
+        shared = _aberth(monic, ws, z0, DEFAULT_TOL)
+        rowwise = _aberth(np.tile(monic, (ws.size, 1)), ws, z0, DEFAULT_TOL)
+        assert shared.tobytes() == rowwise.tobytes()
 
 
 def _first_fit(points, radius):
