@@ -356,13 +356,17 @@ def polyprod(f: VectorFunction, g: VectorFunction) -> VectorFunction:
     samples = _common_samples(f, g)
     sigma, fv, gv, w = f.ctx.sigma, f.values, g.values, samples.points
     vals = np.empty_like(fv)
-    for cols in blocks(f.m, 16 * min(_PRODUCT_ROWS, f.d) * f.d):
-        for lo in range(0, f.d, _PRODUCT_ROWS):
-            rows = slice(lo, lo + _PRODUCT_ROWS)
-            fd = fv[rows, None, cols] - fv[None, :, cols]
-            gd = fd if g is f else gv[rows, None, cols] - gv[None, :, cols]
-            corr = np.einsum("ij,ijm,ijm->im", sigma[rows], fd, gd)
-            vals[rows, cols] = fv[rows, cols] * gv[rows, cols] - w[cols] * corr
+    with np.errstate(all="ignore"):
+        for cols in blocks(f.m, 16 * min(_PRODUCT_ROWS, f.d) * f.d):
+            for lo in range(0, f.d, _PRODUCT_ROWS):
+                rows = slice(lo, lo + _PRODUCT_ROWS)
+                fd = fv[rows, None, cols] - fv[None, :, cols]
+                gd = fd if g is f else gv[rows, None, cols] - gv[None, :, cols]
+                corr = np.einsum("ij,ijm,ijm->im", sigma[rows], fd, gd)
+                vals[rows, cols] = (fv[rows, cols] * gv[rows, cols]
+                                    - w[cols] * corr)
+    if not np.isfinite(vals).all():
+        raise AlgebraOverflow("polyproduct values are not finite")
     return VectorFunction(samples, vals)
 
 
@@ -452,25 +456,29 @@ def _norm_pass(sigma, w, fv, square: bool):
     One pass over the differences D_ij = f_i - f_j, built _PRODUCT_ROWS
     rows of i at a time.  Row i of B_f(w) sums to
     |f_i - w sum_j sigma_ij D_ij| + |w| sum_j |sigma_ij| |D_ij|, the two
-    sums being products of sigma and |sigma| with D and |D|.  The blocks
-    span all samples, unlike polyprod's: those two sums are batched
-    matmuls, whose rounding changes with the number of columns, so
-    splitting the samples would change the norm's last bits.  The square
-    goes through polyprod's einsum, whose rounding does not depend on
-    the columns, so it is bit for bit polyprod(f, f).  Returns (norm,
-    square values or None).
+    sums being products of sigma and |sigma| with D and |D|.  The square
+    f_i^2 - w sum_j sigma_ij D_ij^2 squares D in place afterwards and
+    takes its sum from the same batched matmul with sigma, so it agrees
+    with polyprod(f, f) (an einsum) to rounding, not bit for bit.  The
+    blocks span all samples, unlike polyprod's: batched matmuls round
+    differently with the number of columns, so splitting the samples
+    would change the last bits.  Overflow is left to the caller, as a
+    non-finite norm.  Returns (norm, square values or None).
     """
     aw, asig = np.abs(w), np.abs(sigma)
     rows = np.empty(fv.shape)
     corr = np.empty_like(fv) if square else None
-    for lo in range(0, len(fv), _PRODUCT_ROWS):
-        blk = slice(lo, lo + _PRODUCT_ROWS)
-        fd = fv[blk, None, :] - fv[None, :, :]
-        rows[blk] = np.abs(fv[blk] - w * np.matmul(sigma[blk, None, :], fd)[:, 0])
-        rows[blk] += aw * np.matmul(asig[blk, None, :], np.abs(fd))[:, 0]
-        if square:
-            corr[blk] = np.einsum("ij,ijm,ijm->im", sigma[blk], fd, fd)
-    sq = fv * fv - w[None, :] * corr if square else None
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(fv), _PRODUCT_ROWS):
+            blk = slice(lo, lo + _PRODUCT_ROWS)
+            fd = fv[blk, None, :] - fv[None, :, :]
+            rows[blk] = np.abs(fv[blk]
+                               - w * np.matmul(sigma[blk, None, :], fd)[:, 0])
+            rows[blk] += aw * np.matmul(asig[blk, None, :], np.abs(fd))[:, 0]
+            if square:
+                fd *= fd
+                corr[blk] = np.matmul(sigma[blk, None, :], fd)[:, 0]
+        sq = fv * fv - w[None, :] * corr if square else None
     return float(rows.max()), sq
 
 
@@ -480,9 +488,13 @@ def op_norm(f: VectorFunction) -> float:
     Computed exactly as the max over samples of the infinity-induced norm
     (largest absolute row sum) of B_f(w), read from row blocks of the
     differences f_i - f_j, so neither the (m, d, d) matrices nor a
-    (d, d, m) tensor is built.
+    (d, d, m) tensor is built.  Raises AlgebraOverflow when the norm is
+    not finite.
     """
-    return _norm_pass(f.ctx.sigma, f.samples.points, f.values, False)[0]
+    norm = _norm_pass(f.ctx.sigma, f.samples.points, f.values, False)[0]
+    if not np.isfinite(norm):
+        raise AlgebraOverflow("operator norm is not finite")
+    return norm
 
 
 def spectrum_multiset(f: VectorFunction) -> np.ndarray:
@@ -517,8 +529,11 @@ def spectral_radius_iter(f: VectorFunction, k_max: int) -> np.ndarray:
     and the scale is kept as an exponent, so that neither overflow nor
     underflow can occur for any spectral radius.  Each step is one pass
     over the differences of b that gives both its norm and its square
-    (the last step skips the square): k_max + 1 passes in all.  Entries
-    collapse to exactly 0 once a power vanishes (nilpotent elements).
+    (the last step skips the square): k_max + 1 passes in all.  The
+    squares take their sums from batched matmuls, so they agree with
+    repeated polyprod(b, b) to rounding, not bit for bit; the first
+    entry is op_norm(f) exactly.  Entries collapse to exactly 0 once a
+    power vanishes (nilpotent elements).
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -532,8 +547,9 @@ def spectral_radius_iter(f: VectorFunction, k_max: int) -> np.ndarray:
         rk, b = _norm_pass(sigma, w, b, k < k_max)
         if rk == 0.0:
             return out                 # zero from k on
-        out[k] = (np.ldexp(rk, shift) if k == 0      # op_norm(f), exactly
-                  else np.exp((np.log(rk) + shift * np.log(2.0)) / 2.0 ** k))
+        with np.errstate(over="ignore"):
+            out[k] = (np.ldexp(rk, shift) if k == 0      # op_norm(f), exactly
+                      else np.exp((np.log(rk) + shift * np.log(2.0)) / 2.0 ** k))
         if not np.isfinite(out[k]):
             raise AlgebraOverflow(f"operator norm is not finite at k={k}")
         shift *= 2

@@ -2,12 +2,13 @@
 
 Solves, inverses and null spaces go to LAPACK through ``numpy.linalg``;
 ``solve`` takes one square matrix or a stack of them in a single call.
-Before it solves, ``solve`` proves every matrix nonsingular with a
-shifted Cholesky factorisation of its Gram matrix, a rigorous lower
-bound on the smallest singular value (``_certified``), about 1 MiB of
-matrices at a time.  The singular values, which decide and name a
-refusal, are computed only for the chunks the certificate cannot clear.
-Eigenvalues go through the
+Before it solves, ``solve`` proves every matrix nonsingular, about
+1 MiB of matrices at a time, with rigorous lower bounds on the smallest
+singular value in two tiers: Johnson's O(n^2) bound on the absolute
+values (``_johnson``), then, for the matrices it leaves, a shifted
+Cholesky factorisation of their Gram matrices (``_certified``).  Only
+the matrices neither tier clears get singular values, and refusals are
+decided and named by singular values only.  Eigenvalues go through the
 characteristic polynomial (Faddeev-LeVerrier recursion) and the
 simultaneous root finder, which caps the supported dimension; both take
 one matrix or a stack.
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 EIG_DIM_CAP = 16
+_EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
 
 def as_square(a) -> np.ndarray:
@@ -59,14 +61,17 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     ``index`` is the position of the first such matrix in the stack (0
     for a single matrix).
 
-    The stack is screened in chunks of about 1 MiB of matrices.  A chunk
-    that passes the Gram-Cholesky certificate (``_certified``: every
-    smallest singular value provably above eq_tol times the scale) needs
-    no singular values; any other chunk gets them.  With no refusal among
-    them the stack goes to LAPACK, and when LAPACK still refuses, the
-    singular values of the whole stack name the matrix, so the matrices
-    refused, the ``index`` and the message do not depend on the
-    certificate.
+    The stack is screened in chunks of about 1 MiB of matrices
+    (``_screen``), in three tiers: Johnson's bound on the absolute
+    values (``_johnson``) clears a matrix in O(n^2); the Gram-Cholesky
+    certificate (``_certified``) clears the matrices left in a chunk
+    together; only the matrices of a chunk that neither clears get
+    singular values.  A matrix is cleared only when its smallest singular
+    value is provably above eq_tol times the scale.  With no refusal the
+    stack goes to LAPACK, and when LAPACK still refuses, the singular
+    values of the whole stack name the matrix.  Refusals are decided by
+    singular values only, so the matrices refused, the ``index`` and the
+    message do not depend on the certificates.
     """
     a = _as_squares(a, (2, 3))
     b = np.asarray(b, dtype=np.complex128)
@@ -75,9 +80,8 @@ def solve(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if x.shape[:-1] != a.shape[:-1]:
         raise ValueError("right hand side shape does not match the matrix")
     stack = a.reshape((-1,) + a.shape[-2:])
-    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
+    smin, scale = _screen(stack, tol.eq_tol)
     limit = tol.eq_tol * scale
-    smin = _screen(stack, scale, tol.eq_tol)
     if not (smin <= limit).any():
         try:
             x = np.linalg.solve(a, x)
@@ -97,17 +101,78 @@ def _smallest_sv(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False).min(axis=1, initial=np.inf)
 
 
-def _screen(stack: np.ndarray, scale: np.ndarray, eq_tol: float) -> np.ndarray:
-    """Smallest singular value of each matrix in a chunk that the
-    certificate does not clear, and inf for every certified matrix
-    (which clears the refusal rule)."""
-    smin = np.full(stack.shape[0], np.inf)
-    # About 1 MiB of matrices per chunk, so the scaled copy, its Gram
-    # matrix and the factor stay small beside the stack.
-    for part in blocks(stack.shape[0], 16 * stack.shape[-1] ** 2):
-        if not _certified(stack[part], scale[part], eq_tol):
-            smin[part] = _smallest_sv(stack[part])
-    return smin
+def _screen(stack: np.ndarray, eq_tol: float):
+    """The scale max(1, max|b|) of every matrix B, and the smallest
+    singular value of every matrix that no certificate clears, with inf
+    for the cleared ones (which clears the refusal rule).
+
+    About 1 MiB of matrices per chunk, so their absolute values, the
+    copy of the matrices Johnson's bound leaves, their Gram matrices and
+    factors stay small beside the stack.
+    """
+    m, n = stack.shape[0], stack.shape[-1]
+    smin, scale = np.full(m, np.inf), np.empty(m)
+    for part in blocks(m, 16 * n * n):
+        mag = np.abs(stack[part])
+        scale[part] = np.maximum(1.0, mag.max(axis=(1, 2), initial=0.0))
+        left = np.flatnonzero(~(_johnson(mag) > eq_tol * scale[part]))
+        if left.size:
+            rest, sub = stack[part][left], part.start + left
+            if not _certified(rest, scale[sub], eq_tol):
+                smin[sub] = _smallest_sv(rest)
+    return smin, scale
+
+
+def _johnson(mag: np.ndarray) -> np.ndarray:
+    """Lower bounds on the smallest singular value of each matrix B, read
+    from the absolute values ``mag`` of its entries in O(n^2).
+
+    Johnson's bound (C. R. Johnson, "A Gersgorin-type lower bound for the
+    smallest singular value", Linear Algebra Appl. 112, 1989) is
+
+        sigma_min(B) >= min_i (|b_ii| - (r_i + c_i) / 2)
+                      = min_i (2 |b_ii| - (R_i + C_i) / 2),
+
+    with r_i, c_i the off-diagonal and R_i, C_i the full absolute row and
+    column sums.  It is taken on B and on W B, W = diag(w) with w the
+    computed reciprocals of the |b_ii| (exact as a matrix, so the bound
+    on W B holds whatever their rounding), which gives sigma_min(B) >=
+    sigma_min(W^-1) sigma_min(W B) = sigma_min(W B) / max w.  The larger
+    of the two bounds is returned.
+
+    Each computed |b_ij| is within one ulp of the true one, plus 2^-1074
+    when it is subnormal, and every product and sum adds half an ulp,
+    plus 2^-1075 where a product underflows; so each computed R_i + C_i
+    is within (n + 4) eps / 2 relative and 2 n eps tiny (1 + max w)
+    absolute of the true one (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, Lemma 3.1), with w = 1 for B, and each
+    diagonal entry within 2 eps.  The diagonal is deflated by 4 eps and
+    the sums are inflated by 2 (n + 4) eps, twice and four times over;
+    the diagonal and each of the two sums move by a further
+    (n + 2) tiny (1 + max w) for gradual underflow.  Rounding the bound
+    itself only lowers it or keeps its order against the limit.  A bound
+    that comes out non-finite (an overflowed sum, a zero diagonal entry)
+    is nan and clears nothing.
+    """
+    n = mag.shape[-1]
+    diag = mag.diagonal(axis1=1, axis2=2)
+    with np.errstate(all="ignore"):
+        rows = np.einsum("kij->ki", mag)
+        plain = _johnson_min(diag, rows + np.einsum("kij->kj", mag), 2.0, n)
+        w = 1.0 / diag
+        wmax = w.max(axis=1)
+        cols = np.einsum("ki,kij->kj", w, mag)
+        scaled = _johnson_min(w * diag, w * rows + cols, 1.0 + wmax, n)
+        scaled = (1.0 / wmax) * (1 - 4 * _EPS) * np.maximum(scaled, 0.0)
+        return np.fmax(np.where(np.isfinite(plain), plain, np.nan),
+                       np.where(np.isfinite(scaled), scaled, np.nan))
+
+
+def _johnson_min(diag, sums, under, n):
+    """min_i (2 |b_ii| - (R_i + C_i) / 2) with the allowances of
+    ``_johnson``; ``under`` is 1 + max w per matrix."""
+    lo, hi = 2.0 * (1 - 4 * _EPS), 0.5 * (1 + 2 * (n + 4) * _EPS)
+    return (lo * diag - hi * sums).min(axis=1) - 3 * (n + 2) * _TINY * under
 
 
 def _certified(stack: np.ndarray, scale: np.ndarray, eq_tol: float) -> bool:
@@ -132,15 +197,14 @@ def _certified(stack: np.ndarray, scale: np.ndarray, eq_tol: float) -> bool:
     breakdown fails the whole stack.
     """
     n = stack.shape[-1]      # n >= 1: solve cannot reshape an empty matrix
-    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
     diag = np.arange(n)
     down = np.ldexp(1.0, 1 - np.frexp(scale)[1])
     bs = stack * down[:, None, None]
     gram = np.matmul(bs.conj().transpose(0, 2, 1), bs)
     fro2 = gram[:, diag, diag].real.sum(axis=1)
     t = eq_tol * (scale * down)
-    gram[:, diag, diag] -= (t * t + 8 * (n + 2) * eps * fro2
-                            + (n + 2) ** 2 * tiny)[:, None]
+    gram[:, diag, diag] -= (t * t + 8 * (n + 2) * _EPS * fro2
+                            + (n + 2) ** 2 * _TINY)[:, None]
     try:
         return bool(np.isfinite(np.linalg.cholesky(gram)).all())
     except np.linalg.LinAlgError:

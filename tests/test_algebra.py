@@ -812,6 +812,19 @@ class TestOpNorm:
         want = np.abs(mult_matrices(f)).sum(axis=2).max()
         assert op_norm(f) == pytest.approx(want, rel=1e-14, abs=0)
 
+    def test_overflow_raises_without_warnings(self):
+        # a component at -1e308: the row sums and the square overflow
+        ss = SampleSet(AlgebraContext(Centers([1.0, -1.0])), [3.0])
+        f = VectorFunction(ss, [[-1e308], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AlgebraOverflow):
+                op_norm(f)
+            with pytest.raises(AlgebraOverflow):
+                polyprod(f, f)
+            with pytest.raises(AlgebraOverflow):
+                spectral_radius_iter(f, 2)
+
     def test_nilpotent_square_is_zero(self):
         ctx = AlgebraContext(Centers([1.0, -1.0]))
         ss = SampleSet(ctx, [-1.0])

@@ -39,6 +39,11 @@ F_HUGE_JSON = json.dumps({
     "centers": [[1.0, 0.0], [-1.0, 0.0]],
     "samples": [{"w": [3.0, 0.0], "f": [[1.5e308, 0.0], [1.5e308, 0.0]]}],
 })
+# a component at -1e308: the row sums of B_f and the square overflow
+F_EDGE_JSON = json.dumps({
+    "centers": [[1.0, 0.0], [-1.0, 0.0]],
+    "samples": [{"w": [3.0, 0.0], "f": [[-1e308, 0.0], [1.0, 0.0]]}],
+})
 CENTERS = "[[1,0],[-1,0]]"
 CENTERS3 = "[[1,0],[-1,0],[0,1]]"
 # 1e200 times the 3x3 nilpotent block, and f over the roots of z^3 + 1
@@ -472,12 +477,15 @@ class TestConsoleScript:
           "--spectrum", '{"entries":[{"alpha":1e200,"n":0}]}',
           "--f", '{"centers":[[1,0],[-1,0]],"samples":[{"w":1,"f":[1,2]}]}',
           "--poly", '{"coeffs":[-1,0,1]}'], 1),
+        (["norm", "--f", F_EDGE_JSON], 1),
+        (["polyprod", "--f", F_EDGE_JSON, "--g", F_EDGE_JSON], 1),
     ], ids=["gelfand-nan", "gelfand-inf", "basis-nan", "basis-huge-int",
             "fiber-nan", "radical-nan", "matrix-rows-inf", "charfunc-large-lam",
             "basis-large-z", "gelfand-large-z",
             "chi-large-matrix", "hermite-large-matrix", "specmap-large-matrix",
             "gelfand-overflowing-value", "charfunc-overflowing-values",
-            "chi-overflowing-beta"])
+            "chi-overflowing-beta", "norm-overflowing-row-sums",
+            "polyprod-overflowing-square"])
     def test_out_of_range_inputs_fail_cleanly(self, argv, code):
         proc = subprocess.run(
             [sys.executable, "-m", "multicentric.cli", *argv],
@@ -488,6 +496,8 @@ class TestConsoleScript:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        if code == 1:
+            assert proc.stdout == ""
 
     def test_fiber_of_huge_w_is_accurate(self):
         # z^2 - 1 = 1e300: the fiber {+-1e150} solves cleanly

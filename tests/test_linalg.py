@@ -18,6 +18,7 @@ from multicentric.errors import AlgebraOverflow, DimensionTooLarge, SingularMatr
 from multicentric.linalg import (
     EIG_DIM_CAP,
     _certified,
+    _johnson,
     char_poly,
     eigenvalues,
     inverse,
@@ -163,7 +164,8 @@ FACTORS = [1e-3, 0.999, 1.001, 10.0, 1e4]
 
 
 class TestCertificate:
-    """The Gram-Cholesky certificate in front of the SVD refusal rule."""
+    """Johnson's bound and the Gram-Cholesky certificate in front of the
+    SVD refusal rule."""
 
     @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
     def test_refusals_match_the_svd_rule(self, n):
@@ -227,8 +229,7 @@ class TestCertificate:
                 yield _with_singular_values(rng, s)
                 yield 1e200 * _with_singular_values(rng, s)
 
-    @pytest.mark.parametrize("eq_tol", [DEFAULT_TOL.eq_tol, 1e-3])
-    def test_never_certifies_a_refused_matrix(self, eq_tol):
+    def _probe_cases(self, eq_tol):
         rng = np.random.default_rng(7)
         cases = list(self._cases(rng))
         # with eq_tol = 1e-3 the bound t^2 outweighs the rounding margin,
@@ -238,6 +239,11 @@ class TestCertificate:
                 s = np.linspace(1.0, 0.5, n)
                 s[-1] = eq_tol * f
                 cases.append(_with_singular_values(rng, s))
+        return cases
+
+    @pytest.mark.parametrize("eq_tol", [DEFAULT_TOL.eq_tol, 1e-3])
+    def test_never_certifies_a_refused_matrix(self, eq_tol):
+        cases = self._probe_cases(eq_tol)
         refused = 0
         for mat in cases:
             stack = np.asarray(mat, dtype=np.complex128)[None]
@@ -253,14 +259,24 @@ class TestCertificate:
 
     def test_only_uncleared_chunks_get_singular_values(self, monkeypatch):
         rng = np.random.default_rng(3)
+        eq_tol = DEFAULT_TOL.eq_tol
         step = CHUNK_BYTES // (16 * 4 * 4)            # 4x4 matrices per chunk
-        stack = rng.standard_normal((3 * step + 5, 4, 4)) + 5 * np.eye(4)
+        stack = (rng.standard_normal((3 * step + 5, 4, 4))
+                 + 5 * np.eye(4)).astype(np.complex128)
         scale = _svd_rule(stack)[3]
-        assert _certified(stack[:9], scale[:9], DEFAULT_TOL.eq_tol)
-        # sigma_min 1e-8: cleared by the rule, not by the certificate
-        stack[step + 7] = np.diag([1.0, 1.0, 1.0, 1e-8])
-        assert not _certified(stack[step:step + 9], scale[step:step + 9],
-                              DEFAULT_TOL.eq_tol)
+        assert _certified(stack[:9], scale[:9], eq_tol)
+        # sigma_min 1e-8, rotated: cleared by the rule, by neither tier
+        stack[step + 7] = _with_singular_values(rng, [1.0, 1.0, 1.0, 1e-8])
+        scale = _svd_rule(stack)[3]
+        assert not _johnson(np.abs(stack[step + 7:step + 8]))[0] > eq_tol
+        assert not _certified(stack[step:step + 9], scale[step:step + 9], eq_tol)
+
+        def left(lo):
+            """The matrices of the chunk at lo that Johnson's bound leaves."""
+            part = slice(lo, lo + step)
+            bound = _johnson(np.abs(stack[part]))
+            return np.flatnonzero(~(bound > eq_tol * scale[part])) + lo
+
         seen = []
         svd = np.linalg.svd
 
@@ -270,14 +286,99 @@ class TestCertificate:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         assert _assert_solve_follows_svd_rule(stack).size == 0
-        assert seen == [len(stack), step]              # the rule's, then solve's
+        first = left(step)
+        assert step + 7 in first and len(first) < step // 10
+        assert seen == [len(stack), len(first)]        # the rule's, then solve's
         # a refusal in a later chunk is named as the whole-stack rule names it
-        stack[2 * step + 3] = np.diag([1.0, 1.0, 1.0, 1e-12])
+        stack[2 * step + 3] = _with_singular_values(rng, [1.0, 1.0, 1.0, 1e-12])
+        scale = _svd_rule(stack)[3]
+        second = left(2 * step)
+        assert 2 * step + 3 in second and len(second) < step // 10
         seen.clear()
         assert list(_assert_solve_follows_svd_rule(stack)) == [2 * step + 3]
-        assert seen == [len(stack), step, step]
+        assert seen == [len(stack), len(first), len(second)]
         stack[5] = np.diag([1.0, 1.0, 1e-13, 1.0])
         assert list(_assert_solve_follows_svd_rule(stack)) == [5, 2 * step + 3]
+
+    @pytest.mark.parametrize("eq_tol", [DEFAULT_TOL.eq_tol, 1e-3])
+    def test_johnson_never_clears_a_refused_matrix(self, eq_tol):
+        cases = self._probe_cases(eq_tol)
+        # the bound is exact on diagonal matrices, so only its rounding
+        # allowances decide these
+        exact = []
+        for n in (1, 2, 8, 32):
+            for f in (0.999999, 1.0, 1.000001):
+                d = np.linspace(1.0, 0.5, n)
+                d[-1] = eq_tol * f
+                exact.append((len(cases), f > 1.0))
+                cases.append(np.diag(d))
+        # sums that overflow, and entries near the ends of the range
+        rng = np.random.default_rng(8)
+        overflow = []
+        for n in (2, 8):
+            overflow += [len(cases), len(cases) + 1]
+            cases.append(np.full((n, n), 1e307) + 1e308 * np.eye(n))
+            cases.append(1.7e308 * _with_singular_values(rng, np.linspace(1.0, 0.5, n)))
+            cases.append(1e-300 * _with_singular_values(rng, np.linspace(1.0, 0.5, n)))
+            cases.append(np.diag(np.geomspace(1e300, 1e-310, n)))
+            cases.append(1e300 * np.eye(n) + 1e-300 * np.ones((n, n)))
+        refused = 0
+        for i, mat in enumerate(cases):
+            stack = np.asarray(mat, dtype=np.complex128)[None]
+            bad, _, smin, scale = _svd_rule(stack, eq_tol)
+            bound = _johnson(np.abs(stack))[0]
+            cleared = bound > eq_tol * scale[0]
+            if bad.size:
+                refused += 1
+                assert not cleared, (i, stack.shape, bound, smin, scale)
+            if np.isfinite(bound):
+                smax = npl.norm(stack[0], 2)
+                assert bound <= smin[0] + 1e-12 * smax, (i, bound, smin)
+            if eq_tol == DEFAULT_TOL.eq_tol:
+                _assert_solve_follows_svd_rule(stack)
+        for i, clears in exact:
+            assert (_johnson(np.abs(cases[i])[None])[0] > eq_tol) == clears
+        # the sums of B overflow; at n = 2 those of D^-1 B do not, and its
+        # bound clears sigma_min = 1e308; otherwise nothing is cleared
+        bounds = [_johnson(np.abs(cases[i])[None])[0] for i in overflow]
+        assert 0.99e308 < bounds[0] <= 1e308
+        assert not any(b > 0 for b in bounds[1:])
+        assert refused >= 30
+
+    def test_johnson_takes_the_row_scaled_bound(self):
+        # rows of very different size: Johnson's bound on B is negative,
+        # on D^-1 B (D = diag |b_ii|) it is about 0.95
+        a = np.array([[1e6, 1e5], [1e-3, 1.0]])
+        bound = _johnson(np.abs(a)[None])[0]
+        assert 0.9 < bound <= npl.svd(a, compute_uv=False).min()
+        abs_a = np.abs(a)
+        assert 2 * abs_a[1, 1] - (abs_a[1].sum() + abs_a[:, 1].sum()) / 2 < 0
+
+    @given(st.integers(1, 12), st.integers(-300, 300),
+           st.floats(0.0, 3.0), st.integers(0, 2 ** 32 - 1))
+    def test_johnson_is_a_lower_bound(self, n, exp, dominance, seed):
+        rng = np.random.default_rng(seed)
+        a = (_rand_matrix(rng, n) / n + dominance * np.eye(n)) \
+            * rng.uniform(0.5, 2.0, n)[:, None] * 10.0 ** exp
+        bound = _johnson(np.abs(a)[None])[0]
+        sv = npl.svd(a, compute_uv=False)
+        assert np.isnan(bound) or bound <= sv.min() + 1e-12 * sv.max()
+
+    @pytest.mark.parametrize("shape", [(50, 64), (2000, 4)])
+    def test_dominant_stack_needs_no_certificate(self, monkeypatch, shape):
+        m, n = shape
+        rng = np.random.default_rng(n)
+        stack = _rand_matrix(rng, n)[None] * rng.uniform(0.1, 0.5, (m, 1, 1)) / n
+        stack = stack + 3.0 * np.eye(n)
+        rhs = rng.standard_normal((m, n)) + 0j
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve went past Johnson's bound")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        x = solve(stack, rhs)
+        assert np.abs(np.einsum("kij,kj->ki", stack, x) - rhs).max() < 1e-12
 
     @pytest.mark.parametrize("shape", [(50, 64), (2000, 4)])
     def test_well_conditioned_stack_skips_the_svd(self, monkeypatch, shape):
