@@ -12,6 +12,11 @@ centers.  Under the scalar representation
 
 the polyproduct turns into the pointwise product of representations on
 every fiber, which is what all the spectral machinery below exploits.
+The representation is combined straight from the Lagrange form by one
+running-product recurrence over the centers (``basis_values`` with
+coefficients), so the state a sample set keeps is O(dm): its points,
+fibers and criticality flags, never the (d, m, d) table of the delta_j
+on the fibers.
 """
 
 from __future__ import annotations
@@ -104,20 +109,75 @@ class AlgebraContext:
     def lambdas(self) -> np.ndarray:
         return self.centers.lambdas
 
-    def basis_values(self, z) -> np.ndarray:
-        """delta_j(z) for all j; shape (d,) + z.shape, O(d) work per point.
+    def basis_values(self, z, coeffs=None) -> np.ndarray:
+        """delta_j(z) for all j, or with ``coeffs`` sum_j delta_j(z) coeffs[j].
 
-        delta_j(z) = ell_j prod_{k<j} (z - lambda_k) prod_{k>j} (z - lambda_k),
-        built in the output from one forward and one backward running
-        product.  At a center the result is exactly 0 or 1: the zeros
-        carry an exact zero factor and the ones are pinned.  Raises
-        AlgebraOverflow when a value is not finite (z too large for
-        floating point).  The points go a block at a time: the running
-        products take 32 bytes a point, about CHUNK_BYTES a block, and
-        the checks' boolean masks d bytes a point.
+        Without ``coeffs``, the table: shape (d,) + z.shape, O(d) work per
+        point.  delta_j(z) = ell_j prod_{k<j} (z - lambda_k) prod_{k>j}
+        (z - lambda_k), built in the output from one forward and one
+        backward running product.  At a center the result is exactly 0 or
+        1: the zeros carry an exact zero factor and the ones are pinned.
+        The points go a block at a time: the running products take 32
+        bytes a point, about CHUNK_BYTES a block, and the checks' boolean
+        masks d bytes a point.
+
+        With ``coeffs``, of shape (d,) + s for an s that broadcasts against
+        z.shape, the combination sum_j delta_j(z) coeffs[j], of the
+        broadcast shape, without the table: the running-product form of
+        the first barycentric formula,
+
+            t <- t (z - lambda_j) + ell_j coeffs[j] b,   b <- b (z - lambda_j)
+
+        for j = d-1, ..., 0 from t = 0, b = 1, holds only arrays of the
+        output's shape, a block of about CHUNK_BYTES / 64 points at a
+        time.  Being the Lagrange form itself, it does not assume
+        p(z) = w, as the barycentric shortcut w / (z - lambda_j) would, so
+        it holds at computed fiber points too.  At a center lambda_k
+        (where the full product b ends exactly zero) the result is
+        coeffs[k] bit for bit.
+
+        Raises AlgebraOverflow when a value is not finite (z or the
+        coefficients too large for floating point).
         """
         z = np.asarray(z, dtype=np.complex128)
         lam, ell, d = self.lambdas, self.ell, self._d
+        if coeffs is not None:
+            c = np.asarray(coeffs, dtype=np.complex128)
+            if c.shape[:1] != (d,):
+                raise ValueError(f"coeffs must have {d} rows, got shape {c.shape}")
+            shape = np.broadcast_shapes(z.shape, c.shape[1:])
+            out = np.empty(shape, dtype=np.complex128)
+            if out.size == 0:
+                return out
+            # a 0-d call is one row; z and c are sliced only along a
+            # leading axis of the output's length they carry themselves
+            zs, cs, res = (z, c, out) if shape else (z[None], c[:, None], out[None])
+            z_rows = zs.ndim == res.ndim and zs.shape[0] == res.shape[0]
+            c_rows = cs.ndim - 1 == res.ndim and cs.shape[1] == res.shape[0]
+            cl = cs * ell.reshape((d,) + (1,) * (cs.ndim - 1))   # ell folded in
+            for rows in blocks(res.shape[0], 64 * res[0].size):
+                zr = zs[rows] if z_rows else zs
+                cr = cl[:, rows] if c_rows else cl
+                t = res[rows]                                    # view
+                with np.errstate(all="ignore"):
+                    t[...] = cr[d - 1]
+                    b = zr - lam[d - 1]
+                    fac, term = np.empty_like(b), np.empty_like(t)
+                    for j in range(d - 2, -1, -1):
+                        np.subtract(zr, lam[j], out=fac)
+                        t *= fac
+                        np.multiply(cr[j], b, out=term)
+                        t += term
+                        b *= fac        # the last update finds center hits
+                if not np.isfinite(t).all():
+                    raise AlgebraOverflow(
+                        "basis combination is not finite at the given z")
+                if not b.all():             # an exact center hit, or underflow
+                    for k in range(d):
+                        at = np.broadcast_to(zr == lam[k], t.shape)
+                        t[at] = np.broadcast_to(cs[k, rows] if c_rows else cs[k],
+                                                t.shape)[at]
+            return out
         out = np.empty((d,) + z.shape, dtype=np.complex128)
         flat, zall = out.reshape(d, -1), z.reshape(-1)   # views
         for cols in blocks(zall.size, 32):
@@ -158,8 +218,11 @@ class AlgebraContext:
 class SampleSet:
     """Finite sample points standing in for the compact set M.
 
-    Fibers over every point and the Lagrange basis values on those fibers
-    are solved once here and cached; everything downstream reuses them.
+    The fibers over every point and their criticality flags are solved
+    once here and cached, O(dm) state; everything downstream reuses them.
+    Representation values are combined on the fibers on demand
+    (``AlgebraContext.basis_values`` with coefficients), so the (d, m, d)
+    table of Lagrange basis values is never kept.
     """
 
     def __init__(self, ctx: AlgebraContext, points):
@@ -200,8 +263,13 @@ class SampleSet:
         self.fiber_points = fibers
         flags.flags.writeable = False
         self.fiber_critical = flags
-        self.basis_at_fibers = ctx.basis_values(fibers)  # (d, m, d)
-        self.basis_at_fibers.flags.writeable = False
+
+    @property
+    def basis_at_fibers(self) -> np.ndarray:
+        """delta_j at every fiber point, shape (d, m, d); built on each access."""
+        out = self.ctx.basis_values(self.fiber_points)
+        out.flags.writeable = False
+        return out
 
     @property
     def m(self) -> int:
@@ -235,7 +303,20 @@ class VectorFunction:
     def __init__(self, samples: SampleSet, values):
         if not isinstance(samples, SampleSet):
             raise TypeError("VectorFunction requires a SampleSet")
-        vals = np.asarray(values, dtype=np.complex128)
+        self._adopt(samples, np.array(values, dtype=np.complex128, order="C"))
+
+    @classmethod
+    def _own(cls, samples: SampleSet, values: np.ndarray) -> "VectorFunction":
+        """A VectorFunction that keeps ``values``, a fresh complex array.
+
+        For arrays the package has just built and holds no other
+        reference to: they are checked and made read-only, not copied.
+        """
+        out = cls.__new__(cls)
+        out._adopt(samples, values)
+        return out
+
+    def _adopt(self, samples, vals):
         if vals.shape != (samples.ctx.d, samples.m):
             raise ValueError(
                 f"values must have shape {(samples.ctx.d, samples.m)}, "
@@ -243,7 +324,6 @@ class VectorFunction:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("function values must be finite")
-        vals = vals.copy()
         vals.flags.writeable = False
         self.samples = samples
         self.values = vals
@@ -283,10 +363,14 @@ class VectorFunction:
     def gelfand_values(self) -> np.ndarray:
         """Representation values f^(z) on all fiber points; shape (m, d).
 
-        Row i holds f^ at the fiber points of sample w_i.  Cached.
+        Row i holds f^ at the fiber points of sample w_i, combined from
+        f(w_i) by the Lagrange recurrence of ``basis_values``, so only
+        (m, d) arrays are built.  Cached.  Raises AlgebraOverflow when a
+        value is not finite.
         """
         if self._gelfand is None:
-            g = np.einsum("jmk,jm->mk", self.samples.basis_at_fibers, self.values)
+            g = self.ctx.basis_values(self.samples.fiber_points,
+                                      self.values[:, :, None])
             g.flags.writeable = False
             self._gelfand = g
         return self._gelfand
@@ -297,27 +381,27 @@ class VectorFunction:
     def __add__(self, other):
         if isinstance(other, VectorFunction):
             s = _common_samples(self, other)
-            return VectorFunction(s, self.values + other.values)
+            return VectorFunction._own(s, self.values + other.values)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, VectorFunction):
             s = _common_samples(self, other)
-            return VectorFunction(s, self.values - other.values)
+            return VectorFunction._own(s, self.values - other.values)
         return NotImplemented
 
     def __neg__(self):
-        return VectorFunction(self.samples, -self.values)
+        return VectorFunction._own(self.samples, -self.values)
 
     def __mul__(self, other):
         if isinstance(other, VectorFunction):
             raise TypeError("use polyprod(f, g) for the algebra product")
-        return VectorFunction(self.samples, self.values * complex(other))
+        return VectorFunction._own(self.samples, self.values * complex(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return VectorFunction(self.samples, self.values / complex(other))
+        return VectorFunction._own(self.samples, self.values / complex(other))
 
     def __repr__(self):
         return f"VectorFunction(d={self.d}, m={self.m})"
@@ -347,8 +431,8 @@ def polyprod(f: VectorFunction, g: VectorFunction) -> VectorFunction:
     samples.  Each block forms the differences (f_i - f_j)(w) and
     (g_i - g_j)(w), a (rows, d, samples) tensor of about CHUNK_BYTES
     each, and writes f_i g_i - w sum_j sigma_ij (f_i - f_j)(g_i - g_j)
-    straight into the output, so the only arrays whose size grows with m
-    are the output and the copy its VectorFunction keeps.  The sum is one
+    straight into the output, so the only array whose size grows with m
+    is the output, which the result keeps without a copy.  The sum is one
     einsum per block, whose rounding does not depend on the number of
     samples in the block, so the result is bit for bit the same for any
     blocking.  A square (g is f) reuses the f block.
@@ -367,7 +451,7 @@ def polyprod(f: VectorFunction, g: VectorFunction) -> VectorFunction:
                                     - w[cols] * corr)
     if not np.isfinite(vals).all():
         raise AlgebraOverflow("polyproduct values are not finite")
-    return VectorFunction(samples, vals)
+    return VectorFunction._own(samples, vals)
 
 
 def polyprod_boxed(f: VectorFunction, g: VectorFunction) -> VectorFunction:
@@ -384,7 +468,7 @@ def polyprod_boxed(f: VectorFunction, g: VectorFunction) -> VectorFunction:
         bg = box(g.values[:, i])
         corr = (ctx.Lmat * bf * bg) @ ctx.ell
         vals[:, i] = f.values[:, i] * g.values[:, i] - w * corr
-    return VectorFunction(samples, vals)
+    return VectorFunction._own(samples, vals)
 
 
 def algebra_power(f: VectorFunction, n: int) -> VectorFunction:
@@ -562,9 +646,10 @@ def invert(f: VectorFunction) -> VectorFunction:
     Solves B_f(w) g(w) = 1 for every sample, building and solving the
     matrices about 1 MiB of them (``CHUNK_BYTES``) at a time, so the
     whole (m, d, d) stack is never held, and verifies the product
-    afterwards with the sample-blocked polyprod.  The full-size
-    temporaries are dropped as soon as they are used: the |f^| screen,
-    and the solution buffer once the result holds its copy.
+    afterwards with the sample-blocked polyprod, reading its residual a
+    chunk at a time.  The result keeps the solution buffer without a
+    copy, and the |f^| screen is dropped as soon as it is read, so the
+    full-size arrays at the peak are the result and the check product.
     """
     tol = f.ctx.tol
     gv = f.gelfand_values()
@@ -595,9 +680,10 @@ def invert(f: VectorFunction) -> VectorFunction:
                 f"is singular (representation vanishes near z={witness})"
             ) from None
         vals[:, cols] = x.T
-    g = VectorFunction(f.samples, vals)
-    del vals                     # g holds its own copy
-    worst = float(np.abs(polyprod(f, g).values - 1.0).max())
+    g = VectorFunction._own(f.samples, vals)
+    check = polyprod(f, g).values
+    worst = max(float(np.abs(check[:, cols] - 1.0).max())
+                for cols in _sample_chunks(f))
     check_scale = max(1.0, sup_norm(f) * sup_norm(g))
     if worst > 1e3 * tol.eq_tol * check_scale:
         raise ConvergenceFailure(
@@ -702,7 +788,7 @@ def characters_at(ctx: AlgebraContext, samples: SampleSet, w0) -> np.ndarray:
     if not ctx.same_as(samples.ctx):
         raise ContextMismatch("sample set belongs to a different context")
     i = samples.match(w0)
-    return samples.basis_at_fibers[:, i, :].T.copy()
+    return ctx.basis_values(samples.fiber_points[i]).T.copy()
 
 
 def character_residual(ctx: AlgebraContext, w0, etas) -> float:
@@ -776,11 +862,7 @@ def gelfand_eval(f: VectorFunction, z):
     if not np.all(np.isfinite(ws)):
         raise AlgebraOverflow("p(z) is not finite at the given z")
     idx = [f.samples.match(w) for w in ws.ravel()]
-    cols = f.values[:, idx].reshape((ctx.d,) + z.shape)
-    with np.errstate(all="ignore"):
-        vals = (ctx.basis_values(z) * cols).sum(axis=0)
-    if not np.isfinite(vals).all():
-        raise AlgebraOverflow("f^ is not finite at the given z")
+    vals = ctx.basis_values(z, f.values[:, idx].reshape((ctx.d,) + z.shape))
     return complex(vals) if z.ndim == 0 else vals
 
 

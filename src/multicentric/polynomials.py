@@ -29,7 +29,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 
 from .config import DEFAULT_TOL, Tolerances, blocks
-from .errors import CentersDegenerate, ConvergenceFailure
+from .errors import AlgebraOverflow, CentersDegenerate, ConvergenceFailure
 
 __all__ = [
     "Polynomial",
@@ -42,6 +42,18 @@ __all__ = [
     "critical_points",
     "cluster_points",
 ]
+
+
+def _computed(coeffs, what: str) -> "Polynomial":
+    """The Polynomial of freshly computed coefficients.
+
+    Inputs that are not finite are the caller's fault and the constructor
+    refuses them with ValueError; coefficients that the package computed
+    from finite ones and that overflowed raise AlgebraOverflow.
+    """
+    if not np.isfinite(coeffs).all():
+        raise AlgebraOverflow(f"{what} coefficients are not finite")
+    return Polynomial(coeffs)
 
 
 class Polynomial:
@@ -107,11 +119,18 @@ class Polynomial:
         return Polynomial(npp.polypow(self.coeffs, int(n), maxpower=None))
 
     def derivative(self, order: int = 1) -> "Polynomial":
-        return Polynomial(npp.polyder(self.coeffs, order))
+        """The ``order``-th derivative; AlgebraOverflow if a coefficient overflows."""
+        with np.errstate(all="ignore"):
+            return _computed(npp.polyder(self.coeffs, order), "derivative")
 
     def antiderivative(self, constant=0.0) -> "Polynomial":
-        """Antiderivative whose constant term equals ``constant``."""
-        return Polynomial(npp.polyint(self.coeffs, 1, k=[complex(constant)]))
+        """Antiderivative whose constant term equals ``constant``.
+
+        AlgebraOverflow if a computed coefficient is not finite.
+        """
+        with np.errstate(all="ignore"):
+            return _computed(npp.polyint(self.coeffs, 1, k=[complex(constant)]),
+                             "antiderivative")
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """self(inner(z)) by Horner recursion over Polynomial arithmetic."""

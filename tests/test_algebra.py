@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import numpy.linalg as npl
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from multicentric.algebra import (
     _PRODUCT_ROWS,
@@ -24,6 +24,7 @@ from multicentric.algebra import (
     character_residual,
     characteristic,
     characters_at,
+    gelfand_eval,
     invert,
     mult_matrices,
     mult_matrix,
@@ -48,6 +49,8 @@ from multicentric.errors import (
 )
 from multicentric.linalg import eigenvalues
 from multicentric.polynomials import Centers, fiber_batch
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture
@@ -301,6 +304,101 @@ class TestAlgebraLaws:
             polyprod(f, g)
 
 
+@st.composite
+def _algebras(draw):
+    """(centers, samples, seed): d <= 6 centers at least 0.5 apart, m <= 8
+    distinct samples with |w| <= 2.5, and a seed for function values.
+
+    The centers sit in distinct cells of a lattice of spacing 0.75, each
+    moved by at most 0.12 in either coordinate.
+    """
+    d = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                          min_size=d, max_size=d, unique=True))
+    jitter = draw(st.lists(st.tuples(st.floats(-0.12, 0.12),
+                                     st.floats(-0.12, 0.12)),
+                           min_size=d, max_size=d))
+    lam = [0.75 * complex(a, b) + complex(x, y)
+           for (a, b), (x, y) in zip(cells, jitter)]
+    polar = st.tuples(st.floats(0.0, 2.5), st.floats(0.0, 2.0 * np.pi))
+    ws = draw(st.lists(polar.map(lambda t: t[0] * complex(np.cos(t[1]),
+                                                         np.sin(t[1]))),
+                       min_size=1, max_size=8, unique=True))
+    return lam, ws, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _drawn(args, k):
+    """The sample set of a drawn algebra and k random functions on it."""
+    lam, ws, seed = args
+    rng = np.random.default_rng(seed)
+    ss = SampleSet(AlgebraContext(Centers(lam)), ws)
+    return ss, [_rand_function(rng, ss, 1.0) for _ in range(k)]
+
+
+class TestAlgebraLawProperties:
+    """The algebra laws on drawn algebras, to rounding in the operator norm.
+
+    One polyproduct errs by at most a few d eps ||f|| ||g|| per entry: the
+    correction w sum_j sigma_ij (f_i - f_j)(g_i - g_j) is bounded by the
+    row sums that make up ||f||, and the differences g_i - g_j by 2 ||g||.
+    Each law allows ROUNDING * d = 16 d eps times the norms of its operands.
+    """
+
+    ROUNDING = 16 * EPS
+
+    @given(_algebras())
+    def test_commutative_associative_distributive(self, args):
+        ss, (f, g, h) = _drawn(args, 3)
+        tol = self.ROUNDING * ss.ctx.d
+        nf, ng, nh = op_norm(f), op_norm(g), op_norm(h)
+        fg = polyprod(f, g)
+        assert np.abs(fg.values - polyprod(g, f).values).max() <= tol * nf * ng
+        assoc = polyprod(fg, h).values - polyprod(f, polyprod(g, h)).values
+        assert np.abs(assoc).max() <= tol * nf * ng * nh
+        distr = polyprod(f, g + h).values - (fg + polyprod(f, h)).values
+        assert np.abs(distr).max() <= tol * nf * (ng + nh)
+
+    @given(_algebras())
+    def test_unit_and_inverse(self, args):
+        ss, (f,) = _drawn(args, 1)
+        one = VectorFunction.unit(ss)
+        assert np.array_equal(polyprod(f, one).values, f.values)
+        assert np.array_equal(polyprod(one, f).values, f.values)
+        gv = np.abs(f.gelfand_values())
+        if gv.min() <= 1e-3 * gv.max():
+            return                  # f is (nearly) not invertible
+        g = invert(f)
+        resid = np.abs(polyprod(g, f).values - 1.0).max()
+        assert resid <= self.ROUNDING * ss.ctx.d * op_norm(f) * op_norm(g)
+
+    # w = 5.7e-103: the fiber points come back about 4e-15 from the
+    # centers, so p(z) - w is 4e-15, not ~1e-103, and the plain law
+    # f^ g^ = (f * g)^ misses by 45 d eps ||f|| ||g||.
+    @example(([-1.4346786362610806 - 1.480855798450437j,
+               4.940618973178991e-204 - 1.3978210323148053j,
+               -0.75 - 1.4999999403953552j],
+              [5.658543416434881e-103 - 4.7538840213742625e-104j], 2218))
+    @given(_algebras())
+    def test_homomorphism(self, args):
+        # A computed fiber point z lies on the fiber over p(z) = w + r, not
+        # over w, and there f^ g^ = (f *_{w+r} g)^ exactly; so (f * g)^ -
+        # f^ g^ = r C^ with C_i = sum_j sigma_ij (f_i - f_j)(g_i - g_j).
+        # What is left is rounding, the combination's made larger by at
+        # most the Lebesgue constant max_z sum_j |delta_j(z)|.
+        ss, (f, g) = _drawn(args, 2)
+        ctx, z = ss.ctx, ss.fiber_points
+        r = np.prod(z[:, :, None] - ctx.lambdas, axis=2) - ss.points[:, None]
+        fd = f.values[:, None] - f.values[None]
+        gd = g.values[:, None] - g.values[None]
+        c = np.einsum("ij,ijm,ijm->im", ctx.sigma, fd, gd)
+        off = (polyprod(f, g).gelfand_values()
+               - f.gelfand_values() * g.gelfand_values()
+               - r * ctx.basis_values(z, c[:, :, None]))
+        lebesgue = np.abs(ss.basis_at_fibers).sum(axis=0).max()
+        assert np.abs(off).max() <= (self.ROUNDING * ctx.d * lebesgue
+                                     * op_norm(f) * op_norm(g))
+
+
 class TestCharacteristic:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_unit_gives_binomials(self, d):
@@ -543,6 +641,36 @@ class TestSamplePoints:
         assert refused == repeated
 
 
+class TestValueStorage:
+    """The public constructor copies; arrays the package builds are kept."""
+
+    def test_constructor_copies_into_c_order(self, two_center):
+        _, ss, _, _ = two_center
+        src = np.array([[1.0, 2.0], [3.0, 4.0]]).T[:, :1]     # not C-contiguous
+        f = VectorFunction(ss, src)
+        # spectral_radius_iter reinterprets the values as floats in place
+        assert f.values.flags.c_contiguous and not f.values.flags.writeable
+        assert not np.shares_memory(f.values, src)
+        src[0, 0] = 9.0
+        assert f.values[0, 0] == 1.0
+
+    def test_results_skip_the_copying_constructor(self, two_center, monkeypatch):
+        _, ss, f, g = two_center
+        h = VectorFunction(ss, [[2.0], [1.0]])      # f^ = 2.5 and 0.5
+        calls = []
+        monkeypatch.setattr(VectorFunction, "__init__", lambda *a: calls.append(a))
+        for out in (polyprod(f, g), f + g, f - g, -f, 2.0 * f, f / 2.0, invert(h)):
+            assert not out.values.flags.writeable
+        assert calls == []
+
+    def test_own_checks_what_it_keeps(self, two_center):
+        _, ss, _, _ = two_center
+        with pytest.raises(ValueError, match="shape"):
+            VectorFunction._own(ss, np.zeros((2, 2), dtype=np.complex128))
+        with pytest.raises(ValueError, match="finite"):
+            VectorFunction._own(ss, np.array([[np.nan], [0j]]))
+
+
 class TestOutOfRange:
     def test_match_refuses_nan(self, two_center):
         _, ss, _, _ = two_center
@@ -553,6 +681,20 @@ class TestOutOfRange:
         ctx = AlgebraContext(Centers([1.0, -1.0, 1.0j]))
         with pytest.raises(AlgebraOverflow):
             ctx.basis_values(np.asarray(1e200))
+
+    def test_representation_overflow_raises_without_warnings(self):
+        # f = 1.5e308 at w = 3: f^(+-2) = 1.5e308, but the Lagrange terms
+        # 1.5 f_1 and -0.5 f_2 of f^(2) reach 2.25e308 on the way
+        ss = SampleSet(AlgebraContext(Centers([1.0, -1.0])), [3.0])
+        f = VectorFunction(ss, [[1.5e308], [1.5e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AlgebraOverflow):
+                f.gelfand_values()
+            with pytest.raises(AlgebraOverflow):
+                gelfand_eval(f, 2.0)
+            with pytest.raises(AlgebraOverflow):
+                gelfand_eval(f, np.array([[-2.0], [2.0]]))
 
     def test_sample_far_out_is_accurate(self, two_center):
         # the fiber over 1e300 is {+-1e150}: the start circle of the
@@ -686,6 +828,50 @@ class TestBasisValues:
         ctx = AlgebraContext(Centers([0.5 + 0.2j]))
         assert np.array_equal(ctx.basis_values(np.array([3.0, -1j])),
                               np.ones((1, 2)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 64])
+    def test_combination_matches_the_table(self, d):
+        # sum_j delta_j(z) c_j by the recurrence against the einsum of the
+        # table, in the shapes the package uses (values per sample on its
+        # fiber, a coefficient per point, one vector for all points, one
+        # point), within the first-order rounding bound of the two routes
+        rng = np.random.default_rng(d)
+        lam = _circle_centers(rng, d) if d > 5 else 1.5 * (
+            rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        ctx = AlgebraContext(Centers(lam))
+        ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, 40)
+                                   + 1j * rng.uniform(-1, 1, 40)))
+        c = rng.standard_normal((d, 40)) + 1j * rng.standard_normal((d, 40))
+        z = 2.0 * (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
+        for zs, cs in ((ss.fiber_points, c[:, :, None]),
+                       (z, c[:, :15].reshape(d, 5, 3)),
+                       (z, c[:, 0]),
+                       (np.asarray(0.3 - 0.7j), c[:, 0])):
+            tab = ctx.basis_values(zs)
+            spread = cs.reshape((d,) + (1,) * (zs.ndim - cs.ndim + 1)
+                                + cs.shape[1:])
+            want = np.einsum("j...,j...->...", tab, spread)
+            scale = np.einsum("j...,j...->...", np.abs(tab), np.abs(spread))
+            got = ctx.basis_values(zs, cs)
+            assert got.shape == want.shape
+            assert (np.abs(got - want) <= 4 * d * EPS * scale).all()
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 16, 64])
+    def test_combination_is_exact_at_centers(self, d):
+        rng = np.random.default_rng(d)
+        ctx = AlgebraContext(Centers(_circle_centers(rng, d)))
+        ss = SampleSet(ctx, [0.0, 0.5])
+        f = _rand_function(rng, ss)
+        # the fiber over w = 0 is the centers: f^ there is f(0) bit for bit
+        assert np.array_equal(f.gelfand_values()[0], f.values[:, 0])
+        if d <= 16:   # at d = 64 the monomial p(lambda_k) misses w = 0 by 1e-9
+            assert np.array_equal(gelfand_eval(f, ctx.lambdas), f.values[:, 0])
+        # a center hit among other points, with a coefficient per point
+        z = np.array([[0.25j, ctx.lambdas[-1]], [ctx.lambdas[0], 0.3]])
+        c = rng.standard_normal((d, 2, 2)) + 1j * rng.standard_normal((d, 2, 2))
+        got = ctx.basis_values(z, c)
+        assert got[0, 1] == c[-1, 0, 1] and got[1, 0] == c[0, 1, 0]
+        assert ctx.basis_values(z, c[:, 0, 0])[1, 0] == c[0, 0, 0]
 
 
 def _polyprod_one_shot(f, g):
@@ -909,6 +1095,24 @@ class TestMemory:
         _, peak = peak_alloc(invert, f)
         assert peak <= 0.5 * self.D * self.D * self.M * 16
 
+    def test_no_table_of_basis_values(self, peak_alloc):
+        # O(dm) arrays only: the (d, m, d) table of basis values (26 MB
+        # here) is neither kept by the sample set nor built for f^
+        rng = np.random.default_rng(7)
+        ctx = AlgebraContext(Centers(_circle_centers(rng, self.D)))
+        ws = 1.5 * (rng.uniform(-1, 1, self.M) + 1j * rng.uniform(-1, 1, self.M))
+        ss, peak = peak_alloc(SampleSet, ctx, ws)
+        out = sum(a.nbytes for a in (ss.points, ss.fiber_points,
+                                     ss.fiber_critical))
+        assert peak <= out + 6 * CHUNK_BYTES
+        f = _rand_function(rng, ss)
+        # the values with ell folded in, and a block of the recurrence
+        gv, peak = peak_alloc(f.gelfand_values)
+        assert peak <= gv.nbytes + f.values.nbytes + 2 * CHUNK_BYTES
+        # f^ of a fresh function, its flattened copy, and the clustering
+        _, peak = peak_alloc(spectrum, _rand_function(rng, ss))
+        assert peak <= 3 * gv.nbytes + 4 * CHUNK_BYTES
+
     def test_fiber_batch_builds_row_blocks(self, peak_alloc):
         rng = np.random.default_rng(4)
         cen = Centers(_circle_centers(rng, self.D))
@@ -950,19 +1154,19 @@ class TestWideMemory:
         ss = wide_samples[0]
         got, peak = peak_alloc(SampleSet, ss.ctx, ss.points)
         out = sum(a.nbytes for a in (got.points, got.fiber_points,
-                                     got.fiber_critical, got.basis_at_fibers))
+                                     got.fiber_critical))
         assert peak <= out + 6 * CHUNK_BYTES
 
     def test_polyprod(self, wide_samples, peak_alloc):
-        # the values and the copy their VectorFunction keeps
+        # the values, which their VectorFunction keeps without a copy
         _, f, g = wide_samples
         for args in ((f, g), (f, f)):
             out, peak = peak_alloc(polyprod, *args)
-            assert peak <= 2 * out.values.nbytes + 4 * CHUNK_BYTES
+            assert peak <= out.values.nbytes + 4 * CHUNK_BYTES
 
     def test_invert(self, wide_samples, peak_alloc):
-        # the result, and the verification product with its copy
+        # the result, and the verification product
         _, f, _ = wide_samples
         f.gelfand_values()          # cached on f: not the call's scratch
         out, peak = peak_alloc(invert, f)
-        assert peak <= 3 * out.values.nbytes + 5 * CHUNK_BYTES
+        assert peak <= 2 * out.values.nbytes + 5 * CHUNK_BYTES

@@ -479,13 +479,17 @@ class TestConsoleScript:
           "--poly", '{"coeffs":[-1,0,1]}'], 1),
         (["norm", "--f", F_EDGE_JSON], 1),
         (["polyprod", "--f", F_EDGE_JSON, "--g", F_EDGE_JSON], 1),
+        (["chi", "--matrix", '{"rows":2,"cols":2,"data":[0,1,0,0]}',
+          "--spectrum", '{"entries":[{"alpha":0,"n":1}]}',
+          "--poly", '{"coeffs":[1e-320,0,1e308]}',
+          "--f", '{"centers":[[1,0],[-1,0]],"samples":[{"w":1,"f":[1,2]}]}'], 1),
     ], ids=["gelfand-nan", "gelfand-inf", "basis-nan", "basis-huge-int",
             "fiber-nan", "radical-nan", "matrix-rows-inf", "charfunc-large-lam",
             "basis-large-z", "gelfand-large-z",
             "chi-large-matrix", "hermite-large-matrix", "specmap-large-matrix",
             "gelfand-overflowing-value", "charfunc-overflowing-values",
             "chi-overflowing-beta", "norm-overflowing-row-sums",
-            "polyprod-overflowing-square"])
+            "polyprod-overflowing-square", "chi-overflowing-derivative"])
     def test_out_of_range_inputs_fail_cleanly(self, argv, code):
         proc = subprocess.run(
             [sys.executable, "-m", "multicentric.cli", *argv],

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multicentric.config import CHUNK_BYTES, DEFAULT_TOL
-from multicentric.errors import CentersDegenerate, ConvergenceFailure
+from multicentric.errors import (
+    AlgebraOverflow,
+    CentersDegenerate,
+    ConvergenceFailure,
+)
 from multicentric.polynomials import (
     Centers,
     Polynomial,
@@ -74,6 +78,24 @@ class TestPolynomial:
     def test_derivative(self):
         p = Polynomial([3.0, 0.0, 1.0])  # 3 + z^2
         assert np.allclose(p.derivative().coeffs, [0.0, 2.0])
+
+    def test_overflowing_derivative_raises_without_warnings(self):
+        # finite coefficients whose derivative 2e308 z is not representable
+        p = Polynomial([1e-320, 0.0, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AlgebraOverflow, match="derivative"):
+                p.derivative()
+            with pytest.raises(AlgebraOverflow, match="derivative"):
+                Polynomial([0.0, 0.0, 0.0, 1e308]).derivative(2)
+            # dividing can only underflow, which is not an error
+            q = Polynomial([5e-324, 5e-324]).antiderivative(1e308)
+        assert q.coeffs[0] == 1e308 and np.isfinite(q.coeffs).all()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, np.inf)])
+    def test_constructor_refuses_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            Polynomial([1.0, bad])
 
     def test_monic(self):
         p = Polynomial([2.0, 0.0, 4.0])
