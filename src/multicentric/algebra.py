@@ -12,11 +12,11 @@ centers.  Under the scalar representation
 
 the polyproduct turns into the pointwise product of representations on
 every fiber, which is what all the spectral machinery below exploits.
-The representation is combined straight from the Lagrange form by one
-running-product recurrence over the centers (``basis_values`` with
-coefficients), so the state a sample set keeps is O(dm): its points,
-fibers and criticality flags, never the (d, m, d) table of the delta_j
-on the fibers.
+The representation, and the table of the delta_j when one is asked for,
+come from one Lagrange-form recurrence over the centers
+(``polynomials._lagrange_form`` behind ``basis_values``), so the state a
+sample set keeps is O(dm): its points, fibers and criticality flags,
+never the (d, m, d) table of the delta_j on the fibers.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .polynomials import (
     Centers,
     Fiber,
     _critical_rows,
+    _lagrange_form,
     cluster_points,
     fiber,
     fiber_batch,
@@ -89,10 +90,11 @@ class AlgebraContext:
         d = centers.d
         diff = lam[:, None] - lam[None, :]
         np.fill_diagonal(diff, 1.0)
-        lmat = 1.0 / diff
-        np.fill_diagonal(lmat, 0.0)
         ell = centers.ell
-        sigma = lmat * ell[None, :]
+        with np.errstate(all="ignore"):     # overflow is left to the products
+            lmat = 1.0 / diff
+            np.fill_diagonal(lmat, 0.0)
+            sigma = lmat * ell[None, :]
         for arr in (lmat, sigma):
             arr.flags.writeable = False
         self.Lmat = lmat
@@ -112,95 +114,21 @@ class AlgebraContext:
     def basis_values(self, z, coeffs=None) -> np.ndarray:
         """delta_j(z) for all j, or with ``coeffs`` sum_j delta_j(z) coeffs[j].
 
-        Without ``coeffs``, the table: shape (d,) + z.shape, O(d) work per
-        point.  delta_j(z) = ell_j prod_{k<j} (z - lambda_k) prod_{k>j}
-        (z - lambda_k), built in the output from one forward and one
-        backward running product.  At a center the result is exactly 0 or
-        1: the zeros carry an exact zero factor and the ones are pinned.
-        The points go a block at a time: the running products take 32
-        bytes a point, about CHUNK_BYTES a block, and the checks' boolean
-        masks d bytes a point.
-
         With ``coeffs``, of shape (d,) + s for an s that broadcasts against
-        z.shape, the combination sum_j delta_j(z) coeffs[j], of the
-        broadcast shape, without the table: the running-product form of
-        the first barycentric formula,
-
-            t <- t (z - lambda_j) + ell_j coeffs[j] b,   b <- b (z - lambda_j)
-
-        for j = d-1, ..., 0 from t = 0, b = 1, holds only arrays of the
-        output's shape, a block of about CHUNK_BYTES / 64 points at a
-        time.  Being the Lagrange form itself, it does not assume
-        p(z) = w, as the barycentric shortcut w / (z - lambda_j) would, so
-        it holds at computed fiber points too.  At a center lambda_k
-        (where the full product b ends exactly zero) the result is
-        coeffs[k] bit for bit.
-
-        Raises AlgebraOverflow when a value is not finite (z or the
-        coefficients too large for floating point).
+        z.shape, the combination, of the broadcast shape, by the Lagrange
+        recurrence ``polynomials._lagrange_form`` over the centers: O(d)
+        work a point, and coeffs[k] bit for bit at a center lambda_k.
+        Without, the table, of shape (d,) + z.shape: the same recurrence
+        with identity coefficients, O(d^2) work a point, exactly 0 or 1 at
+        the centers.  Raises AlgebraOverflow when a value is not finite.
         """
         z = np.asarray(z, dtype=np.complex128)
-        lam, ell, d = self.lambdas, self.ell, self._d
         if coeffs is not None:
-            c = np.asarray(coeffs, dtype=np.complex128)
-            if c.shape[:1] != (d,):
-                raise ValueError(f"coeffs must have {d} rows, got shape {c.shape}")
-            shape = np.broadcast_shapes(z.shape, c.shape[1:])
-            out = np.empty(shape, dtype=np.complex128)
-            if out.size == 0:
-                return out
-            # a 0-d call is one row; z and c are sliced only along a
-            # leading axis of the output's length they carry themselves
-            zs, cs, res = (z, c, out) if shape else (z[None], c[:, None], out[None])
-            z_rows = zs.ndim == res.ndim and zs.shape[0] == res.shape[0]
-            c_rows = cs.ndim - 1 == res.ndim and cs.shape[1] == res.shape[0]
-            cl = cs * ell.reshape((d,) + (1,) * (cs.ndim - 1))   # ell folded in
-            for rows in blocks(res.shape[0], 64 * res[0].size):
-                zr = zs[rows] if z_rows else zs
-                cr = cl[:, rows] if c_rows else cl
-                t = res[rows]                                    # view
-                with np.errstate(all="ignore"):
-                    t[...] = cr[d - 1]
-                    b = zr - lam[d - 1]
-                    fac, term = np.empty_like(b), np.empty_like(t)
-                    for j in range(d - 2, -1, -1):
-                        np.subtract(zr, lam[j], out=fac)
-                        t *= fac
-                        np.multiply(cr[j], b, out=term)
-                        t += term
-                        b *= fac        # the last update finds center hits
-                if not np.isfinite(t).all():
-                    raise AlgebraOverflow(
-                        "basis combination is not finite at the given z")
-                if not b.all():             # an exact center hit, or underflow
-                    for k in range(d):
-                        at = np.broadcast_to(zr == lam[k], t.shape)
-                        t[at] = np.broadcast_to(cs[k, rows] if c_rows else cs[k],
-                                                t.shape)[at]
-            return out
-        out = np.empty((d,) + z.shape, dtype=np.complex128)
-        flat, zall = out.reshape(d, -1), z.reshape(-1)   # views
-        for cols in blocks(zall.size, 32):
-            part, zf = flat[:, cols], zall[cols]         # views
-            acc = np.ones_like(zf)
-            fac = np.empty_like(zf)
-            with np.errstate(all="ignore"):
-                part[0] = 1.0
-                for j in range(1, d):        # part[j] = prod_{k<j} (z - lambda_k)
-                    np.subtract(zf, lam[j - 1], out=fac)
-                    np.multiply(part[j - 1], fac, out=part[j])
-                for j in range(d - 1, -1, -1):   # acc = prod_{k>j} (z - lambda_k)
-                    np.multiply(acc, ell[j], out=fac)
-                    part[j] *= fac
-                    if j:
-                        np.subtract(zf, lam[j], out=fac)
-                        acc *= fac
-            # ell_j prod_{k != j} (lambda_j - lambda_k) may be off by an
-            # ulp, so exact center hits are pinned to exact unit values.
-            if not np.isfinite(part).all():
-                raise AlgebraOverflow("basis values are not finite at the given z")
-            part[zf == lam[:, None]] = 1.0
-        return out
+            return _lagrange_form(self.lambdas, z, coeffs)
+        # basis index last, so the blocks run over the points, then first
+        d = self._d
+        eye = np.eye(d, dtype=np.complex128).reshape((d,) + (1,) * z.ndim + (d,))
+        return np.moveaxis(_lagrange_form(self.lambdas, z[..., None], eye), -1, 0)
 
     def fiber(self, w) -> Fiber:
         return fiber(self.centers, w, self.tol)
@@ -265,13 +193,6 @@ class SampleSet:
         self.fiber_critical = flags
 
     @property
-    def basis_at_fibers(self) -> np.ndarray:
-        """delta_j at every fiber point, shape (d, m, d); built on each access."""
-        out = self.ctx.basis_values(self.fiber_points)
-        out.flags.writeable = False
-        return out
-
-    @property
     def m(self) -> int:
         return len(self.points)
 
@@ -282,7 +203,7 @@ class SampleSet:
         i = int(np.argmin(gaps))
         if not gaps[i] <= MATCH_RTOL * max(1.0, abs(w)):
             raise SampleMiss(
-                f"no sample matches w={w!r}; nearest is {self.points[i]!r} "
+                f"no sample matches w={w!r}; nearest is {complex(self.points[i])!r} "
                 f"at distance {gaps[i]:.3e}"
             )
         return i

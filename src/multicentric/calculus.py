@@ -207,16 +207,23 @@ def simplifying_poly(s: SpectrumData, c=0.0) -> Polynomial:
 
 
 def simplifying_residual(p: Polynomial, s: SpectrumData) -> float:
-    """Worst scaled magnitude of p^(j)(alpha_k) for 1 <= j <= n_k."""
+    """Worst scaled magnitude of p^(j)(alpha_k) for 1 <= j <= n_k.
+
+    Raises AlgebraOverflow when a derivative value is not finite.
+    """
     import numpy.polynomial.polynomial as npp
 
     worst = 0.0
     for a, n in s.entries:
         dp = p
-        for _ in range(n):
+        for j in range(1, n + 1):
             dp = dp.derivative()
-            val = abs(dp(a))
-            sc = max(1.0, float(npp.polyval(abs(a), np.abs(dp.coeffs)).real))
+            with np.errstate(all="ignore"):
+                val = abs(dp(a))
+                sc = max(1.0, float(npp.polyval(abs(a), np.abs(dp.coeffs)).real))
+            if not np.isfinite(val):
+                raise AlgebraOverflow(
+                    f"derivative {j} of p is not finite at alpha={complex(a)!r}")
             worst = max(worst, val / sc)
     return worst
 

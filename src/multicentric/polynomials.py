@@ -645,7 +645,9 @@ class Centers:
     @property
     def poly(self) -> Polynomial:
         if self._poly is None:
-            self._poly = Polynomial.from_roots(self.lambdas)
+            with np.errstate(all="ignore"):
+                self._poly = _computed(npp.polyfromroots(self.lambdas),
+                                       "center polynomial")
         return self._poly
 
     @property
@@ -658,10 +660,7 @@ class Centers:
     def ell(self) -> np.ndarray:
         """ell_j = 1/p'(lambda_j) = 1/prod_{k != j} (lambda_j - lambda_k)."""
         if self._ell is None:
-            diff = self.lambdas[:, None] - self.lambdas[None, :]
-            np.fill_diagonal(diff, 1.0)
-            with np.errstate(all="ignore"):
-                ell = 1.0 / np.prod(diff, axis=1)
+            ell = _lagrange_weights(self.lambdas)
             ell.flags.writeable = False
             self._ell = ell
         return self._ell
@@ -679,8 +678,9 @@ class Centers:
     def critical_values(self) -> np.ndarray:
         if self._critvals is None:
             cp = self.critical_points
-            self._critvals = np.asarray(self.poly(cp), dtype=np.complex128) \
-                if cp.size else np.empty(0, dtype=np.complex128)
+            # a value beyond the float range is inf: no finite w is near it
+            with np.errstate(all="ignore"):
+                self._critvals = np.asarray(self.poly(cp), dtype=np.complex128)
         return self._critvals
 
     def __repr__(self):
@@ -712,21 +712,26 @@ def _critical_rows(dcoeffs, points, ws, critical_values,
     """Criticality of each fiber row; ``points`` has shape (m, d).
 
     Row i is critical when p' is small at one of its points, relative to
-    the magnitude of p' accumulated there, or when w_i lies within
-    crit_tol of a known critical value.  Rows are tested a block at a
-    time, so the scratch is a few CHUNK_BYTES whatever the row count.
+    the magnitude of p' accumulated there (floored at 1), or when w_i
+    lies within crit_tol of a known critical value.  As in
+    :func:`_aberth`, p', its magnitude and the floor are all scaled by
+    2^-64, which is exact in range and keeps both sides finite where the
+    points are near the float limit.  Rows are tested a block at a time,
+    so the scratch is a few CHUNK_BYTES whatever the row count.
     """
-    absd, crit = np.abs(dcoeffs), np.asarray(critical_values)
+    dcs, absd = dcoeffs * _DOWN, np.abs(dcoeffs) * _DOWN
+    crit = np.asarray(critical_values)
     flags = np.empty(len(ws), dtype=bool)
-    for rows in blocks(len(ws), 16 * points.shape[1]):
-        dv, _, dscale = _horner(points[rows], dcoeffs, abscoeffs=absd)
-        dv = np.abs(dv)
-        dscale = np.maximum(dscale, 1.0)
-        flags[rows] = np.any(dv <= tol.crit_tol * dscale, axis=1)
-        if crit.size:
-            gaps = np.abs(ws[rows, None] - crit[None, :])
-            wscale = np.maximum(1.0, np.abs(ws[rows]))[:, None]
-            flags[rows] |= np.any(gaps <= tol.crit_tol * wscale, axis=1)
+    with np.errstate(all="ignore"):
+        for rows in blocks(len(ws), 16 * points.shape[1]):
+            dv, _, dscale = _horner(points[rows], dcs, abscoeffs=absd)
+            dv = np.abs(dv)
+            dscale = np.maximum(dscale, _DOWN)
+            flags[rows] = np.any(dv <= tol.crit_tol * dscale, axis=1)
+            if crit.size:
+                gaps = np.abs(ws[rows, None] - crit[None, :])
+                wscale = np.maximum(1.0, np.abs(ws[rows]))[:, None]
+                flags[rows] |= np.any(gaps <= tol.crit_tol * wscale, axis=1)
     return flags
 
 
@@ -758,26 +763,88 @@ def lagrange_basis(centers: Centers) -> list[Polynomial]:
     return out
 
 
-def _lagrange_terms(nodes, z):
-    """Yield the Lagrange basis delta_j at ``z`` for each node j in order.
+def _lagrange_weights(nodes) -> np.ndarray:
+    """The weights 1 / prod_{k != j} (x_j - x_k) of each row of ``nodes``.
 
-    ``nodes`` is one row of shape (n,) or a stack of m rows of shape
-    (m, n); each yielded array has shape z.shape or (m,) + z.shape.
-    delta_j is prod_{k != j} (z - n_k) / (n_j - n_k) over its row,
-    multiplied in node order.
+    ``nodes`` is one row (n,) or a stack (rows, n), and the weights have
+    its shape; a row of a stack is bit for bit the row alone.  The (rows,
+    n, n) differences are built a block of about CHUNK_BYTES at a time.
+    Coinciding nodes or overflow give non-finite weights, unwarned.
+    """
+    nodes = np.asarray(nodes, dtype=np.complex128)
+    stack = nodes.reshape(-1, nodes.shape[-1])
+    n = stack.shape[1]
+    out = np.empty(stack.shape, dtype=np.complex128)
+    idx = np.arange(n)
+    for rows in blocks(len(stack), 16 * n * n):
+        diff = stack[rows, :, None] - stack[rows, None, :]
+        diff[:, idx, idx] = 1.0
+        with np.errstate(all="ignore"):
+            np.divide(1.0, np.prod(diff, axis=-1), out=out[rows])
+        del diff                    # before the next block is built
+    return out.reshape(nodes.shape)
+
+
+def _lagrange_form(nodes, z, coeffs) -> np.ndarray:
+    """sum_j delta_j(z) coeffs[j], delta_j the Lagrange basis of the nodes.
+
+    ``nodes`` is one row (n,) shared by every point, or one row per row
+    of the output (rows, n).  ``coeffs`` has shape (n,) + s for an s that
+    broadcasts against z.shape, and the result has the broadcast shape.
+    The running-product form of the first barycentric formula,
+
+        t <- t (z - x_j) + w_j coeffs[j] b,   b <- b (z - x_j)
+
+    for j = n-1, ..., 0 from t = 0, b = 1 (w_j from
+    :func:`_lagrange_weights`), is backward stable, does not assume that
+    z lies on a fiber of the nodes, and holds only arrays of the output's
+    shape, a block of about CHUNK_BYTES / 64 points at a time.  Where z
+    hits a node x_k exactly (b ends exactly zero) the result is coeffs[k]
+    bit for bit.  Raises AlgebraOverflow, unwarned, on a non-finite value.
     """
     nodes = np.asarray(nodes, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
-    cols = nodes.T                 # cols[k]: node k of every row
-    if nodes.ndim == 2:
-        cols = cols.reshape(cols.shape + (1,) * z.ndim)
-    shape = nodes.shape[:-1] + z.shape
-    for j in range(len(cols)):
-        acc = np.ones(shape, dtype=np.complex128)
-        for k in range(len(cols)):
-            if k != j:
-                acc = acc * (z - cols[k]) / (cols[j] - cols[k])
-        yield acc
+    c = np.asarray(coeffs, dtype=np.complex128)
+    n = nodes.shape[-1]
+    if c.shape[:1] != (n,):
+        raise ValueError(f"coeffs must have {n} rows, got shape {c.shape}")
+    shape = np.broadcast_shapes(z.shape, c.shape[1:])
+    out = np.empty(shape, dtype=np.complex128)
+    if out.size == 0:
+        return out
+    # a 0-d call is one row.  z, the coefficients, and x[j] and w[j] (node
+    # j and its weight, shared or one per row) are spread to the output's
+    # rank and sliced along a leading axis of its length they carry.
+    res = out if shape else out[None]
+    zs = z.reshape((1,) * (res.ndim - z.ndim) + z.shape)
+    cs = c.reshape((n,) + (1,) * (res.ndim + 1 - c.ndim) + c.shape[1:])
+    xs = nodes.T.reshape((n, -1) + (1,) * (res.ndim - 1))
+    ws = _lagrange_weights(nodes).T.reshape(xs.shape)
+    rows_of = [a.shape[1] == res.shape[0] for a in (cs, xs, ws)]
+    for rows in blocks(res.shape[0], 64 * res[0].size):
+        zr = zs[rows] if zs.shape[0] == res.shape[0] else zs
+        cr, x, wts = (a[:, rows] if sliced else a
+                      for a, sliced in zip((cs, xs, ws), rows_of))
+        t = res[rows]                                        # view
+        with np.errstate(all="ignore"):
+            cw = cr * wts
+            t[...] = cw[n - 1]
+            b = zr - x[n - 1]
+            fac, term = np.empty_like(b), np.empty_like(t)
+            for j in range(n - 2, -1, -1):
+                np.subtract(zr, x[j], out=fac)
+                t *= fac
+                np.multiply(cw[j], b, out=term)
+                t += term
+                b *= fac            # the last update finds node hits
+            if not (b.all() and np.isfinite(t).all()):
+                for k in range(n):  # exact node hits, then overflow
+                    at = np.broadcast_to(zr == x[k], t.shape)
+                    t[at] = np.broadcast_to(cr[k], t.shape)[at]
+                if not np.isfinite(t).all():
+                    raise AlgebraOverflow(
+                        "Lagrange combination is not finite at the given z")
+    return out
 
 
 def critical_points(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

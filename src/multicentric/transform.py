@@ -4,8 +4,10 @@ gelfand_eval goes forward: f^(z) = sum_j delta_j(z) f_j(p(z)), reading
 f_j(p(z)) off the stored samples; it lives in :mod:`algebra` and is
 re-exported here.  inverse_transform goes backward: given the scalar
 values on one full fiber, or on every fiber of a SampleSet at once, it
-recovers the vector f(w) through Lagrange interpolation on the fiber
-nodes.
+recovers the vector f(w) by Lagrange interpolation on the fiber nodes,
+evaluated at the centers by the same kernel as the forward direction
+(``polynomials._lagrange_form``, one row of nodes per fiber), O(d^2) a
+fiber.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .algebra import AlgebraContext, SampleSet, VectorFunction, gelfand_eval
 from .config import MATCH_RTOL
 from .errors import ContextMismatch, CriticalValue, MalformedInput
-from .polynomials import Fiber, Polynomial, _lagrange_terms, lagrange_basis
+from .polynomials import Fiber, Polynomial, _lagrange_form, lagrange_basis
 
 __all__ = [
     "gelfand_eval",
@@ -50,7 +52,7 @@ def _phi_values_at(phi, pts: np.ndarray) -> np.ndarray:
         j = int(np.argmin(gaps))
         if gaps[j] > MATCH_RTOL * max(1.0, abs(z)):
             raise MalformedInput(
-                f"no scalar value supplied for fiber point {z!r} "
+                f"no scalar value supplied for fiber point {complex(z)!r} "
                 f"(nearest given point at distance {gaps[j]:.3e})"
             )
         out[i] = vs[j]
@@ -65,7 +67,8 @@ def inverse_transform(ctx: AlgebraContext, phi, w) -> np.ndarray:
     already solved :class:`Fiber` over it, giving shape (d,), or a
     :class:`SampleSet`, whose fibers are all inverted at once, giving
     shape (d, m).  Refuses critical w, where the fiber nodes coalesce and
-    interpolation breaks down; the first critical sample is named.
+    interpolation breaks down; the first critical sample is named.  Raises
+    AlgebraOverflow when a value is not finite.
     """
     if isinstance(w, SampleSet):
         if not ctx.same_as(w.ctx):
@@ -78,13 +81,7 @@ def inverse_transform(ctx: AlgebraContext, phi, w) -> np.ndarray:
         i = int(np.argmax(crit))
         raise CriticalValue(f"w={complex(ws[i])!r} is (numerically) a critical value")
     vals = _phi_values_at(phi, nodes.ravel()).reshape(nodes.shape)
-    # sum over j of delta_j(lambda_k; w_i) phi(z_j(w_i)), added up in node
-    # order one (m, d) term at a time: the (d, m, d) basis is never held
-    terms = (delta * vals[:, j, None]
-             for j, delta in enumerate(_lagrange_terms(nodes, ctx.lambdas)))
-    out = next(terms)
-    for term in terms:
-        out += term
+    out = _lagrange_form(nodes, ctx.lambdas, vals.T[:, :, None])
     return out.T if isinstance(w, SampleSet) else out[0]
 
 

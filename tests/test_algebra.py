@@ -394,7 +394,7 @@ class TestAlgebraLawProperties:
         off = (polyprod(f, g).gelfand_values()
                - f.gelfand_values() * g.gelfand_values()
                - r * ctx.basis_values(z, c[:, :, None]))
-        lebesgue = np.abs(ss.basis_at_fibers).sum(axis=0).max()
+        lebesgue = np.abs(ctx.basis_values(z)).sum(axis=0).max()
         assert np.abs(off).max() <= (self.ROUNDING * ctx.d * lebesgue
                                      * op_norm(f) * op_norm(g))
 
@@ -822,7 +822,7 @@ class TestBasisValues:
         z = np.array([[ctx.lambdas[-1], 0.25j]])
         assert np.array_equal(ctx.basis_values(z)[:, 0, 0], np.eye(d)[-1])
         ss = SampleSet(ctx, [0.0, 0.5])
-        assert np.array_equal(ss.basis_at_fibers[:, 0, :], np.eye(d))
+        assert np.array_equal(ctx.basis_values(ss.fiber_points)[:, 0, :], np.eye(d))
 
     def test_single_center_is_one(self):
         ctx = AlgebraContext(Centers([0.5 + 0.2j]))
@@ -855,6 +855,24 @@ class TestBasisValues:
             got = ctx.basis_values(zs, cs)
             assert got.shape == want.shape
             assert (np.abs(got - want) <= 4 * d * EPS * scale).all()
+
+    def test_combination_against_mpmath(self, lagrange_oracle):
+        # f^ on three d = 64 computed fibers against the Lagrange form at
+        # 30 digits from the same double centers and points.  First-order
+        # rounding of the recurrence: the weights (d - 1 differences and
+        # complex products and a quotient), the fold into the coefficients
+        # and d - 1 updates of t give under 5 d eps of each term's size.
+        d = 64
+        rng = np.random.default_rng(d)
+        ctx = AlgebraContext(Centers(_circle_centers(rng, d)))
+        ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, 3)
+                                   + 1j * rng.uniform(-1, 1, 3)))
+        f = _rand_function(rng, ss)
+        got = f.gelfand_values()
+        for i in range(ss.m):
+            coeffs = np.repeat(f.values[:, i, None], d, axis=1)
+            want, size = lagrange_oracle(ctx.lambdas, ss.fiber_points[i], coeffs)
+            assert (np.abs(got[i] - want) <= 5 * d * EPS * size).all()
 
     @pytest.mark.parametrize("d", [1, 2, 4, 16, 64])
     def test_combination_is_exact_at_centers(self, d):

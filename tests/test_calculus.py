@@ -10,6 +10,7 @@ interpolant of the scalar representation on the spectrum.
 """
 
 import math
+import warnings
 
 import numpy as np
 import numpy.linalg as npl
@@ -139,6 +140,15 @@ class TestSimplifyingPoly:
         s = SpectrumData([(0.0, 2)])
         p = Polynomial([0.0, -1.0, 0.0, 1.0])  # z^3 - z, p'(0) = -1
         assert simplifying_residual(p, s) > 0.1
+
+    @pytest.mark.parametrize("alpha", [1e308, -1e308j, 1.7e308])
+    def test_residual_overflow_raises_without_warnings(self, alpha):
+        # p'(alpha) = 2 alpha leaves the float range
+        s = SpectrumData([(alpha, 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AlgebraOverflow, match="derivative 1"):
+                simplifying_residual(Polynomial([1.0, 0.0, 1.0]), s)
 
 
 class TestEnsureSimpleRoots:

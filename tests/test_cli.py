@@ -8,6 +8,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,50 @@ class TestCommands:
         assert got["passed"] is True
         assert len(got["cases"]) == 5
         assert all(c["measure"] < 1e-10 for c in got["cases"])
+
+
+class TestFloatLimit:
+    """Finite inputs at the float limit: an answer, or exit 1 or 2."""
+
+    # p = (z - 1)(z + 1e308): p' and its magnitude overflow at -1e308
+    EDGE = "[[1,0],-1e308]"
+
+    def run_quietly(self, capsys, *argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_json(capsys, *argv)
+
+    def test_fiber_over_zero_is_the_regular_centers(self, capsys):
+        got = self.run_quietly(capsys, "fiber", "--centers", self.EDGE, "--w", "0")
+        assert [as_complex(t) for t in got["points"]] == [1.0, -1e308]
+        assert got["is_critical"] is False
+
+    def test_invtransform_over_zero_returns_phi_at_the_centers(self, capsys):
+        phi = json.dumps([{"w": 0, "values": [{"z": 1, "phi": [2, 1]},
+                                              {"z": -1e308, "phi": -3}]}])
+        got = self.run_quietly(capsys, "invtransform", "--centers", self.EDGE,
+                               "--phi", phi)
+        assert [as_complex(t) for t in got["samples"][0]["f"]] == [2 + 1j, -3]
+
+
+class TestMessages:
+    """Error messages print plain Python numbers, not numpy reprs."""
+
+    def test_sample_miss_names_the_nearest_sample(self, capsys):
+        # p(5) = 24 is not sampled; the only sample is w = 3
+        code, _, err = run(capsys, "gelfand", "--f", F_JSON, "--z", "[5,0]")
+        assert code == 2
+        assert_one_error_line(err, "SampleMiss", "w=(24+0j); nearest is (3+0j) ")
+
+    def test_missing_phi_names_the_fiber_point(self, capsys):
+        # the fiber over 1e300 is {+-1e150}, far from the given points
+        phi = json.dumps([{"w": 1e300, "values": [{"z": 1, "phi": 2},
+                                                  {"z": -1, "phi": 3}]}])
+        code, _, err = run(capsys, "invtransform", "--centers", CENTERS,
+                           "--phi", phi)
+        assert code == 2
+        assert_one_error_line(err, "MalformedInput",
+                              "fiber point (1e+150+0j) (nearest")
 
 
 class TestFlagsAndFormats:
@@ -483,13 +528,18 @@ class TestConsoleScript:
           "--spectrum", '{"entries":[{"alpha":0,"n":1}]}',
           "--poly", '{"coeffs":[1e-320,0,1e308]}',
           "--f", '{"centers":[[1,0],[-1,0]],"samples":[{"w":1,"f":[1,2]}]}'], 1),
+        (["chi", "--matrix", A_JSON,
+          "--spectrum", '{"entries":[{"alpha":[0,1e308],"n":1}]}',
+          "--f", FC_JSON], 1),
+        (["fiber", "--centers", "[[1,1e308],1e308]", "--w", "0"], 1),
     ], ids=["gelfand-nan", "gelfand-inf", "basis-nan", "basis-huge-int",
             "fiber-nan", "radical-nan", "matrix-rows-inf", "charfunc-large-lam",
             "basis-large-z", "gelfand-large-z",
             "chi-large-matrix", "hermite-large-matrix", "specmap-large-matrix",
             "gelfand-overflowing-value", "charfunc-overflowing-values",
             "chi-overflowing-beta", "norm-overflowing-row-sums",
-            "polyprod-overflowing-square", "chi-overflowing-derivative"])
+            "polyprod-overflowing-square", "chi-overflowing-derivative",
+            "chi-alpha-at-the-float-limit", "fiber-overflowing-center-poly"])
     def test_out_of_range_inputs_fail_cleanly(self, argv, code):
         proc = subprocess.run(
             [sys.executable, "-m", "multicentric.cli", *argv],

@@ -63,9 +63,11 @@ COMMANDS = [
 ]
 
 DELETE = object()
-# Type swaps, bools, strings, fractional integers, empty arrays, NaN and
-# numbers beyond the float range (JSON reads 1e400 as infinity).
+# Type swaps, bools, strings, fractional integers, empty arrays, NaN,
+# finite numbers at the float limit and numbers beyond the float range
+# (JSON reads 1e400 as infinity).
 MUTANTS = [DELETE, True, False, None, "1", "x", 0.5, 2.5, -1, 0, 3,
+           1e308, -1e308,
            10 ** 400, -10 ** 400, float("nan"), float("inf"), float("-inf"),
            [], {}, [1, 2, 3], [[0, 0]], {"a": 1}, [True, 0], [0.5, 1e-3]]
 # Whole-argument texts: a directory, a missing file, broken JSON, nesting
@@ -150,8 +152,15 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 # again when f^ began to be combined by the Lagrange recurrence instead
 # of from the table of basis values: their printed values move by at
 # most 1.0e-15 absolute (a few ulps), the verify-all measures by at most
-# 2.9e-15 absolute at seeds 0-9, with the same verdicts.  Other numpy
-# builds may round the last digit differently.
+# 2.9e-15 absolute at seeds 0-9, with the same verdicts.  characters-0,
+# characters-w and verify-all were recorded again when the table of basis
+# values began to come from the same recurrence with identity
+# coefficients: characters-0 prints 0.0 where it printed -0.0 (the
+# centers are pinned to exact rows of the identity), characters-w moves
+# its characters by an ulp or two, and verify-all moves only its
+# characters and norm-blowup measures by rounding, with the same
+# verdicts at seeds 0-9.  Other numpy builds may round the last digit
+# differently.
 RECORDED_WITH = ("2.4.6", "x86_64")
 SESSION_DIGESTS = {
     "fiber-1": (0, "21c02c3d091dd3e3"),
@@ -161,15 +170,15 @@ SESSION_DIGESTS = {
     "invert": (0, "196e30b534810919"),
     "spectrum": (0, "90fa2ea3a276ed29"),
     "charfunc": (0, "9e113e5162cbbc33"),
-    "characters-0": (0, "efc8fc5a49af2453"),
-    "characters-w": (0, "d054872f97115bef"),
+    "characters-0": (0, "29f57b684fadd698"),
+    "characters-w": (0, "4374643db02f2115"),
     "roots": (0, "8018d05808642530"),
     "chi": (0, "21baaf2f722f2b7b"),
     "specmap": (0, "71bcbbf5b14e79e6"),
     "roots-wilkinson20": (1, "e3b0c44298fc1c14"),
     "roots-wide-range": (1, "e3b0c44298fc1c14"),
     "malformed-json": (2, "e3b0c44298fc1c14"),
-    "verify-all": (0, "10eedfaa1b77dd81"),
+    "verify-all": (0, "42cf1a06f9e7d802"),
 }
 
 

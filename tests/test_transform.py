@@ -5,6 +5,8 @@ the fiber over 3 is {2, -2}, the representation takes 3 at z = 2 and
 -1 at z = -2, and the fiber Lagrange weight delta_1(1; w=3) is 3/4.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from multicentric.errors import (
     MalformedInput,
     SampleMiss,
 )
-from multicentric.polynomials import Centers
+from multicentric.polynomials import Centers, _lagrange_weights
 from multicentric.transform import (
     gelfand_eval,
     inverse_transform,
@@ -36,6 +38,9 @@ def two_center():
     ss = SampleSet(ctx, [3.0])
     f = VectorFunction(ss, [[2.0], [0.0]])
     return ctx, ss, f
+
+
+EPS = np.finfo(float).eps
 
 
 def _random_context(rng, d, box=1.5):
@@ -160,6 +165,64 @@ class TestInverseTransform:
         ctx, _, _ = two_center
         with pytest.raises(MalformedInput):
             inverse_transform(ctx, {2.1: 3.0, -2.0: -1.0}, 3.0)
+
+
+class TestLagrangeForm:
+    """inverse_transform through the Lagrange kernel of the fiber nodes."""
+
+    @pytest.mark.parametrize("d", [4, 16, 32])
+    def test_against_mpmath(self, d, lagrange_oracle):
+        # f_k(w) = sum_j delta_j(lambda_k; w) phi(z_j) against the same sum
+        # at 30 digits from the same double fibers and centers, within the
+        # first-order rounding bound 5 d eps sum_j |delta_j phi(z_j)| of the
+        # recurrence (see test_algebra's forward check)
+        rng = np.random.default_rng(d)
+        k = np.arange(d) + rng.uniform(-0.2, 0.2, d)
+        lam = (1.0 + rng.uniform(-0.06, 0.06, d)) * np.exp(2j * np.pi * k / d)
+        ctx = AlgebraContext(Centers(lam))
+        ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, 5)
+                                   + 1j * rng.uniform(-1, 1, 5)))
+        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        got = inverse_transform(ctx, lambda z: np.exp(a * z + b), ss)
+        for i, nodes in enumerate(ss.fiber_points):
+            phi = np.repeat(np.exp(a * nodes + b)[:, None], d, axis=1)
+            want, size = lagrange_oracle(nodes, ctx.lambdas, phi)
+            assert (np.abs(got[:, i] - want) <= 5 * d * EPS * size).all()
+
+    def test_over_zero_returns_phi_at_the_centers_bit_for_bit(self):
+        # the fiber over 0 is the centers, and each center is an exact
+        # node hit of the kernel
+        rng = np.random.default_rng(50)
+        for _ in range(50):
+            d = int(rng.integers(1, 17))
+            ctx = AlgebraContext(Centers(1.5 * (rng.standard_normal(d)
+                                                + 1j * rng.standard_normal(d))))
+            vals = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            phi = dict(zip(ctx.lambdas.tolist(), vals.tolist()))
+            assert inverse_transform(ctx, phi, 0.0).tobytes() == vals.tobytes()
+
+    def test_overflowing_inverse_raises_without_warnings(self):
+        # centers {10, -10}: the fiber over -99 is {1, -1}, and
+        # f_1 = 5.5 phi(1) - 4.5 phi(-1) leaves the float range
+        ctx = AlgebraContext(Centers([10.0, -10.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AlgebraOverflow):
+                inverse_transform(ctx, {1.0: 1e308, -1.0: -1e308}, -99.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 17, 64])
+    def test_weights_are_the_ell_of_the_centers(self, d):
+        # Centers.ell is 1 / prod_{k != j} (lambda_j - lambda_k) bit for
+        # bit, and a stack of node rows gives each row's weights as alone
+        rng = np.random.default_rng(d)
+        lam = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        diff = lam[:, None] - lam[None, :]
+        np.fill_diagonal(diff, 1.0)
+        assert Centers(lam).ell.tobytes() == (1.0 / np.prod(diff, axis=1)).tobytes()
+        stack = rng.standard_normal((300, d)) + 1j * rng.standard_normal((300, d))
+        weights = _lagrange_weights(stack)
+        for row, got in zip(stack, weights):
+            assert got.tobytes() == _lagrange_weights(row).tobytes()
 
 
 class TestRoundTrips:
