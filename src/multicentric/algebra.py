@@ -166,8 +166,7 @@ class SampleSet:
         if (srt[1:] == srt[:-1]).any():
             raise ValueError("sample points must be pairwise distinct")
         fibers = fiber_batch(ctx.centers, pts, ctx.tol)
-        flags = _critical_rows(ctx.centers.deriv.coeffs, fibers, pts,
-                               ctx.centers.critical_values, ctx.tol)
+        flags = _critical_rows(ctx.centers, fibers, pts, ctx.tol)
         self._set(ctx, pts, fibers, flags)
 
     @classmethod

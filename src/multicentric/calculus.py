@@ -33,8 +33,8 @@ from .errors import (
     NoSimpleShiftFound,
     NotSimplifying,
 )
-from .polynomials import (Polynomial, cluster_points, refine_multiple_root,
-                          roots)
+from .polynomials import (Polynomial, _magnitudes, cluster_points,
+                          refine_multiple_root, roots)
 
 __all__ = [
     "SpectrumData",
@@ -258,11 +258,8 @@ def ensure_simple_roots(p: Polynomial, c_seed=0.0, avoid=(),
             # them.  The derivative betrays the fake: at a true simple
             # root |q'(r)| is of the order of the separation product, at
             # a near-multiple cluster it collapses toward zero.
-            dq = q.derivative()
-            dmag = np.abs(np.asarray(dq(rts)))
-            dref = np.polynomial.polynomial.polyval(
-                np.abs(rts), np.abs(dq.coeffs)).real
-            if np.any(dmag <= 1e-5 * np.maximum(1.0, dref)):
+            dmag, dref = _magnitudes(q.derivative().coeffs, rts)
+            if np.any(dmag <= 1e-5 * dref):
                 continue
         if avoid.size and np.abs(rts[:, None] - avoid[None, :]).min() \
                 <= tol.crit_tol * scale:
@@ -388,8 +385,7 @@ def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction,
     return chi
 
 
-def hermite_matrix_function(a, s: SpectrumData, values,
-                            tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def hermite_matrix_function(a, s: SpectrumData, values) -> np.ndarray:
     """Classical polynomial calculus from derivative data (oracle route).
 
     values[k] supplies [phi(alpha_k), ..., phi^(n_k)(alpha_k)].  For a

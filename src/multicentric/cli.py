@@ -279,7 +279,7 @@ def cmd_chi(args, tol) -> int:
 def cmd_hermite(args, tol) -> int:
     a, s = _matrix_and_spectrum(args)
     data = _read(args, "values", _decode_rows)
-    _emit(ser.encode_matrix(hermite_matrix_function(a, s, data, tol)), args)
+    _emit(ser.encode_matrix(hermite_matrix_function(a, s, data)), args)
     return 0
 
 

@@ -8,10 +8,10 @@ singular value in two tiers: Johnson's O(n^2) bound on the absolute
 values (``_johnson``), then, for the matrices it leaves, a shifted
 Cholesky factorisation of their Gram matrices (``_certified``).  Only
 the matrices neither tier clears get singular values, and refusals are
-decided and named by singular values only.  Eigenvalues go through the
-characteristic polynomial (Faddeev-LeVerrier recursion) and the
-simultaneous root finder, which caps the supported dimension; both take
-one matrix or a stack.
+decided and named by singular values only.  Eigenvalues are the roots
+of the characteristic polynomial (Faddeev-LeVerrier recursion), which
+caps the supported dimension; for one matrix or a stack alike they are
+``roots(char_poly(a))``, as ``roots`` takes a stack's coefficient rows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances, blocks
 from .errors import AlgebraOverflow, DimensionTooLarge, SingularMatrix
-from .polynomials import Polynomial, _roots_rows, roots
+from .polynomials import Polynomial, roots
 
 __all__ = [
     "EIG_DIM_CAP",
@@ -268,9 +268,8 @@ def eigenvalues(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """All eigenvalues with multiplicity, dimension capped at EIG_DIM_CAP.
 
     An (k, n, n) stack gives the (k, n) eigenvalues of its matrices,
-    each row bit for bit those of its matrix alone, in one kernel call
-    (rows whose characteristic polynomial has a zero constant
-    coefficient are solved one by one).
+    each row bit for bit those of its matrix alone: ``roots`` of the
+    stack's characteristic coefficient rows.
     """
     a = _as_squares(a, (2, 3))
     n = a.shape[-1]
@@ -278,9 +277,7 @@ def eigenvalues(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise DimensionTooLarge(f"dimension {n} exceeds cap {EIG_DIM_CAP}")
     if n == 0:
         return np.empty(a.shape[:-1], dtype=np.complex128)
-    if a.ndim == 2:
-        return roots(char_poly(a), tol)
-    return _roots_rows(char_poly(a), tol)
+    return roots(char_poly(a), tol)
 
 
 def nullspace(a, threshold: float) -> np.ndarray:

@@ -3,9 +3,10 @@
 Coefficients are stored densely in ascending powers.  One batched
 simultaneous (Ehrlich-Aberth) kernel solves q(z) - w = 0 for a vector of
 right hand sides from given start points, with one q for every row or
-one q per row: :func:`roots` is its one-row case with w = 0, started on
-a circle enclosing the roots, and :func:`fiber_batch` runs it over many
-w at once.  The fiber over w = 0 is
+one q per row.  Root problems enter it through :func:`roots`, for one
+polynomial or a stack of coefficient rows, with w = 0 and each row
+started on a circle enclosing its roots; :func:`fiber_batch` runs it
+over many w at once.  The fiber over w = 0 is
 the set of centers and moves smoothly with w, so a fiber row starts at
 the first-order points lambda_j + w / p'(lambda_j) while those stay
 within each center's distance to its nearest other center; farther rows
@@ -20,7 +21,8 @@ backward-error test is relative at every scale.  Multiplicities are
 kept: a k-fold root comes back as a cluster of k nearby points whose
 residuals are below tolerance, which :func:`cluster_points` groups: an
 array pass over a grid of cells, then first fit over the points that
-share a neighbourhood.
+share a neighbourhood.  Whether a fiber is critical is decided in one
+place, ``_critical_rows``, from the magnitude test ``_magnitudes``.
 """
 
 from __future__ import annotations
@@ -92,15 +94,18 @@ class Polynomial:
     def __call__(self, z):
         return npp.polyval(z, self.coeffs)
 
+    # Arithmetic on finite polynomials can overflow: AlgebraOverflow, unwarned.
     def __add__(self, other):
         o = other if isinstance(other, Polynomial) else Polynomial([other])
-        return Polynomial(npp.polyadd(self.coeffs, o.coeffs))
+        with np.errstate(all="ignore"):
+            return _computed(npp.polyadd(self.coeffs, o.coeffs), "sum")
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = other if isinstance(other, Polynomial) else Polynomial([other])
-        return Polynomial(npp.polysub(self.coeffs, o.coeffs))
+        with np.errstate(all="ignore"):
+            return _computed(npp.polysub(self.coeffs, o.coeffs), "difference")
 
     def __rsub__(self, other):
         return (-self) + other
@@ -109,14 +114,19 @@ class Polynomial:
         return Polynomial(-self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return Polynomial(npp.polymul(self.coeffs, other.coeffs))
-        return Polynomial(self.coeffs * complex(other))
+        with np.errstate(all="ignore"):
+            if isinstance(other, Polynomial):
+                c = npp.polymul(self.coeffs, other.coeffs)
+            else:
+                c = self.coeffs * Polynomial([other]).coeffs[0]
+            return _computed(c, "product")
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return Polynomial(npp.polypow(self.coeffs, int(n), maxpower=None))
+        with np.errstate(all="ignore"):
+            return _computed(npp.polypow(self.coeffs, int(n), maxpower=None),
+                             "power")
 
     def derivative(self, order: int = 1) -> "Polynomial":
         """The ``order``-th derivative; AlgebraOverflow if a coefficient overflows."""
@@ -142,13 +152,20 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("zero polynomial has no monic form")
-        return Polynomial(self.coeffs / self.coeffs[-1])
+        with np.errstate(all="ignore"):
+            return _computed(self.coeffs / self.coeffs[-1], "monic")
 
     @classmethod
     def from_roots(cls, rts) -> "Polynomial":
-        """Monic polynomial with the given roots (with multiplicity)."""
+        """Monic polynomial with the given roots (with multiplicity).
+
+        AlgebraOverflow if a coefficient overflows.
+        """
         rts = np.asarray(rts, dtype=np.complex128).ravel()
-        return cls(npp.polyfromroots(rts))
+        if not np.isfinite(rts).all():
+            raise ValueError("roots must be finite")
+        with np.errstate(all="ignore"):
+            return _computed(npp.polyfromroots(rts), "polynomial from roots")
 
     def allclose(self, other: "Polynomial", atol: float = 1e-12) -> bool:
         n = max(len(self.coeffs), len(other.coeffs))
@@ -160,12 +177,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
-
-
-def _coeff_array(q) -> np.ndarray:
-    if isinstance(q, Polynomial):
-        return q.coeffs
-    return Polynomial(q).coeffs
 
 
 # Step cap of the batched root kernel, the exact power of two that keeps
@@ -316,6 +327,7 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
                 diff[:, idx, idx] = np.inf
                 np.divide(1.0, diff, out=diff)
                 diff.sum(axis=2, out=ssum[rows])
+                del diff                # before the next block is built
             # collided iterates (1/0 makes the row's sums non-finite):
             # deterministic jitter, then continue
             bad = ~np.isfinite(ssum).all(axis=1)
@@ -353,63 +365,46 @@ def _circle(radius, deg: int) -> np.ndarray:
 def roots(q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """All complex roots of ``q`` with multiplicity, degree >= 1 required.
 
-    The one-row case of the batched kernel with w = 0, started on the
-    circle of radius 1 + max(|a_0|, ..., |a_{deg-1}|) (Cauchy's bound of
-    the monic form); degree 1 is solved exactly, and k zero lowest
-    coefficients give k roots at exactly 0 (the kernel's relative
-    backward-error test is met there only where |q| underflows).  Raises
-    ConvergenceFailure when the coefficients span a range too wide to
-    normalise in floating point.
+    ``q`` is one polynomial, or a (k, deg + 1) array of coefficient rows
+    with nonzero leading coefficients, whose (k, deg) roots come back
+    row i bit for bit ``roots(q[i])``.  The kernel runs with w = 0, each
+    row started on the circle of radius 1 + max(|a_0|, ..., |a_{deg-1}|)
+    (Cauchy's bound of its monic form), once for all the rows that share
+    a count of zero lowest coefficients: k of them give k roots at
+    exactly 0 (the kernel's relative backward-error test is met there
+    only where |q| underflows).  Degree 1 is solved exactly.  Raises
+    ConvergenceFailure, unwarned, when the coefficients of a row span a
+    range too wide to normalise in floating point.
     """
-    c = _coeff_array(q)
-    deg = len(c) - 1
+    one = isinstance(q, Polynomial) or np.ndim(q) != 2
+    if one and not isinstance(q, Polynomial):
+        q = Polynomial(q)
+    c = q.coeffs[None, :] if one else np.asarray(q, dtype=np.complex128)
+    deg = c.shape[1] - 1
     if deg < 1:
         raise ValueError("root finding requires degree >= 1")
-    if deg > 1 and c[0] == 0:      # z^k divides q
-        k = int(np.flatnonzero(c)[0])
-        rest = roots(c[k:], tol) if k < deg else np.empty(0, np.complex128)
-        return np.concatenate([np.zeros(k, np.complex128), rest])
-    with np.errstate(all="ignore"):
-        monic = c / c[-1]
-    if not np.all(np.isfinite(monic)):
-        raise ConvergenceFailure(
-            "normalised coefficients are not finite (coefficient range "
-            "too wide for floating point)"
-        )
-    if deg == 1:
-        return np.array([-c[0] / c[1]], dtype=np.complex128)
-    return _cauchy_roots(monic[None, :], tol)[0]
-
-
-def _cauchy_roots(monic, tol: Tolerances) -> np.ndarray:
-    """Roots of each row of ``monic`` (shape (k, deg + 1), deg >= 2), each
-    row started on its own Cauchy circle; one kernel call."""
-    deg = monic.shape[1] - 1
-    radius = 1.0 + np.abs(monic[:, :-1]).max(axis=1)
-    return _aberth(monic, np.zeros(monic.shape[0], dtype=np.complex128),
-                   _circle(radius, deg), tol)
-
-
-def _roots_rows(c, tol: Tolerances) -> np.ndarray:
-    """Roots of every row of ``c``; shape (k, deg).
-
-    ``c`` holds k finite coefficient rows of degree deg >= 1 with leading
-    coefficient 1, as ``linalg.char_poly`` gives them.  Row i is bit for
-    bit ``roots(c[i])``: rows with a zero constant coefficient go through
-    :func:`roots` one at a time, the rest through one kernel call, whose
-    rows never mix.
-    """
-    k, deg = c.shape[0], c.shape[1] - 1
-    out = np.empty((k, deg), dtype=np.complex128)
-    zero = c[:, 0] == 0
-    for i in np.flatnonzero(zero):
-        out[i] = roots(c[i], tol)
-    rest = np.flatnonzero(~zero)
-    if deg == 1:
-        out[rest, 0] = -c[rest, 0] / c[rest, 1]
-    elif rest.size:
-        out[rest] = _cauchy_roots(c[rest] / c[rest, -1:], tol)
-    return out
+    if not (np.isfinite(c).all() and c[:, -1].all()):
+        raise ValueError("coefficient rows must be finite, with nonzero "
+                         "leading coefficients")
+    out = np.zeros((len(c), deg), dtype=np.complex128)
+    # z^k divides a row with k zero lowest coefficients
+    low = (c != 0).argmax(axis=1) if deg > 1 else np.zeros(len(c), int)
+    for k in sorted(set(low.tolist())):
+        rows = np.flatnonzero(low == k)
+        with np.errstate(all="ignore"):
+            monic = c[rows, k:] / c[rows, -1:]
+        if not np.isfinite(monic).all():
+            raise ConvergenceFailure(
+                "normalised coefficients are not finite (coefficient range "
+                "too wide for floating point)"
+            )
+        if deg - k == 1:
+            out[rows, k] = -c[rows, k] / c[rows, k + 1]
+        elif deg - k > 1:
+            radius = 1.0 + np.abs(monic[:, :-1]).max(axis=1)
+            out[rows, k:] = _aberth(monic, np.zeros(len(rows), np.complex128),
+                                    _circle(radius, deg - k), tol)
+    return out[0] if one else out
 
 
 def _fujiwara_radius(monic, ws) -> np.ndarray:
@@ -707,26 +702,33 @@ class Fiber:
         return f"Fiber(w={self.w}, points={list(self.points)}, {tag})"
 
 
-def _critical_rows(dcoeffs, points, ws, critical_values,
-                   tol: Tolerances) -> np.ndarray:
+def _magnitudes(coeffs, z):
+    """2^-64 |q(z)| and 2^-64 max(1, sum_k |c_k| |z|^k) at every z.
+
+    ``coeffs`` is one coefficient row of q.  The exact power-of-two scale,
+    as in :func:`_aberth`, keeps both values finite where z is near the
+    float limit, and leaves every comparison between them as it is in
+    range.  Unwarned.
+    """
+    with np.errstate(all="ignore"):
+        v, _, s = _horner(z, coeffs * _DOWN, abscoeffs=np.abs(coeffs) * _DOWN)
+        return np.abs(v), np.maximum(s, _DOWN)
+
+
+def _critical_rows(centers: Centers, points, ws, tol: Tolerances) -> np.ndarray:
     """Criticality of each fiber row; ``points`` has shape (m, d).
 
     Row i is critical when p' is small at one of its points, relative to
-    the magnitude of p' accumulated there (floored at 1), or when w_i
-    lies within crit_tol of a known critical value.  As in
-    :func:`_aberth`, p', its magnitude and the floor are all scaled by
-    2^-64, which is exact in range and keeps both sides finite where the
-    points are near the float limit.  Rows are tested a block at a time,
-    so the scratch is a few CHUNK_BYTES whatever the row count.
+    the magnitude of p' accumulated there (floored at 1, both sides from
+    :func:`_magnitudes`), or when w_i lies within crit_tol of one of the
+    centers' critical values.  Rows are tested a block at a time, so the
+    scratch is a few CHUNK_BYTES whatever the row count.
     """
-    dcs, absd = dcoeffs * _DOWN, np.abs(dcoeffs) * _DOWN
-    crit = np.asarray(critical_values)
+    dcoeffs, crit = centers.deriv.coeffs, centers.critical_values
     flags = np.empty(len(ws), dtype=bool)
     with np.errstate(all="ignore"):
         for rows in blocks(len(ws), 16 * points.shape[1]):
-            dv, _, dscale = _horner(points[rows], dcs, abscoeffs=absd)
-            dv = np.abs(dv)
-            dscale = np.maximum(dscale, _DOWN)
+            dv, dscale = _magnitudes(dcoeffs, points[rows])
             flags[rows] = np.any(dv <= tol.crit_tol * dscale, axis=1)
             if crit.size:
                 gaps = np.abs(ws[rows, None] - crit[None, :])
@@ -741,26 +743,23 @@ def fiber(centers: Centers, w, tol: Tolerances = DEFAULT_TOL) -> Fiber:
     The known critical values sharpen the criticality verdict, and the
     fiber over exactly 0 is the centers themselves.
     """
-    w = complex(w)
-    pts = fiber_batch(centers, [w], tol)[0]
-    flag = _critical_rows(centers.deriv.coeffs, pts[None, :], np.array([w]),
-                          centers.critical_values, tol)
-    return Fiber(w, pts, flag[0])
+    w = np.array([complex(w)])
+    pts = fiber_batch(centers, w, tol)
+    return Fiber(w[0], pts[0], _critical_rows(centers, pts, w, tol)[0])
 
 
 def lagrange_basis(centers: Centers) -> list[Polynomial]:
     """Lagrange basis polynomials of the centers (coefficient form).
 
     delta_j is 1 at lambda_j and 0 at the other centers; the sum over j
-    is the constant polynomial 1.
+    is the constant polynomial 1.  Raises AlgebraOverflow, unwarned, when
+    a weight ``Centers.ell`` or a coefficient is out of range.
     """
-    lam = centers.lambdas
-    out = []
-    for j in range(len(lam)):
-        others = np.delete(lam, j)
-        numer = Polynomial.from_roots(others)
-        out.append(numer * (1.0 / np.prod(lam[j] - others)))
-    return out
+    lam, ell = centers.lambdas, centers.ell
+    if not ell.all():               # the product of the differences overflowed
+        raise AlgebraOverflow("Lagrange weights of the centers underflow")
+    return [Polynomial.from_roots(np.delete(lam, j)) * ell[j]
+            for j in range(len(lam))]
 
 
 def _lagrange_weights(nodes) -> np.ndarray:

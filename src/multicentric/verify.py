@@ -191,8 +191,7 @@ def _draw_samples(rng, ctx, m, fiber_sep=None) -> SampleSet:
         cand = 2.5 * (uv[0::2] + 1j * uv[1::2])
         if fiber_sep is not None:
             fib = fiber_batch(ctx.centers, cand, ctx.tol)
-            crit = _critical_rows(ctx.centers.deriv.coeffs, fib, cand,
-                                  ctx.centers.critical_values, ctx.tol)
+            crit = _critical_rows(ctx.centers, fib, cand, ctx.tol)
             gaps = np.abs(fib[:, :, None] - fib[:, None, :])
             gaps[:, np.arange(ctx.d), np.arange(ctx.d)] = np.inf
             good = ~crit & (gaps.min(axis=(1, 2)) >= fiber_sep)

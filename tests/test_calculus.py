@@ -213,6 +213,15 @@ class TestHermiteMatrixFunction:
         assert np.abs(got - want).max() < 1e-12
         assert np.abs(got - j @ j).max() < 1e-12
 
+    def test_interpolant_out_of_range_raises(self):
+        # the Newton form multiplies out (z - 1e200)^2 = z^2 - 2e200 z + 1e400
+        s = SpectrumData([(1e200, 2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AlgebraOverflow, match="not finite"):
+                hermite_matrix_function(jordan_block(1e200, 3), s,
+                                        [[1.0, 1.0, 1.0]])
+
     def test_missing_derivatives_rejected(self):
         j = jordan_block(0.0, 3)
         s = SpectrumData([(0.0, 2)])

@@ -532,6 +532,10 @@ class TestConsoleScript:
           "--spectrum", '{"entries":[{"alpha":[0,1e308],"n":1}]}',
           "--f", FC_JSON], 1),
         (["fiber", "--centers", "[[1,1e308],1e308]", "--w", "0"], 1),
+        (["hermite", "--matrix", json.dumps({"rows": 3, "cols": 3, "data": [
+            1e200, 1, 0, 0, 1e200, 1, 0, 0, 1e200]}),
+          "--spectrum", '{"entries":[{"alpha":1e200,"n":2}]}',
+          "--values", "[[1,1,1]]"], 1),
     ], ids=["gelfand-nan", "gelfand-inf", "basis-nan", "basis-huge-int",
             "fiber-nan", "radical-nan", "matrix-rows-inf", "charfunc-large-lam",
             "basis-large-z", "gelfand-large-z",
@@ -539,7 +543,8 @@ class TestConsoleScript:
             "gelfand-overflowing-value", "charfunc-overflowing-values",
             "chi-overflowing-beta", "norm-overflowing-row-sums",
             "polyprod-overflowing-square", "chi-overflowing-derivative",
-            "chi-alpha-at-the-float-limit", "fiber-overflowing-center-poly"])
+            "chi-alpha-at-the-float-limit", "fiber-overflowing-center-poly",
+            "hermite-jordan-block-at-1e200"])
     def test_out_of_range_inputs_fail_cleanly(self, argv, code):
         proc = subprocess.run(
             [sys.executable, "-m", "multicentric.cli", *argv],

@@ -19,7 +19,7 @@ from multicentric.polynomials import (
     _crowded,
     _fujiwara_radius,
     _horner,
-    _roots_rows,
+    _magnitudes,
     cluster_points,
     critical_points,
     fiber,
@@ -74,6 +74,26 @@ class TestPolynomial:
         assert np.allclose(prod.coeffs, [-1.0, 0.0, 1.0])
         s = p + q
         assert np.allclose(s.coeffs, [0.0, 2.0])
+
+    def test_overflowing_arithmetic_raises_without_warnings(self):
+        big = Polynomial([-1e200, 1.0])                 # z - 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for make in (lambda: big * big, lambda: big ** 2,
+                         lambda: big * 1e200, lambda: big.compose(big * big),
+                         lambda: Polynomial([1e308, 1.0]) + 1e308,
+                         lambda: Polynomial([1e308, 1.0]) - (-1e308),
+                         lambda: Polynomial([1.0, 1e-320]).monic(),
+                         lambda: Polynomial.from_roots([1e200, 1e200])):
+                with pytest.raises(AlgebraOverflow, match="not finite"):
+                    make()
+
+    def test_non_finite_operands_are_refused(self):
+        p = Polynomial([1.0, 1.0])
+        for make in (lambda: Polynomial.from_roots([1.0, np.inf]),
+                     lambda: p * np.nan, lambda: p + np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                make()
 
     def test_derivative(self):
         p = Polynomial([3.0, 0.0, 1.0])  # 3 + z^2
@@ -177,6 +197,25 @@ class TestHorner:
             assert dp[i].tobytes() == npp.polyval(z[i], dc[i]).tobytes()
             assert s[i].tobytes() == npp.polyval(np.abs(z[i]),
                                                  np.abs(c[i])).tobytes()
+
+    def test_magnitudes_are_the_scaled_polyval_test(self):
+        # 2^-64 |q(z)| and 2^-64 max(1, sum |c_k| |z|^k) decide as the
+        # unscaled values do in range, and stay finite at the float limit
+        rng = np.random.default_rng(9)
+        c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        z = (rng.standard_normal(200) + 1j * rng.standard_normal(200)) \
+            * 10.0 ** rng.uniform(-3, 3, 200)
+        v, s = _magnitudes(c, z)
+        ref_v = np.abs(npp.polyval(z, c))
+        ref_s = np.maximum(1.0, npp.polyval(np.abs(z), np.abs(c)).real)
+        assert np.allclose(v, ref_v * 2.0 ** -64, rtol=1e-15, atol=0)
+        assert s.tobytes() == (ref_s * 2.0 ** -64).tobytes()
+        for k in (1e-3, 1.0, 1e3):
+            assert np.array_equal(v <= k * s, ref_v <= k * ref_s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, s = _magnitudes(np.array([0.0, 1e308]), np.array([1.5]))
+        assert np.isfinite(v).all() and np.isfinite(s).all()
 
 
 # Scales of roots, centers and fibers over which the backward-error test
@@ -464,19 +503,61 @@ class TestRowwiseKernel:
 
     @given(_root_rows())
     def test_rows_equal_one_row_roots(self, c):
-        got = _roots_rows(c, DEFAULT_TOL)
+        got = roots(c, DEFAULT_TOL)
+        assert got.shape == (c.shape[0], c.shape[1] - 1)
         for i in range(len(c)):
             assert got[i].tobytes() == roots(c[i]).tobytes()
 
     def test_zero_constant_rows_beside_kernel_rows(self):
         c = np.array([npp.polyfromroots(r) for r in
-                      ([0.0, 1.0, 2j], [1.0, -1.0, 0.5j], [0.0, 0.0, 3.0])],
+                      ([0.0, 1.0, 2j], [1.0, -1.0, 0.5j], [0.0, 0.0, 3.0],
+                       [0.0, 0.0, 0.0])],
                      dtype=np.complex128)
-        assert list(c[:, 0] == 0) == [True, False, True]
-        got = _roots_rows(c, DEFAULT_TOL)
-        for i in range(3):
+        assert list(c[:, 0] == 0) == [True, False, True, True]
+        got = roots(c)
+        for i in range(len(c)):
             assert got[i].tobytes() == roots(c[i]).tobytes()
         _match_multisets(got[2], [0.0, 0.0, 3.0], 1e-12)
+        assert got[3].tobytes() == np.zeros(3, np.complex128).tobytes()
+
+    def test_degree_one_rows(self):
+        rng = np.random.default_rng(3)
+        c = (rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))) \
+            * 10.0 ** rng.integers(-150, 150, (50, 2))
+        c[0, 0] = 0.0
+        got = roots(c)
+        assert got.shape == (50, 1)
+        for i in range(len(c)):
+            assert got[i].tobytes() == roots(c[i]).tobytes()
+            assert got[i].tobytes() == roots(Polynomial(c[i])).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_empty_stack(self, n):
+        got = roots(np.empty((0, n + 1), dtype=np.complex128))
+        assert got.shape == (0, n) and got.dtype == np.complex128
+
+    def test_overflowing_row_raises_for_the_whole_call(self):
+        c = np.array([[2.0, -3.0, 1.0], WIDE_RANGE["quadratic"]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceFailure, match="not finite"):
+                roots(c)
+
+    def test_two_dimensional_input_is_read_as_rows(self):
+        rows = [[2.0, -3.0, 1.0], [-4.0, 0.0, 1.0]]
+        got = roots(rows)
+        assert got.shape == (2, 2)
+        _match_multisets(got[0], [1.0, 2.0], 1e-12)
+        _match_multisets(got[1], [2.0, -2.0], 1e-12)
+        # a column or a row of one polynomial is still rows
+        assert roots([[1.0, 1.0]]).tobytes() == roots([1.0, 1.0]).tobytes()
+
+    @pytest.mark.parametrize("bad", [[[1.0, 0.0], [1.0, 1.0]],
+                                     [[1.0, np.inf], [1.0, 1.0]],
+                                     [[1.0], [2.0]]])
+    def test_bad_rows_rejected(self, bad):
+        with pytest.raises(ValueError):
+            roots(np.array(bad, dtype=np.complex128))
 
     @given(_fiber_rows())
     def test_shared_row_equals_a_row_per_w(self, case):
@@ -737,6 +818,16 @@ class TestCenters:
 
 
 class TestLagrangeBasis:
+    @pytest.mark.parametrize("lam", [[1e200, -1e200, 0.0], [1e160, 0.0, -1e160]])
+    def test_out_of_range_raises_without_warnings(self, lam):
+        # [1e160, 0, -1e160]: every numerator is in range, every weight
+        # 1 / prod (lambda_j - lambda_k) underflows to 0
+        cen = Centers(lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AlgebraOverflow):
+                lagrange_basis(cen)
+
     def test_interpolation_at_centers(self):
         cen = Centers([1.0, -1.0, 0.3 + 0.9j])
         basis = lagrange_basis(cen)
