@@ -778,7 +778,8 @@ def gelfand_eval(f: VectorFunction, z):
     ctx = f.ctx
     z = np.asarray(z, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        ws = np.asarray(ctx.p(z))
+        # p in product form is exactly 0 at the centers at any d.
+        ws = np.prod(z[..., None] - ctx.lambdas, axis=-1)
     if not np.all(np.isfinite(ws)):
         raise AlgebraOverflow("p(z) is not finite at the given z")
     idx = [f.samples.match(w) for w in ws.ravel()]

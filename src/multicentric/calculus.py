@@ -33,7 +33,7 @@ from .errors import (
     NoSimpleShiftFound,
     NotSimplifying,
 )
-from .polynomials import (Polynomial, _magnitudes, cluster_points,
+from .polynomials import (_DOWN, Polynomial, _magnitudes, cluster_points,
                           refine_multiple_root, roots)
 
 __all__ = [
@@ -84,10 +84,6 @@ class SpectrumData:
     def orders(self) -> np.ndarray:
         return np.array([n for _, n in self.entries], dtype=int)
 
-    def minimal_poly(self) -> Polynomial:
-        rts = np.repeat(self.alphas, self.orders + 1)
-        return Polynomial.from_roots(rts)
-
     @classmethod
     def from_blocks(cls, blocks) -> "SpectrumData":
         """Derive spectrum data from Jordan blocks [(alpha, size), ...]."""
@@ -108,36 +104,25 @@ def jordan_block(alpha, size: int) -> np.ndarray:
 def random_similarity(n: int, cond: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Similarity T with 2-norm condition exactly ``cond`` and its inverse.
 
-    T = Q1 diag(s) Q2 with Q1, Q2 products of random Givens rotations and
-    s geometrically spread, so the inverse is available in closed form.
+    T = Q1 diag(s) Q2 with s geometrically spread (s = 1 when n = 1), so
+    the inverse is available in closed form.  Q1, Q2 are Haar unitaries:
+    the QR factor of a complex Gaussian matrix, the phases of R's
+    diagonal folded into its columns (Mezzadri, Notices AMS 54, 2007).
     """
     if cond < 1.0:
         raise ValueError("condition must be at least 1")
 
     def unitary():
-        q = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                th = rng.uniform(0, 2 * np.pi)
-                ph = rng.uniform(0, 2 * np.pi)
-                c = np.cos(th)
-                s = np.sin(th) * np.exp(1j * ph)
-                g = np.eye(n, dtype=np.complex128)
-                g[i, i] = c
-                g[i, j] = -np.conj(s)
-                g[j, i] = s
-                g[j, j] = c
-                q = g @ q
-        return q
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
 
     q1, q2 = unitary(), unitary()
-    if n == 1:
-        svals = np.array([1.0])
-    else:
-        half = math.log10(cond) / 2.0
-        svals = np.logspace(-half, half, n)
-    t = q1 @ np.diag(svals) @ q2
-    tinv = q2.conj().T @ np.diag(1.0 / svals) @ q1.conj().T
+    half = math.log10(cond) / 2.0 if n > 1 else 0.0
+    svals = np.logspace(-half, half, n)
+    t = (q1 * svals) @ q2
+    tinv = (q2.conj().T / svals) @ q1.conj().T
     return t, tinv
 
 
@@ -194,13 +179,9 @@ def simplifying_poly(s: SpectrumData, c=0.0) -> Polynomial:
     constant term by N + 1 where N is the integrand degree.  With no
     repeated spectrum this degenerates to z + c.
     """
-    active = [(a, n) for a, n in s.entries if n > 0]
-    if not active:
+    rts = np.repeat(s.alphas, s.orders)
+    if not rts.size:
         return Polynomial([complex(c), 1.0])
-    rts = np.repeat(
-        np.array([a for a, _ in active], dtype=np.complex128),
-        np.array([n for _, n in active], dtype=int),
-    )
     integrand = Polynomial.from_roots(rts)
     anti = integrand.antiderivative(c)
     return (integrand.degree + 1.0) * anti
@@ -209,22 +190,19 @@ def simplifying_poly(s: SpectrumData, c=0.0) -> Polynomial:
 def simplifying_residual(p: Polynomial, s: SpectrumData) -> float:
     """Worst scaled magnitude of p^(j)(alpha_k) for 1 <= j <= n_k.
 
+    Each |p^(j)(alpha_k)| is scaled by its :func:`_magnitudes` magnitude.
     Raises AlgebraOverflow when a derivative value is not finite.
     """
-    import numpy.polynomial.polynomial as npp
-
     worst = 0.0
     for a, n in s.entries:
         dp = p
         for j in range(1, n + 1):
             dp = dp.derivative()
-            with np.errstate(all="ignore"):
-                val = abs(dp(a))
-                sc = max(1.0, float(npp.polyval(abs(a), np.abs(dp.coeffs)).real))
-            if not np.isfinite(val):
+            val, sc = _magnitudes(dp.coeffs, complex(a))
+            if not val <= np.finfo(float).max * _DOWN:  # val is 2^-64 |p^(j)|
                 raise AlgebraOverflow(
                     f"derivative {j} of p is not finite at alpha={complex(a)!r}")
-            worst = max(worst, val / sc)
+            worst = max(worst, float(val / sc))
     return worst
 
 
@@ -331,8 +309,7 @@ def _lagrange_matrices(nodes, a: np.ndarray) -> np.ndarray:
 _PROJECTOR_RTOL = 1e-8
 
 
-def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction,
-          tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction) -> np.ndarray:
     """Functional calculus chi_A(f) = sum_j delta_j(A) f_j(B), B = p(A).
 
     Requires p simplifying for s, p matching the centers of f, and every
@@ -346,7 +323,7 @@ def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction,
     a = linalg.as_square(a)
     if sum(n + 1 for _, n in s.entries) > a.shape[0]:
         raise ValueError("spectrum data exceeds the matrix dimension")
-    ctx = f.ctx
+    ctx, tol = f.ctx, f.ctx.tol
     if p.degree != ctx.d:
         raise ContextMismatch("p degree does not match the centers of f")
     pscale = max(1.0, float(np.abs(p.coeffs).max()))
@@ -429,16 +406,15 @@ def hausdorff_distance(a, b) -> float:
 
 
 def spectral_mapping_check(a, s: SpectrumData, p: Polynomial,
-                           f: VectorFunction, tol: Tolerances = DEFAULT_TOL
-                           ) -> SpectralMappingReport:
+                           f: VectorFunction) -> SpectralMappingReport:
     """Compare the spectrum of chi_A(f) against {f^(alpha_k)} as sets.
 
     Both sides are clustered at the same relative radius 1e-3 before the
     Hausdorff comparison: a k-fold eigenvalue comes out of the polynomial
     root path as a k-cluster whose centroid is first-order accurate.
     """
-    chi = chi_A(a, s, p, f, tol)
-    eigs = linalg.eigenvalues(chi, tol)
+    chi = chi_A(a, s, p, f)
+    eigs = linalg.eigenvalues(chi, f.ctx.tol)
     pred = gelfand_eval(f, s.alphas)
     scale = max(
         1.0,
@@ -478,11 +454,12 @@ def spectral_mapping_check(a, s: SpectrumData, p: Polynomial,
     )
 
 
-def chi_similarity(a, t, s: SpectrumData, p: Polynomial, f: VectorFunction,
-                   tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def chi_similarity(a, t, s: SpectrumData, p: Polynomial,
+                   f: VectorFunction) -> np.ndarray:
     """T chi_V(f) T^-1 for V = T^-1 A T (consistency route for chi_A)."""
+    tol = f.ctx.tol
     a = linalg.as_square(a)
     t = linalg.as_square(t)
     v = linalg.solve(t, a @ t, tol)
-    chiv = chi_A(v, s, p, f, tol)
+    chiv = chi_A(v, s, p, f)
     return t @ chiv @ linalg.inverse(t, tol)

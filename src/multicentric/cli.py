@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -272,7 +273,7 @@ def _chi_ingredients(args, tol):
 
 def cmd_chi(args, tol) -> int:
     a, s, p, f = _chi_ingredients(args, tol)
-    _emit(ser.encode_matrix(chi_A(a, s, p, f, tol)), args)
+    _emit(ser.encode_matrix(chi_A(a, s, p, f)), args)
     return 0
 
 
@@ -285,7 +286,7 @@ def cmd_hermite(args, tol) -> int:
 
 def cmd_specmap(args, tol) -> int:
     a, s, p, f = _chi_ingredients(args, tol)
-    rep = spectral_mapping_check(a, s, p, f, tol)
+    rep = spectral_mapping_check(a, s, p, f)
     _emit({
         "computed": ser.encode_complex_list(rep.computed),
         "predicted": ser.encode_complex_list(rep.predicted),
@@ -409,8 +410,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A negative number, which argparse takes for an option unless it is
+# joined to its flag.
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _join_negative_values(argv) -> list:
+    """Each ``--flag -1e5`` pair as one token ``--flag=-1e5``."""
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and prev != "--" and "=" not in prev
+                and _NEGATIVE_NUMBER.fullmatch(token)):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_negative_values(argv))
     try:
         tol = Tolerances(eq_tol=args.tol, crit_tol=args.crit_tol,
                          root_tol=args.root_tol)

@@ -33,6 +33,7 @@ from multicentric.calculus import (
     spectral_mapping_check,
 )
 from multicentric.calculus import TestMatrixSpec as MatrixSpec
+from multicentric.config import Tolerances
 from multicentric.errors import (
     AlgebraOverflow,
     ContextMismatch,
@@ -57,10 +58,6 @@ class TestSpectrumData:
         s = SpectrumData([(2.0, 1), (-1.0, 0)])
         assert np.array_equal(s.alphas, [2.0, -1.0])
         assert np.array_equal(s.orders, [1, 0])
-
-    def test_minimal_poly(self):
-        s = SpectrumData([(0.0, 2)])
-        assert np.array_equal(s.minimal_poly().coeffs, [0, 0, 0, 1])
 
     def test_from_blocks_takes_worst_order(self):
         s = SpectrumData.from_blocks([(2.0, 3), (2.0, 1), (5.0, 1)])
@@ -88,6 +85,15 @@ class TestBuildingBlocks:
         t, tinv = random_similarity(4, cond, rng)
         assert npl.cond(t) == pytest.approx(cond, rel=1e-8)
         assert np.abs(t @ tinv - np.eye(4)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 30])
+    def test_random_similarity_exact_and_reproducible(self, n):
+        t, tinv = random_similarity(n, 50.0, np.random.default_rng(n))
+        want = 50.0 if n > 1 else 1.0   # a 1x1 similarity is a unit scalar
+        assert npl.cond(t) == pytest.approx(want, rel=1e-12)
+        assert npl.norm(t @ tinv - np.eye(n), 2) <= 1e-12
+        again, _ = random_similarity(n, 50.0, np.random.default_rng(n))
+        assert np.array_equal(t, again)
 
     def test_random_similarity_rejects_small_cond(self):
         with pytest.raises(ValueError):
@@ -149,6 +155,16 @@ class TestSimplifyingPoly:
             warnings.simplefilter("error")
             with pytest.raises(AlgebraOverflow, match="derivative 1"):
                 simplifying_residual(Polynomial([1.0, 0.0, 1.0]), s)
+
+    def test_residual_where_only_the_magnitude_overflows(self):
+        # p'(alpha) = 6e307 is finite while sum |c_k| |alpha|^k = 2.6e308
+        # is not: the scaled magnitude still gives the ratio 3/13
+        s = SpectrumData([(8e307, 1)])
+        p = Polynomial([0.0, -1e308, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert simplifying_residual(p, s) == pytest.approx(3 / 13,
+                                                               rel=1e-12)
 
 
 class TestEnsureSimpleRoots:
@@ -269,6 +285,21 @@ class TestChiWorkedExample:
         f = VectorFunction(ss, [[2.0], [0.0]])
         with pytest.raises(ContextMismatch):
             chi_A(self.a, self.s, self.p, f)  # p = z^2 + 1, centers {1,-1}
+
+    def test_reads_the_tolerances_of_f(self):
+        # p is 1e-5 off the centers' z^2 + 1 in its constant term: within
+        # 1e3 eq_tol at eq_tol = 1e-6, not at the default 1e-10
+        p = Polynomial([1.0 + 1e-5, 0.0, 1.0])
+        beta = complex(p(0.0))
+        loose = Tolerances(eq_tol=1e-6)
+        ctx = AlgebraContext(Centers([1.0j, -1.0j], loose), loose)
+        f = VectorFunction(SampleSet(ctx, [beta]), [[2.0], [-1.0j]])
+        got = chi_A(self.a, self.s, p, f)
+        want = np.array([[1.0 - 0.5j, 0.5 - 1.0j], [0.0, 1.0 - 0.5j]])
+        assert np.abs(got - want).max() < 1e-12   # the closed form above
+        f = VectorFunction(SampleSet(self.ctx, [beta]), [[2.0], [-1.0j]])
+        with pytest.raises(ContextMismatch):
+            chi_A(self.a, self.s, p, f)
 
     def test_overflow_raises(self):
         # (1e200 J)^2 overflows inside the product form

@@ -340,6 +340,25 @@ class TestFlagsAndFormats:
         got = run_json(capsys, "norm", "--f", str(fpath))
         assert got["op_norm"] == 5.0
 
+    @pytest.mark.parametrize("argv", [
+        ("fiber", "--centers", CENTERS, "--w", "-1e5"),
+        ("basis", "--centers", CENTERS, "--z", "-1e+308"),
+        ("charfunc", "--f", F_JSON, "--lam", "-2.5e3"),
+    ], ids=["w", "z", "lam"])
+    def test_negative_number_after_a_flag(self, capsys, argv):
+        # argparse alone takes -1e5 for an option and exits 2 with its
+        # usage text; the value must read as in the --flag=value form
+        *head, flag, value = argv
+        got = run(capsys, *argv)
+        assert got[0] == 0
+        assert got == run(capsys, *head, f"{flag}={value}")
+
+    def test_negative_tolerance_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "--tol", "-1e-3", "roots",
+                             "--poly", '{"coeffs": [1, 1]}')
+        assert code == 2 and out == ""
+        assert_one_error_line(err, "eq_tol must be positive")
+
 
 class TestExitCodes:
     def test_malformed_input_is_2(self, capsys):
