@@ -39,10 +39,10 @@ from .polynomials import (
     Fiber,
     _critical_rows,
     _lagrange_form,
+    _sharpen_clusters,
     cluster_points,
     fiber,
     fiber_batch,
-    refine_multiple_root,
 )
 
 __all__ = [
@@ -143,6 +143,14 @@ class AlgebraContext:
         return f"AlgebraContext(d={self._d}, centers={list(self.lambdas)})"
 
 
+def _match(points, w):
+    """Index of the point nearest to w, its distance, and whether that is
+    within MATCH_RTOL max(1, |w|) (never for a NaN distance or infinite w)."""
+    gaps = np.abs(points - w)
+    i = int(np.argmin(gaps))
+    return i, gaps[i], bool(gaps[i] <= MATCH_RTOL * max(1.0, abs(w)) < np.inf)
+
+
 class SampleSet:
     """Finite sample points standing in for the compact set M.
 
@@ -198,12 +206,11 @@ class SampleSet:
     def match(self, w) -> int:
         """Index of the sample equal to w within the matching tolerance."""
         w = complex(w)
-        gaps = np.abs(self.points - w)
-        i = int(np.argmin(gaps))
-        if not gaps[i] <= MATCH_RTOL * max(1.0, abs(w)):
+        i, gap, ok = _match(self.points, w)
+        if not ok:
             raise SampleMiss(
                 f"no sample matches w={w!r}; nearest is {complex(self.points[i])!r} "
-                f"at distance {gaps[i]:.3e}"
+                f"at distance {gap:.3e}"
             )
         return i
 
@@ -507,7 +514,7 @@ def spectrum_multiset(f: VectorFunction) -> np.ndarray:
 
 
 def _dedup(vals: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Representation values clustered at eq_tol relative to their scale.
+    """Values clustered at eq_tol relative to their scale, max(1, max |v|).
 
     Raises AlgebraOverflow when a value is not finite.
     """
@@ -746,23 +753,16 @@ def radical_basis_at(ctx: AlgebraContext, w0) -> np.ndarray:
     An m-fold fiber point comes out of the root finder as an m-cluster of
     diameter up to 2 * root_tol^(1/m), so the merge radius is that bound
     at m = d with a margin of 2; fiber points closer than this are
-    treated as coalescing.
+    treated as coalescing, and each cluster is sharpened to a root of
+    p(z) - w0 (``polynomials._sharpen_clusters``).
     """
     fib = ctx.fiber(w0)
     scale = max(1.0, float(np.abs(fib.points).max()), abs(complex(w0)))
     radius = 4.0 * max(ctx.tol.crit_tol,
                        ctx.tol.root_tol ** (1.0 / ctx.d)) * scale
-    reps, counts = fib.clustered(radius)
-    # Sharpen coalesced representatives: the centroid of a root-finder
-    # cluster is only as good as its scatter, while the true m-fold fiber
-    # point is a simple root of the (m-1)th derivative of p(z) - w0.
     fiber_coeffs = ctx.centers.poly.coeffs.copy()
     fiber_coeffs[0] -= complex(w0)
-    reps = np.array(
-        [refine_multiple_root(fiber_coeffs, z, int(m), radius)
-         for z, m in zip(reps, counts)],
-        dtype=np.complex128,
-    )
+    reps = _sharpen_clusters(fiber_coeffs, fib.points, radius, radius)
     rows = ctx.basis_values(reps).T          # (n_reps, d); row i = delta_.(z_i)
     return linalg.nullspace(rows, ctx.tol.eq_tol * max(1.0, np.abs(rows).max()))
 

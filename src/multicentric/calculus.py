@@ -13,7 +13,8 @@ p(alpha_k), so f_j(B) = sum_k f_j(beta_k) E_k with the spectral
 projectors E_k = prod_{l != k} (B - beta_l) / (beta_k - beta_l), and
 delta_j(A) is the same Lagrange product over the centers.  Only
 polynomial evaluations of A are ever performed; no eigendecomposition of
-A takes place.
+A takes place.  The spectral mapping check sharpens multiple eigenvalues
+of chi_A(f) as the radicals do, by ``polynomials._sharpen_clusters``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .algebra import VectorFunction, gelfand_eval
+from .algebra import VectorFunction, _dedup, gelfand_eval
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     AlgebraOverflow,
@@ -33,8 +34,8 @@ from .errors import (
     NoSimpleShiftFound,
     NotSimplifying,
 )
-from .polynomials import (_DOWN, Polynomial, _magnitudes, cluster_points,
-                          refine_multiple_root, roots)
+from .polynomials import (_DOWN, Polynomial, _magnitudes, _nearest_gaps,
+                          _sharpen_clusters, cluster_points, roots)
 
 __all__ = [
     "SpectrumData",
@@ -206,30 +207,28 @@ def simplifying_residual(p: Polynomial, s: SpectrumData) -> float:
     return worst
 
 
-def ensure_simple_roots(p: Polynomial, c_seed=0.0, avoid=(),
-                        tol: Tolerances = DEFAULT_TOL,
-                        max_attempts: int = 32) -> Polynomial:
-    """Shift p by a constant until its roots are simple and admissible.
+# Shifts ensure_simple_roots tries before it gives up.
+_SHIFT_ATTEMPTS = 32
+
+
+def ensure_simple_roots(p: Polynomial, c_seed=0.0,
+                        tol: Tolerances = DEFAULT_TOL) -> Polynomial:
+    """Shift p by a constant until its roots are simple.
 
     Tries c_seed first (so an already-simple p with c_seed = 0 comes back
-    unchanged), then walks a deterministic spiral of growing shifts.  The
-    roots must also stay clear of every point in ``avoid``.
+    unchanged), then walks a deterministic spiral of growing shifts.
     """
-    avoid = np.asarray(list(avoid), dtype=np.complex128)
     base = complex(c_seed)
     b = base if base != 0 else 1.0 + 0.0j
-
-    for t in range(max_attempts):
+    for t in range(_SHIFT_ATTEMPTS):
         c = base if t == 0 else b * (1.6 ** (t - 1)) * np.exp(0.4j * t)
         q = p + c
         if q.degree < 1:
             continue
         rts = roots(q, tol)
-        scale = max(1.0, float(np.abs(rts).max()))
         if len(rts) > 1:
-            diff = np.abs(rts[:, None] - rts[None, :])
-            np.fill_diagonal(diff, np.inf)
-            if not diff.min() > tol.crit_tol * scale:
+            scale = max(1.0, float(np.abs(rts).max()))
+            if not _nearest_gaps(rts).min() > tol.crit_tol * scale:
                 continue
             # The computed images of an exactly multiple root scatter much
             # wider than crit_tol, so the separation screen alone misses
@@ -239,12 +238,9 @@ def ensure_simple_roots(p: Polynomial, c_seed=0.0, avoid=(),
             dmag, dref = _magnitudes(q.derivative().coeffs, rts)
             if np.any(dmag <= 1e-5 * dref):
                 continue
-        if avoid.size and np.abs(rts[:, None] - avoid[None, :]).min() \
-                <= tol.crit_tol * scale:
-            continue
         return q
     raise NoSimpleShiftFound(
-        f"no admissible shift found in {max_attempts} attempts"
+        f"no admissible shift found in {_SHIFT_ATTEMPTS} attempts"
     )
 
 
@@ -340,8 +336,7 @@ def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction) -> np.ndarray:
         betas = np.asarray(p(s.alphas), dtype=np.complex128)
     if not np.all(np.isfinite(betas)):
         raise AlgebraOverflow("p(alpha) is not finite (spectrum values too large)")
-    bscale = max(1.0, float(np.abs(betas).max()))
-    reps, _ = cluster_points(betas, tol.eq_tol * bscale)
+    reps = _dedup(betas, tol)
     cols = [f.samples.match(b) for b in reps]
     with np.errstate(all="ignore"):
         proj = _lagrange_matrices(reps, linalg.mat_poly_eval(p, a))
@@ -410,41 +405,18 @@ def spectral_mapping_check(a, s: SpectrumData, p: Polynomial,
     """Compare the spectrum of chi_A(f) against {f^(alpha_k)} as sets.
 
     Both sides are clustered at the same relative radius 1e-3 before the
-    Hausdorff comparison: a k-fold eigenvalue comes out of the polynomial
-    root path as a k-cluster whose centroid is first-order accurate.
+    Hausdorff comparison.  A k-fold eigenvalue comes out of the polynomial
+    root path as a scattered k-cluster, which Newton on the characteristic
+    polynomial sharpens (``polynomials._sharpen_clusters``).
     """
     chi = chi_A(a, s, p, f)
     eigs = linalg.eigenvalues(chi, f.ctx.tol)
     pred = gelfand_eval(f, s.alphas)
-    scale = max(
-        1.0,
-        float(np.abs(eigs).max()) if eigs.size else 0.0,
-        float(np.abs(pred).max()) if pred.size else 0.0,
-    )
+    scale = max(1.0, float(np.abs(eigs).max(initial=0.0)),
+                float(np.abs(pred).max(initial=0.0)))
     radius = 1e-3 * scale
-    comp_reps, counts = cluster_points(eigs, radius)
-    # Scattered multiple eigenvalues need care: centroids are only as good
-    # as the scatter, and a badly scattered m-fold root can even split
-    # across clusters.  Newton on the (m-1)th derivative of the
-    # characteristic polynomial pins the m-fold point to near machine
-    # accuracy, and undercounted fragments still converge toward the same
-    # root, so a refine / re-cluster / recount / refine cycle heals splits
-    # and then polishes with the true multiplicities.
-    cp = linalg.char_poly(chi).coeffs
-    refined = np.array(
-        [refine_multiple_root(cp, z, int(m), 10.0 * radius)
-         for z, m in zip(comp_reps, counts)],
-        dtype=np.complex128,
-    )
-    comp_reps, _ = cluster_points(refined, radius)
-    if eigs.size and comp_reps.size:
-        owner = np.argmin(np.abs(eigs[:, None] - comp_reps[None, :]), axis=1)
-        full_counts = np.bincount(owner, minlength=comp_reps.size)
-        comp_reps = np.array(
-            [refine_multiple_root(cp, z, int(m), 10.0 * radius)
-             for z, m in zip(comp_reps, full_counts)],
-            dtype=np.complex128,
-        )
+    comp_reps = _sharpen_clusters(linalg.char_poly(chi).coeffs, eigs,
+                                  radius, 10.0 * radius)
     pred_reps, _ = cluster_points(pred, radius)
     return SpectralMappingReport(
         computed=comp_reps,

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
 
 import numpy as np
@@ -410,18 +409,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# A negative number, which argparse takes for an option unless it is
-# joined to its flag.
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
-
-
 def _join_negative_values(argv) -> list:
-    """Each ``--flag -1e5`` pair as one token ``--flag=-1e5``."""
+    """Each ``--flag -value`` pair as one token ``--flag=-value``, which
+    argparse would read as two options; ``--...`` and ``-h`` stay options."""
     out = []
     for token in argv:
         prev = out[-1] if out else ""
         if (prev.startswith("--") and prev != "--" and "=" not in prev
-                and _NEGATIVE_NUMBER.fullmatch(token)):
+                and token.startswith("-") and not token.startswith("--")
+                and token != "-h"):
             out[-1] = f"{prev}={token}"
         else:
             out.append(token)

@@ -21,8 +21,9 @@ backward-error test is relative at every scale.  Multiplicities are
 kept: a k-fold root comes back as a cluster of k nearby points whose
 residuals are below tolerance, which :func:`cluster_points` groups: an
 array pass over a grid of cells, then first fit over the points that
-share a neighbourhood.  Whether a fiber is critical is decided in one
-place, ``_critical_rows``, from the magnitude test ``_magnitudes``.
+share a neighbourhood, and ``_sharpen_clusters`` sharpens to one point
+per multiple root.  Whether a fiber is critical is decided in one place,
+``_critical_rows``, from the magnitude test ``_magnitudes``.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return self.degree == 0 and self.coeffs[0] == 0
-
-    @property
-    def leading(self) -> complex:
-        return complex(self.coeffs[-1])
 
     def __call__(self, z):
         return npp.polyval(z, self.coeffs)
@@ -596,6 +593,35 @@ def refine_multiple_root(coeffs, z0, mult: int, radius: float):
     return z
 
 
+def _sharpen_clusters(coeffs, points, radius: float, ball: float):
+    """One point per root of q (ascending ``coeffs``) from its computed roots.
+
+    A k-fold root computes as k scattered ``points``.  Their clusters at
+    ``radius`` are refined (:func:`refine_multiple_root` within ``ball``);
+    a badly scattered root can split into undercounted clusters that still
+    converge toward it, so the refined points are clustered again, each
+    point counted for its nearest one, and refined with those counts.
+    """
+    def refined(reps, counts):
+        return np.array([refine_multiple_root(coeffs, z, int(m), ball)
+                         for z, m in zip(reps, counts)], dtype=np.complex128)
+
+    reps, _ = cluster_points(refined(*cluster_points(points, radius)), radius)
+    if points.size and reps.size:
+        owner = np.argmin(np.abs(points[:, None] - reps[None, :]), axis=1)
+        reps = refined(reps, np.bincount(owner, minlength=reps.size))
+    return reps
+
+
+def _nearest_gaps(points) -> np.ndarray:
+    """Each point's distance to the nearest other point of its row, for an
+    array of one row (n,) or a stack (..., n); inf for a lone point."""
+    gaps = np.abs(points[..., :, None] - points[..., None, :])
+    idx = np.arange(points.shape[-1])
+    gaps[..., idx, idx] = np.inf
+    return gaps.min(axis=-1, initial=np.inf)
+
+
 class Centers:
     """Pairwise distinct interpolation centers and their monic polynomial.
 
@@ -614,9 +640,7 @@ class Centers:
         if not np.all(np.isfinite(arr)):
             raise ValueError("centers must be finite")
         scale = max(1.0, float(np.abs(arr).max()))
-        diff = np.abs(arr[:, None] - arr[None, :])
-        np.fill_diagonal(diff, np.inf)
-        near = diff.min(axis=1)
+        near = _nearest_gaps(arr)
         sep = float(near.min())
         if not sep > tol.crit_tol * scale:
             raise CentersDegenerate(
@@ -693,9 +717,6 @@ class Fiber:
         pts.flags.writeable = False
         self.points = pts
         self.is_critical = bool(is_critical)
-
-    def clustered(self, radius: float):
-        return cluster_points(self.points, radius)
 
     def __repr__(self):
         tag = "critical" if self.is_critical else "regular"

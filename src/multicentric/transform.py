@@ -16,10 +16,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import AlgebraContext, SampleSet, VectorFunction, gelfand_eval
-from .config import MATCH_RTOL
+from .algebra import (AlgebraContext, SampleSet, VectorFunction, _match,
+                      gelfand_eval)
 from .errors import ContextMismatch, CriticalValue, MalformedInput
-from .polynomials import Fiber, Polynomial, _lagrange_form, lagrange_basis
+from .polynomials import Polynomial, _lagrange_form, lagrange_basis
 
 __all__ = [
     "gelfand_eval",
@@ -33,8 +33,8 @@ def _phi_values_at(phi, pts: np.ndarray) -> np.ndarray:
     """Resolve the supplied scalar data phi at the fiber points.
 
     phi may be a callable, a mapping {z: value}, or an iterable of
-    (z, value) pairs; explicit points are matched with the same relative
-    tolerance used for sample lookup, in any order.
+    (z, value) pairs; explicit points must be finite, and are matched by
+    the rule of sample lookup (``algebra._match``), in any order.
     """
     if callable(phi):
         return np.array([phi(z) for z in pts], dtype=np.complex128)
@@ -46,14 +46,16 @@ def _phi_values_at(phi, pts: np.ndarray) -> np.ndarray:
         raise MalformedInput("no scalar values supplied")
     zs = np.array([complex(z) for z, _ in items], dtype=np.complex128)
     vs = np.array([complex(v) for _, v in items], dtype=np.complex128)
+    if not np.isfinite(zs).all():
+        k = int(np.argmin(np.isfinite(zs)))
+        raise MalformedInput(f"phi entry {k} has a non-finite point {zs[k]!r}")
     out = np.empty(len(pts), dtype=np.complex128)
     for i, z in enumerate(pts):
-        gaps = np.abs(zs - z)
-        j = int(np.argmin(gaps))
-        if gaps[j] > MATCH_RTOL * max(1.0, abs(z)):
+        j, gap, ok = _match(zs, z)
+        if not ok:
             raise MalformedInput(
                 f"no scalar value supplied for fiber point {complex(z)!r} "
-                f"(nearest given point at distance {gaps[j]:.3e})"
+                f"(nearest given point at distance {gap:.3e})"
             )
         out[i] = vs[j]
     return out
@@ -63,19 +65,18 @@ def inverse_transform(ctx: AlgebraContext, phi, w) -> np.ndarray:
     """Recover f(w) in C^d from scalar values on the fiber over w.
 
     f_k(w) = sum_j delta_j(lambda_k; w) phi(z_j) where delta_j(.; w) is
-    the Lagrange basis of the fiber nodes z_j(w).  ``w`` is a point, the
-    already solved :class:`Fiber` over it, giving shape (d,), or a
-    :class:`SampleSet`, whose fibers are all inverted at once, giving
-    shape (d, m).  Refuses critical w, where the fiber nodes coalesce and
-    interpolation breaks down; the first critical sample is named.  Raises
-    AlgebraOverflow when a value is not finite.
+    the Lagrange basis of the fiber nodes z_j(w).  ``w`` is a point,
+    giving shape (d,), or a :class:`SampleSet`, whose fibers are all
+    inverted at once, giving shape (d, m).  Refuses critical w, where the
+    fiber nodes coalesce and interpolation breaks down; the first critical
+    sample is named.  Raises AlgebraOverflow when a value is not finite.
     """
     if isinstance(w, SampleSet):
         if not ctx.same_as(w.ctx):
             raise ContextMismatch("sample set belongs to a different context")
         ws, nodes, crit = w.points, w.fiber_points, w.fiber_critical
     else:
-        fib = w if isinstance(w, Fiber) else ctx.fiber(w)
+        fib = ctx.fiber(w)
         ws, nodes, crit = [fib.w], fib.points[None, :], [fib.is_critical]
     if np.any(crit):
         i = int(np.argmax(crit))

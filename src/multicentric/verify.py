@@ -18,6 +18,7 @@ from .algebra import (
     AlgebraContext,
     SampleSet,
     VectorFunction,
+    _dedup,
     characters_at,
     character_residual,
     gelfand_eval,
@@ -41,12 +42,12 @@ from .calculus import (
     spectral_mapping_check,
     hausdorff_distance,
 )
-from .config import CHUNK_BYTES, DEFAULT_TOL
+from .config import CHUNK_BYTES
 from .errors import NoSimpleShiftFound
 from .polynomials import (
     Polynomial,
     _critical_rows,
-    cluster_points,
+    _nearest_gaps,
     fiber_batch,
     roots,
 )
@@ -129,12 +130,8 @@ def _frob(x) -> float:
 
 
 def _min_gap(pts) -> float:
-    pts = np.asarray(pts)
-    if pts.size < 2:
-        return np.inf
-    diff = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(diff.min())
+    """The least distance between two of the points (a row or a stack)."""
+    return float(_nearest_gaps(pts).min(initial=np.inf))
 
 
 def _case(case_id, measure, bound, detail, holds=True) -> CaseResult:
@@ -192,9 +189,7 @@ def _draw_samples(rng, ctx, m, fiber_sep=None) -> SampleSet:
         if fiber_sep is not None:
             fib = fiber_batch(ctx.centers, cand, ctx.tol)
             crit = _critical_rows(ctx.centers, fib, cand, ctx.tol)
-            gaps = np.abs(fib[:, :, None] - fib[:, None, :])
-            gaps[:, np.arange(ctx.d), np.arange(ctx.d)] = np.inf
-            good = ~crit & (gaps.min(axis=(1, 2)) >= fiber_sep)
+            good = ~crit & (_nearest_gaps(fib).min(axis=1) >= fiber_sep)
         for i, w in enumerate(cand.tolist()):
             used += 1
             if n and _near_taken(pts[:n], w):
@@ -267,9 +262,7 @@ def _draw_simplifying(rng, s: SpectrumData):
 
 def _function_at_betas(rng, ctx, betas) -> SampleSet:
     """The betas, clustered as chi_A clusters them, plus one more point."""
-    betas = np.asarray(betas, dtype=np.complex128)
-    bscale = max(1.0, float(np.abs(betas).max()))
-    reps, _ = cluster_points(betas, DEFAULT_TOL.eq_tol * bscale)
+    reps = _dedup(betas, ctx.tol)
     pts = list(reps)
     for _ in range(200):
         if len(pts) > len(reps):
@@ -442,7 +435,7 @@ def suite_eigenvalue_identity(seed=0, cases=200, d=None) -> SuiteReport:
             for _ in range(500):
                 f = _draw_function(rng, ss, scale=1.5)
                 gv = f.gelfand_values()
-                if min(_min_gap(gv[i]) for i in range(ss.m)) >= 0.15:
+                if _min_gap(gv) >= 0.15:
                     break
             else:
                 raise RuntimeError("fiber-value separation not reached")

@@ -640,6 +640,16 @@ class TestSamplePoints:
             refused = True
         assert refused == repeated
 
+    @pytest.mark.parametrize("w", [complex("nan"), complex(3.0, float("nan")),
+                                   complex("inf")])
+    def test_match_refuses_non_finite_w(self, w):
+        # an infinite w used to match every sample: its tolerance was inf
+        ss = SampleSet(AlgebraContext(Centers([1.0, -1.0])), [3.0, 0.5])
+        with pytest.raises(SampleMiss, match="no sample matches"):
+            ss.match(w)
+        with pytest.raises(SampleMiss):
+            characters_at(ss.ctx, ss, w)
+
 
 class TestValueStorage:
     """The public constructor copies; arrays the package builds are kept."""

@@ -353,6 +353,14 @@ class TestFlagsAndFormats:
         assert got[0] == 0
         assert got == run(capsys, *head, f"{flag}={value}")
 
+    def test_negative_infinity_after_a_flag(self, capsys):
+        # -Infinity is not a decimal number, but a value all the same
+        head = ("fiber", "--centers", CENTERS)
+        code, out, err = run(capsys, *head, "--w", "-Infinity")
+        assert code == 2 and out == ""
+        assert_one_error_line(err, "w: expected finite numbers")
+        assert (code, out, err) == run(capsys, *head, "--w=-Infinity")
+
     def test_negative_tolerance_is_one_error_line(self, capsys):
         code, out, err = run(capsys, "--tol", "-1e-3", "roots",
                              "--poly", '{"coeffs": [1, 1]}')

@@ -192,6 +192,54 @@ VERIFY_DIGESTS = {
 }
 
 
+# The same digests, of stdout and stderr together, for CLI paths the
+# session does not reach: radicals at critical values (a triple and a
+# quadruple fiber point among them), inverse transforms, f^ lookups, and
+# a miss of each matching rule.  Recorded before multiple-root
+# sharpening and sample matching were each written once.
+C3 = [[1, 0], [-0.5, 0.8660254037844386], [-0.5, -0.8660254037844386]]
+F3 = {"centers": C3,
+      "samples": [{"w": [7, 0], "f": [1, [0, 2], -3]},
+                  {"w": [0, 0], "f": [[0.5, 1], 2, 4]}]}
+R3 = [-1, 1.7320508075688772]
+PHI3 = [{"w": 7, "values": [{"z": [-1, -1.7320508075688772], "phi": [0, 1]},
+                            {"z": 2, "phi": 5},
+                            {"z": R3, "phi": [2, -1]}]},
+        {"w": 0, "values": [{"z": C3[2], "phi": 1}, {"z": C3[1], "phi": 2},
+                            {"z": C3[0], "phi": 3}]}]
+PATH_CALLS = {
+    "radical-regular": ["radical", {"centers": C, "w0": 3}],
+    "radical-critical": ["radical", {"centers": C, "w0": -1}],
+    "radical-triple": ["radical", {"centers": C3, "w0": -1}],
+    "radical-quadruple": ["radical", {"centers": [[2, 0], [-2, 0], [0, 2],
+                                                  [0, -2]], "w0": -16}],
+    "invtransform-2": ["invtransform", {"centers": C, "phi": PHI}],
+    "invtransform-3": ["invtransform", {"centers": C3, "phi": PHI3}],
+    "invtransform-miss": ["invtransform", {"centers": C, "phi": [
+        {"w": 3, "values": [{"z": 2, "phi": 3}, {"z": -2.1, "phi": -1}]}]}],
+    "gelfand-2": ["gelfand", {"f": F, "z": [-2, 0]}],
+    "gelfand-fiber": ["gelfand", {"f": F, "z": [1.2411967672541269,
+                                                0.20141850719855617]}],
+    "gelfand-center": ["gelfand", {"f": F3, "z": C3[1]}],
+    "gelfand-3": ["gelfand", {"f": F3, "z": R3}],
+    "gelfand-miss": ["gelfand", {"f": F, "z": 5}],
+}
+PATH_DIGESTS = {
+    "radical-regular": (0, "a8be1da975ef0dd8"),
+    "radical-critical": (0, "f4969852ba7ea667"),
+    "radical-triple": (0, "e98d3e5190c08536"),
+    "radical-quadruple": (0, "ac1f212227be296e"),
+    "invtransform-2": (0, "d9f6eadc30fc10a3"),
+    "invtransform-3": (0, "7fa38ecbc27c06f4"),
+    "invtransform-miss": (2, "12f3aff577efde82"),
+    "gelfand-2": (0, "2736bfe0e405d529"),
+    "gelfand-fiber": (0, "c4c1c506c21328dd"),
+    "gelfand-center": (0, "701bcc6279865e22"),
+    "gelfand-3": (0, "41fdd6bf43fd3f28"),
+    "gelfand-miss": (2, "10640ddcd75a41a5"),
+}
+
+
 def _session(seed):
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   WORKLOADS)
@@ -217,3 +265,15 @@ def test_verify_all_outputs_unchanged(flags):
     code, out, _, _ = run_main(["verify", "all", *flags])
     got = (code, hashlib.sha256(out.encode()).hexdigest()[:16])
     assert got == VERIFY_DIGESTS[flags]
+
+
+@pytest.mark.skipif((np.__version__, platform.machine()) != RECORDED_WITH,
+                    reason="digests recorded with numpy 2.4.6 on x86_64")
+def test_cli_path_outputs_unchanged():
+    got = {}
+    for label, (name, payloads) in PATH_CALLS.items():
+        code, out, err, _ = run_main(
+            [name] + [f"--{flag}={json.dumps(obj)}"
+                      for flag, obj in payloads.items()])
+        got[label] = (code, hashlib.sha256((out + err).encode()).hexdigest()[:16])
+    assert got == PATH_DIGESTS

@@ -20,6 +20,8 @@ from multicentric.polynomials import (
     _fujiwara_radius,
     _horner,
     _magnitudes,
+    _nearest_gaps,
+    _sharpen_clusters,
     cluster_points,
     critical_points,
     fiber,
@@ -780,6 +782,128 @@ class TestClusterAndRefine:
         c = np.polynomial.polynomial.polyfromroots([2.0, -1.0])
         z = refine_multiple_root(c, 2.0 + 1e-4, 1, 0.05)
         assert abs(z - 2.0) < 1e-14
+
+
+def _sharpen_oracle(coeffs, points, radius, ball):
+    """The refine / re-cluster / recount / refine cycle written out inline,
+    as spectral_mapping_check held it before the cycle was shared."""
+    reps, counts = cluster_points(points, radius)
+    refined = np.array(
+        [refine_multiple_root(coeffs, z, int(m), ball)
+         for z, m in zip(reps, counts)],
+        dtype=np.complex128,
+    )
+    reps, _ = cluster_points(refined, radius)
+    if points.size and reps.size:
+        owner = np.argmin(np.abs(points[:, None] - reps[None, :]), axis=1)
+        full_counts = np.bincount(owner, minlength=reps.size)
+        reps = np.array(
+            [refine_multiple_root(coeffs, z, int(m), ball)
+             for z, m in zip(reps, full_counts)],
+            dtype=np.complex128,
+        )
+    return reps
+
+
+class TestSharpenClusters:
+    # (z - 1)^3 (z + 2)
+    C = npp.polyfromroots([1.0, 1.0, 1.0, -2.0])
+
+    @pytest.mark.parametrize("ball", [1.0, 10.0], ids=["radius", "10-radius"])
+    @pytest.mark.parametrize("spread", [0.3, 0.6, 0.9, 1.5])
+    def test_split_triple_root_matches_the_inline_cycle(self, ball, spread):
+        # the triple root's images fall into one to three clusters
+        radius = 1e-3
+        pts = np.append(1.0 + spread * radius * np.exp(
+            1j * (0.3 + 2.0 * np.pi * np.arange(3) / 3)), -2.0 + 1e-9j)
+        got = _sharpen_clusters(self.C, pts, radius, ball * radius)
+        want = _sharpen_oracle(self.C, pts, radius, ball * radius)
+        assert got.tobytes() == want.tobytes()
+
+    def test_split_cluster_is_healed(self):
+        # three singletons at first; one point for the triple root at last
+        radius = 1e-3
+        pts = 1.0 + 0.9 * radius * np.exp(1j * 2.0 * np.pi * np.arange(3) / 3)
+        assert len(cluster_points(pts, radius)[0]) == 3
+        got = _sharpen_clusters(self.C, pts, radius, 10.0 * radius)
+        assert len(got) == 1 and abs(got[0] - 1.0) < 1e-12
+
+    def test_no_points(self):
+        got = _sharpen_clusters(self.C, np.empty(0, np.complex128), 1e-3, 1e-2)
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("lam", [
+        [1.0, -1.0],
+        [1.0, 0.0, -1.0],
+        np.exp(2j * np.pi * np.arange(3) / 3),
+        [2.0, -2.0, 2.0j, -2.0j],
+        np.exp(2j * np.pi * np.arange(5) / 5),
+    ], ids=["d2", "d3", "d3-triple", "d4-quadruple", "d5-quintuple"])
+    def test_radical_basis_at_critical_values(self, lam):
+        from multicentric import linalg
+        from multicentric.algebra import AlgebraContext, radical_basis_at
+        ctx = AlgebraContext(Centers(lam))
+        for w0 in ctx.centers.critical_values:
+            fib = ctx.fiber(w0)
+            scale = max(1.0, float(np.abs(fib.points).max()), abs(w0))
+            radius = 4.0 * max(ctx.tol.crit_tol,
+                               ctx.tol.root_tol ** (1.0 / ctx.d)) * scale
+            coeffs = ctx.centers.poly.coeffs.copy()
+            coeffs[0] -= w0
+            reps = _sharpen_oracle(coeffs, fib.points, radius, radius)
+            assert (_sharpen_clusters(coeffs, fib.points, radius,
+                                      radius).tobytes() == reps.tobytes())
+            rows = ctx.basis_values(reps).T
+            want = linalg.nullspace(
+                rows, ctx.tol.eq_tol * max(1.0, np.abs(rows).max()))
+            got = radical_basis_at(ctx, w0)
+            assert got.tobytes() == want.tobytes()
+            assert got.shape[0] == len(lam) - len(reps) >= 1
+
+
+def _old_nearest(pts):
+    """Centers' former copy: the nearest other point of each point."""
+    diff = np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(diff, np.inf)
+    return diff.min(axis=1)
+
+
+def _old_min_gap(pts):
+    """verify's former copy: the least gap of a row, inf below 2 points."""
+    if pts.size < 2:
+        return np.inf
+    diff = np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(diff, np.inf)
+    return float(diff.min())
+
+
+class TestNearestGaps:
+    @pytest.mark.parametrize("n", [0, 1, 2, 64])
+    def test_rows_match_the_former_copies(self, n):
+        rng = np.random.default_rng(n)
+        pts = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got = _nearest_gaps(pts)
+        assert got.shape == (n,)
+        if n:
+            assert got.tobytes() == _old_nearest(pts).tobytes()
+        assert got.min(initial=np.inf) == _old_min_gap(pts)
+
+    @pytest.mark.parametrize("shape", [(5, 1), (5, 2), (7, 4), (2, 3, 6), (0, 3)])
+    def test_stacks_are_their_rows(self, shape):
+        rng = np.random.default_rng(len(shape))
+        pts = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = _nearest_gaps(pts)
+        assert got.shape == shape
+        rows = pts.reshape(-1, shape[-1])
+        for row, gaps in zip(rows, got.reshape(rows.shape)):
+            assert gaps.tobytes() == _old_nearest(row).tobytes()
+        # the fiber screen of verify._draw_samples, as it was written
+        if len(shape) == 2:
+            gaps = np.abs(pts[:, :, None] - pts[:, None, :])
+            idx = np.arange(shape[1])
+            gaps[:, idx, idx] = np.inf
+            old = gaps.min(axis=(1, 2), initial=np.inf)
+            assert got.min(axis=1, initial=np.inf).tobytes() == old.tobytes()
 
 
 class TestCenters:

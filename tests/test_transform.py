@@ -166,6 +166,18 @@ class TestInverseTransform:
         with pytest.raises(MalformedInput):
             inverse_transform(ctx, {2.1: 3.0, -2.0: -1.0}, 3.0)
 
+    @pytest.mark.parametrize("z", [float("nan"), complex(2.0, float("nan")),
+                                   float("-inf")])
+    def test_non_finite_point_refused(self, two_center, z):
+        # a NaN distance used to pass the match test, and the NaN entry's
+        # value was read for both fiber points: [5, 5] instead of [2, 0]
+        ctx, _, _ = two_center
+        phi = [(z, 5.0), (2.0, 3.0), (-2.0, -1.0)]
+        with pytest.raises(MalformedInput, match="phi entry 0 "):
+            inverse_transform(ctx, phi, 3.0)
+        assert np.allclose(inverse_transform(ctx, phi[1:], 3.0),
+                           [2.0, 0.0], atol=1e-14)
+
 
 class TestLagrangeForm:
     """inverse_transform through the Lagrange kernel of the fiber nodes."""
