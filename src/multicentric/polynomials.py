@@ -6,15 +6,15 @@ right hand sides from given start points, with one q for every row or
 one q per row.  Root problems enter it through :func:`roots`, for one
 polynomial or a stack of coefficient rows, with w = 0 and each row
 started on a circle enclosing its roots; :func:`fiber_batch` runs it
-over many w at once.  The fiber over w = 0 is
-the set of centers and moves smoothly with w, so a fiber row starts at
-the first-order points lambda_j + w / p'(lambda_j) while those stay
-within each center's distance to its nearest other center; farther rows
-start on the circle of the Fujiwara bound of p - w.  A row leaves the
-batch as soon as all its points converge, and its start depends only on
-its own w, so a row's result does not depend on the rows beside it.
-That lets :func:`fiber_batch` run the kernel one block of rows at a
-time, and the kernel build its Aberth correction sums about 1 MiB of
+over many w at once.  The fiber over w = 0 is the set of centers and
+moves smoothly with w, so a fiber row starts at the first-order points
+lambda_j + w / p'(lambda_j) while those stay within each center's
+distance to its nearest other center; farther rows start near their
+asymptotic fiber c + (w - p(c))^(1/d), c the mean of the centers.  A row
+leaves the batch once all its points converge, and its start reads only
+its own w, so its result does not depend on the rows beside it.  That
+lets :func:`fiber_batch` run the kernel one block of rows at a time,
+and the kernel build its Aberth correction sums about 1 MiB of
 pairwise differences (``CHUNK_BYTES``) at a time, so the scratch of a
 fiber solve stays a few ``CHUNK_BYTES`` however many rows it has.  The
 backward-error test is relative at every scale.  Multiplicities are
@@ -404,19 +404,19 @@ def roots(q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return out[0] if one else out
 
 
-def _fujiwara_radius(monic, ws) -> np.ndarray:
-    """Fujiwara's bound on the root moduli of monic(z) - w, for each w.
+def _asymptotic_start(lambdas, ws) -> np.ndarray:
+    """Points c + rho exp(i(arg v / d + 2 pi k / d + 0.1)) for each w.
 
-    2 max(|a_{deg-1}|, |a_{deg-2}|^(1/2), ..., |a_1|^(1/(deg-1)),
-    |(a_0 - w) / 2|^(1/deg)): unlike 1 + max |a_k| it grows like
-    |w|^(1/deg), so the start circle stays representable for any finite w
-    whose fiber is.
+    c is the mean of the centers, so p(z) - w has no (z - c)^(d-1) term
+    and its roots approach c + v^(1/d), v = w - p(c), as |v| grows; rho =
+    max(|v|^(1/d), max_j |lambda_j - c| / 2), whose floor keeps the points
+    apart where v is small.  An overflowing |v| gives non-finite points.
     """
-    deg = len(monic) - 1
-    with np.errstate(all="ignore"):
-        inner = np.abs(monic[1:-1]) ** (1.0 / np.arange(deg - 1, 0, -1))
-        outer = (np.abs(monic[0] - ws) / 2.0) ** (1.0 / deg)
-    return 2.0 * np.maximum(outer, inner.max(initial=0.0))
+    d, c = lambdas.size, lambdas.mean()
+    v = ws - np.prod(c - lambdas)
+    rho = np.maximum(np.abs(v) ** (1.0 / d), 0.5 * np.abs(lambdas - c).max())
+    angles = np.angle(v)[:, None] / d + 2.0 * np.pi * np.arange(d) / d + 0.1
+    return c + rho[:, None] * np.exp(1j * angles)
 
 
 def fiber_batch(centers: "Centers", ws,
@@ -429,8 +429,8 @@ def fiber_batch(centers: "Centers", ws,
     when every |w ell_j| is at most lambda_j's distance to its nearest
     other center; a nudge of 1e-3 of that distance, turned a little
     further for each j, breaks the real symmetry on which a real p and a
-    real w would otherwise stall.  Other rows start on the circle of the
-    Fujiwara bound of p - w.  The rule reads only the row's own w.
+    real w would otherwise stall.  Other rows start near their asymptotic
+    fiber (``_asymptotic_start``).  The rule reads only the row's own w.
 
     As no row's result depends on the rows beside it, the start points
     are built and the kernel run one block of rows at a time, its (rows,
@@ -450,7 +450,7 @@ def fiber_batch(centers: "Centers", ws,
         with np.errstate(all="ignore"):
             shift = wl[:, None] * ell[None, :]
             local = (np.abs(shift) <= near[None, :]).all(axis=1)
-            z0 = _circle(_fujiwara_radius(centers.poly.coeffs, wl), d)
+            z0 = _asymptotic_start(lam, wl)
             nudge = np.where(np.isfinite(near), 1e-3 * near, 0.0) * np.exp(
                 1j * (0.4 + 2.0 * np.pi * np.arange(d) / d))
             z0[local] = lam + shift[local] + nudge

@@ -707,8 +707,8 @@ class TestOutOfRange:
                 gelfand_eval(f, np.array([[-2.0], [2.0]]))
 
     def test_sample_far_out_is_accurate(self, two_center):
-        # the fiber over 1e300 is {+-1e150}: the start circle of the
-        # Fujiwara bound stays representable, so the solve succeeds
+        # the fiber over 1e300 is {+-1e150}: the asymptotic start points
+        # +-1e150 turned by 0.1 stay representable, so the solve succeeds
         ctx, _, _, _ = two_center
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

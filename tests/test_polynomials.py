@@ -15,9 +15,8 @@ from multicentric.polynomials import (
     Centers,
     Polynomial,
     _aberth,
-    _circle,
+    _asymptotic_start,
     _crowded,
-    _fujiwara_radius,
     _horner,
     _magnitudes,
     _nearest_gaps,
@@ -351,7 +350,7 @@ class TestFiber:
     @pytest.mark.parametrize("w", [1e200, 1e300])
     def test_huge_w_solves_without_warnings(self, w):
         # p(z) = z^2 - 1: the fiber {+-sqrt(w)} is representable, and so
-        # is the start circle of the Fujiwara bound 2 sqrt(w / 2)
+        # are the asymptotic start points, +-sqrt(w + 1) turned by 0.1
         cen = Centers([1.0, -1.0])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -367,6 +366,24 @@ class TestFiber:
         # is 2e308, past the float range, though the fiber and its
         # residual are representable.
         pts = fiber(Centers([1.0, -1.0]), w).points
+        root = np.sqrt(complex(w))
+        _match_multisets(pts, [root, -root], 1e-15 * abs(root))
+
+    @pytest.mark.parametrize("w", [-1e308, -1e308j])
+    def test_huge_w_from_the_asymptotic_start(self, w):
+        # p(z) = z^2 - 1: the fiber {+-sqrt(w)} has modulus 1e154, and a
+        # start circle much wider than that sends p(z) - w past the float
+        # range; the asymptotic start points have the fiber's modulus.
+        cen = Centers([1.0, -1.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pts = fiber(cen, w).points
+        assert [str(m.message) for m in caught] == []
+        # z^2 - 1 - w and its scale |z|^2 + 1 + |w|, both divided by 4
+        half = pts / 2.0
+        res = np.abs(half * half - 0.25 - w / 4.0)
+        scale = np.abs(half) ** 2 + 0.25 + abs(w) / 4.0
+        assert (res <= DEFAULT_TOL.root_tol * scale).all()
         root = np.sqrt(complex(w))
         _match_multisets(pts, [root, -root], 1e-15 * abs(root))
 
@@ -450,6 +467,64 @@ class TestFiber:
             assert fiber_batch(cen, ws[i:i + 1]).tobytes() == batch[i].tobytes()
 
 
+def _companion_fiber(cen, w):
+    """The fiber over w as the eigenvalues of the companion of p - w."""
+    c = cen.poly.coeffs.copy()
+    c[0] -= w
+    return np.linalg.eigvals(npp.polycompanion(c))
+
+
+def _far_sets():
+    """Real, conjugate-pair and complex centers for d = 2 ... 6."""
+    rng = np.random.default_rng(28)
+    for d in range(2, 7):
+        half = rng.uniform(0.3, 2.0, d // 2)
+        pairs = np.concatenate([half + 1j * rng.uniform(0.2, 1.0, d // 2),
+                                half - 1j * rng.uniform(0.2, 1.0, d // 2)])
+        yield f"real-{d}", rng.uniform(-2.0, 2.0, d)
+        yield f"pairs-{d}", pairs if d % 2 == 0 else np.append(pairs, 0.7)
+        yield f"complex-{d}", rng.standard_normal(d) + 1j * rng.standard_normal(d)
+
+
+class TestFarRows:
+    """Rows past the first-order start begin on the asymptotic fiber."""
+
+    @pytest.mark.parametrize("name, lam", list(_far_sets()),
+                             ids=[name for name, _ in _far_sets()])
+    def test_fibers_match_the_companion_eigenvalues(self, name, lam):
+        # |w| from just past the first-order radius, beyond which some
+        # |w ell_j| exceeds lambda_j's nearest-center distance, up to 1e6
+        # times the scale of p, on the real axis and off it
+        cen = Centers(lam)
+        first = float((cen._near / np.abs(cen.ell)).min())
+        pscale = float(np.abs(cen.lambdas - cen.lambdas.mean()).max()) ** cen.d
+        mags = np.geomspace(1.01 * first, 1e6 * max(pscale, first), 9)
+        ws = np.concatenate([mags, -mags, mags * np.exp(2.1j), mags * 1j])
+        assert (np.abs(ws[:, None] * cen.ell) > cen._near).any(axis=1).all()
+        batch = fiber_batch(cen, ws)
+        for i, w in enumerate(ws):
+            expect = _companion_fiber(cen, w)
+            _match_multisets(batch[i], expect, 1e-10 * np.abs(expect).max())
+            assert fiber_batch(cen, [w])[0].tobytes() == batch[i].tobytes()
+
+    @pytest.mark.parametrize("lam", [[1.0, -1.0], [0.0, 1e-3, 5.0, 5.001]])
+    def test_w_at_the_centroid_keeps_the_points_apart(self, lam):
+        # p(z) - p(c) has a double root at the mean c of these symmetric
+        # centers, where |v| = 0 would start every point at c; the floor
+        # of the start radius keeps them apart.  A double root is only
+        # as accurate as the square root of the backward error.
+        cen = Centers(lam)
+        c = cen.lambdas.mean()
+        w = np.prod(c - cen.lambdas)
+        got = fiber_batch(cen, [w])
+        assert _backward_err(cen, [w], got) <= DEFAULT_TOL.root_tol
+        expect = _companion_fiber(cen, w)
+        scale = np.abs(np.append(expect, cen.lambdas)).max()
+        _match_multisets(got[0], expect, 1e-5 * scale)
+        assert np.count_nonzero(np.abs(got[0] - c) < 1e-4) == 2
+        assert fiber_batch(cen, [w, 0.5 * w])[0].tobytes() == got[0].tobytes()
+
+
 class TestCollisionBranch:
     """The root kernel's jitter of a row whose iterates collide."""
 
@@ -457,7 +532,7 @@ class TestCollisionBranch:
         cen = Centers([1.0, -1.0, 0.5j, 2.0 - 1j])
         monic = cen.poly.coeffs
         ws = np.array([0.3 + 0.2j, -0.7 + 0.1j])
-        start = _circle(_fujiwara_radius(monic, ws), cen.d)
+        start = _asymptotic_start(cen.lambdas, ws)
         start[0, 1] = start[0, 0]      # 1 / 0 in the row's correction sums
         got = _aberth(monic, ws, start, DEFAULT_TOL)
         alone = _aberth(monic, ws[1:], start[1:], DEFAULT_TOL)[0]
@@ -470,8 +545,8 @@ class TestCollisionBranch:
         _match_multisets(got[0], fiber_batch(cen, ws[:1])[0], 1e-12)
 
     def test_non_finite_start_raises_at_once(self):
-        # |w| overflows in the Fujiwara bound, so the start circle of the
-        # first row is not finite
+        # |v| = |w - p(c)| overflows, so the asymptotic start points of
+        # the first row are not finite
         with pytest.raises(ConvergenceFailure, match="non-finite iterates"):
             fiber_batch(Centers([1.0, -1.0, 2.0]),
                         [complex(1.7e308, 1.7e308), 0.5])
@@ -565,7 +640,7 @@ class TestRowwiseKernel:
     def test_shared_row_equals_a_row_per_w(self, case):
         cen, ws, _, _ = case
         monic = cen.poly.coeffs
-        z0 = _circle(_fujiwara_radius(monic, ws), cen.d)
+        z0 = _asymptotic_start(cen.lambdas, ws)
         shared = _aberth(monic, ws, z0, DEFAULT_TOL)
         rowwise = _aberth(np.tile(monic, (ws.size, 1)), ws, z0, DEFAULT_TOL)
         assert shared.tobytes() == rowwise.tobytes()
