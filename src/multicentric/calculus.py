@@ -323,7 +323,7 @@ def chi_A(a, s: SpectrumData, p: Polynomial, f: VectorFunction) -> np.ndarray:
     if p.degree != ctx.d:
         raise ContextMismatch("p degree does not match the centers of f")
     pscale = max(1.0, float(np.abs(p.coeffs).max()))
-    if not p.monic().allclose(ctx.p, atol=1e3 * tol.eq_tol * pscale):
+    if not p.allclose(ctx.p, atol=1e3 * tol.eq_tol * pscale):
         raise ContextMismatch("f lives over different centers than p")
     # p must have simple roots; the context construction enforces their
     # separation, so a degenerate p surfaces as CentersDegenerate there.

@@ -292,7 +292,10 @@ def cmd_specmap(args, tol) -> int:
         "hausdorff": rep.hausdorff,
         "passed": rep.passed,
     }, args)
-    return 0
+    if not rep.passed:
+        print("error: spectral mapping failed: sigma(chi_A(f)) is at Hausdorff "
+              f"distance {rep.hausdorff:.3e} from f^(sigma(A))", file=sys.stderr)
+    return 0 if rep.passed else 1
 
 
 def cmd_verify(args, tol) -> int:

@@ -28,6 +28,8 @@ per multiple root.  Whether a fiber is critical is decided in one place,
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
@@ -630,9 +632,6 @@ class Centers:
     ``separation`` is the least of them.
     """
 
-    __slots__ = ("lambdas", "separation", "_near", "_poly", "_deriv",
-                 "_ell", "_crit", "_critvals")
-
     def __init__(self, lambdas, tol: Tolerances = DEFAULT_TOL):
         arr = np.atleast_1d(np.asarray(lambdas, dtype=np.complex128)).ravel().copy()
         if arr.size == 0:
@@ -651,56 +650,39 @@ class Centers:
         self.lambdas = arr
         self.separation = sep
         self._near = near
-        self._poly = None
-        self._deriv = None
-        self._ell = None
-        self._crit = None
-        self._critvals = None
 
     @property
     def d(self) -> int:
         return len(self.lambdas)
 
-    @property
+    @cached_property
     def poly(self) -> Polynomial:
-        if self._poly is None:
-            with np.errstate(all="ignore"):
-                self._poly = _computed(npp.polyfromroots(self.lambdas),
-                                       "center polynomial")
-        return self._poly
+        with np.errstate(all="ignore"):
+            return _computed(npp.polyfromroots(self.lambdas),
+                             "center polynomial")
 
-    @property
+    @cached_property
     def deriv(self) -> Polynomial:
-        if self._deriv is None:
-            self._deriv = self.poly.derivative()
-        return self._deriv
+        return self.poly.derivative()
 
-    @property
+    @cached_property
     def ell(self) -> np.ndarray:
         """ell_j = 1/p'(lambda_j) = 1/prod_{k != j} (lambda_j - lambda_k)."""
-        if self._ell is None:
-            ell = _lagrange_weights(self.lambdas)
-            ell.flags.writeable = False
-            self._ell = ell
-        return self._ell
+        ell = _lagrange_weights(self.lambdas)
+        ell.flags.writeable = False
+        return ell
 
-    @property
+    @cached_property
     def critical_points(self) -> np.ndarray:
-        if self._crit is None:
-            if self.d < 2:
-                self._crit = np.empty(0, dtype=np.complex128)
-            else:
-                self._crit = roots(self.deriv)
-        return self._crit
+        return (roots(self.deriv) if self.d > 1
+                else np.empty(0, dtype=np.complex128))
 
-    @property
+    @cached_property
     def critical_values(self) -> np.ndarray:
-        if self._critvals is None:
-            cp = self.critical_points
-            # a value beyond the float range is inf: no finite w is near it
-            with np.errstate(all="ignore"):
-                self._critvals = np.asarray(self.poly(cp), dtype=np.complex128)
-        return self._critvals
+        # a value beyond the float range is inf: no finite w is near it
+        with np.errstate(all="ignore"):
+            return np.asarray(self.poly(self.critical_points),
+                              dtype=np.complex128)
 
     def __repr__(self):
         return f"Centers({list(self.lambdas)})"

@@ -4,12 +4,16 @@ Each suite exercises one mathematical contract of the package on seeded
 random instances and returns a SuiteReport of per-case pass/fail rows.
 Reports contain no timing data, so the same seed produces byte-identical
 output.  The CLI exposes these through `multicentric verify <suite>`.
+
+Each rejection draw but the batched ``_draw_samples`` is one call of
+``_draw_until``: at most a fixed number of draws until one is accepted,
+then an error, or None where the caller can go on without a draw.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from .calculus import (
     spectral_mapping_check,
     hausdorff_distance,
 )
-from .config import CHUNK_BYTES
+from .config import blocks
 from .errors import NoSimpleShiftFound
 from .polynomials import (
     Polynomial,
@@ -67,18 +71,12 @@ class CaseResult:
     def __post_init__(self):
         # numpy scalars sneak in from comparisons; pin to plain types so
         # the reports stay json-serializable.
-        object.__setattr__(self, "passed", bool(self.passed))
-        object.__setattr__(self, "measure", float(self.measure))
-        object.__setattr__(self, "bound", float(self.bound))
+        for name, kind in (("passed", bool), ("measure", float),
+                           ("bound", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "passed": self.passed,
-            "measure": self.measure,
-            "bound": self.bound,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -113,16 +111,13 @@ class SuiteReport:
 
     def to_rows(self) -> list:
         head = ["suite", "case_id", "passed", "measure", "bound", "detail"]
-        rows = [head]
-        for c in sorted(self.cases, key=lambda c: c.case_id):
-            rows.append([self.suite, c.case_id, str(c.passed).lower(),
-                         repr(c.measure), repr(c.bound), c.detail])
-        return rows
+        return [head] + [[self.suite, c.case_id, str(c.passed).lower(),
+                          repr(c.measure), repr(c.bound), c.detail]
+                         for c in sorted(self.cases, key=lambda c: c.case_id)]
 
 
 def _cplx(rng, n, r):
-    out = r * (rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n))
-    return out
+    return r * (rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n))
 
 
 def _frob(x) -> float:
@@ -134,19 +129,33 @@ def _min_gap(pts) -> float:
     return float(_nearest_gaps(pts).min(initial=np.inf))
 
 
+def _spread(pts, rel) -> bool:
+    """Whether the points are rel * max(1, max |pts|) apart."""
+    return _min_gap(pts) >= rel * max(1.0, float(np.abs(pts).max()))
+
+
 def _case(case_id, measure, bound, detail, holds=True) -> CaseResult:
     """A case passes iff its measure is within its bound and ``holds``."""
     return CaseResult(case_id, measure <= bound and holds, measure, bound,
                       detail)
 
 
+def _draw_until(draw, accept, tries, failure):
+    """The first of up to ``tries`` results of ``draw()`` that ``accept``
+    takes; past them, raise ``failure``, or return None if it is None."""
+    for _ in range(tries):
+        x = draw()
+        if accept(x):
+            return x
+    if failure is not None:
+        raise failure
+
+
 def _draw_context(rng, d) -> AlgebraContext:
-    for _ in range(500):
-        lam = _cplx(rng, d, 1.5)
-        if _min_gap(lam) >= 0.5:
-            return AlgebraContext(lam)
-    raise ValueError(f"--d {d}: {d} centers 0.5 apart were not found in "
-                     "500 draws; choose a smaller --d")
+    return AlgebraContext(_draw_until(
+        lambda: _cplx(rng, d, 1.5), lambda lam: _min_gap(lam) >= 0.5, 500,
+        ValueError(f"--d {d}: {d} centers 0.5 apart were not found in "
+                   "500 draws; choose a smaller --d")))
 
 
 def _near_taken(taken, w: complex) -> bool:
@@ -169,11 +178,10 @@ def _draw_samples(rng, ctx, m, fiber_sep=None) -> SampleSet:
     draws are made.
 
     Candidates come a batch at a time from a saved state of ``rng``, and
-    with ``fiber_sep`` each batch is screened with one fiber solve (a
-    row's fiber does not depend on the rows beside it).  Then the state
-    is restored and exactly the draws the rule consumed are made again,
-    so ``rng`` ends as after drawing the points one at a time, and the
-    screened fibers go to the SampleSet unsolved again.
+    each batch is solved with one fiber solve (a row's fiber does not
+    depend on the rows beside it), whose rows go to the SampleSet.  Then
+    the state is restored and exactly the draws the rule consumed are
+    made again, so ``rng`` ends as after drawing the points one at a time.
     """
     limit = 500 + 10 * m
     start = rng.bit_generator.state
@@ -186,19 +194,15 @@ def _draw_samples(rng, ctx, m, fiber_sep=None) -> SampleSet:
         # u and v of a draw are consecutive, as _cplx(rng, 1, 2.5) draws them
         uv = rng.uniform(-1.0, 1.0, 2 * size)
         cand = 2.5 * (uv[0::2] + 1j * uv[1::2])
-        if fiber_sep is not None:
-            fib = fiber_batch(ctx.centers, cand, ctx.tol)
-            crit = _critical_rows(ctx.centers, fib, cand, ctx.tol)
-            good = ~crit & (_nearest_gaps(fib).min(axis=1) >= fiber_sep)
+        fib = fiber_batch(ctx.centers, cand, ctx.tol)
+        crit = _critical_rows(ctx.centers, fib, cand, ctx.tol)
+        good = (np.ones(size, dtype=bool) if fiber_sep is None else
+                ~crit & (_nearest_gaps(fib).min(axis=1) >= fiber_sep))
         for i, w in enumerate(cand.tolist()):
             used += 1
-            if n and _near_taken(pts[:n], w):
+            if not good[i] or n and _near_taken(pts[:n], w):
                 continue
-            if fiber_sep is not None:
-                if not good[i]:
-                    continue
-                fibers[n], flags[n] = fib[i], crit[i]
-            pts[n] = w
+            pts[n], fibers[n], flags[n] = w, fib[i], crit[i]
             n += 1
             if n == m:
                 break
@@ -206,8 +210,6 @@ def _draw_samples(rng, ctx, m, fiber_sep=None) -> SampleSet:
     rng.uniform(-1.0, 1.0, 2 * used)
     if n < m:
         raise RuntimeError("sample draw exhausted; loosen the constraints")
-    if fiber_sep is None:
-        return SampleSet(ctx, pts)
     return SampleSet._solved(ctx, pts, fibers, flags)
 
 
@@ -218,12 +220,9 @@ def _draw_function(rng, samples, scale=1.0) -> VectorFunction:
 
 def _draw_matrix_spec(rng, max_cond) -> TestMatrixSpec:
     k = int(rng.integers(1, 4))
-    for _ in range(500):
-        alphas = _cplx(rng, k, 1.2)
-        if _min_gap(alphas) >= 0.5:
-            break
-    else:
-        raise RuntimeError("eigenvalue draw did not separate")
+    alphas = _draw_until(lambda: _cplx(rng, k, 1.2),
+                         lambda al: _min_gap(al) >= 0.5, 500,
+                         RuntimeError("eigenvalue draw did not separate"))
     sizes = rng.integers(1, 4, k)
     while sizes.sum() > 8:
         sizes[int(np.argmax(sizes))] -= 1
@@ -235,42 +234,40 @@ def _draw_matrix_spec(rng, max_cond) -> TestMatrixSpec:
     return TestMatrixSpec(list(zip(alphas, sizes.tolist())), seed2, cond)
 
 
+def _shifted(base, c, alphas):
+    """(q, roots of q) for q = base + c shifted to simple roots, or None
+    when c is small or q's roots or q(alphas) are not well separated."""
+    if abs(c) < 0.5:
+        return None
+    try:
+        q = ensure_simple_roots(base, c)
+    except NoSimpleShiftFound:
+        return None
+    rts = roots(q)
+    if (not _spread(rts, 0.2) or np.abs(rts).max() > 3.0
+            or _min_gap(np.asarray(q(alphas))) < 0.25):
+        return None
+    return q, rts
+
+
 def _draw_simplifying(rng, s: SpectrumData):
-    """A simplifying q for the spectrum, and the roots of q."""
+    """A simplifying q for the spectrum and the roots of q, or None."""
     base = simplifying_poly(s)
     # A constant shift moves every beta together, so the beta separation
     # is fixed by the spectrum itself; reject hopeless spectra up front.
     if len(s.alphas) > 1 and _min_gap(np.asarray(base(s.alphas))) < 0.25:
-        raise RuntimeError("spectrum admits no well-separated image points")
-    for _ in range(60):
-        c = complex(_cplx(rng, 1, 2.0)[0])
-        if abs(c) < 0.5:
-            continue
-        try:
-            q = ensure_simple_roots(base, c)
-        except NoSimpleShiftFound:
-            continue
-        rts = roots(q)
-        scale = max(1.0, float(np.abs(rts).max()))
-        if _min_gap(rts) < 0.2 * scale or np.abs(rts).max() > 3.0:
-            continue
-        if _min_gap(np.asarray(q(s.alphas))) < 0.25:
-            continue
-        return q, rts
-    raise RuntimeError("no well-separated simplifying polynomial found")
+        return None
+    return _draw_until(
+        lambda: _shifted(base, complex(_cplx(rng, 1, 2.0)[0]), s.alphas),
+        lambda found: found is not None, 60, None)
 
 
 def _function_at_betas(rng, ctx, betas) -> SampleSet:
-    """The betas, clustered as chi_A clusters them, plus one more point."""
+    """The betas, clustered as chi_A clusters them, and a point 0.1 off."""
     reps = _dedup(betas, ctx.tol)
-    pts = list(reps)
-    for _ in range(200):
-        if len(pts) > len(reps):
-            break
-        w = complex(_cplx(rng, 1, 2.5)[0])
-        if min(abs(w - q) for q in pts) > 0.1:
-            pts.append(w)
-    return SampleSet(ctx, np.array(pts))
+    w = _draw_until(lambda: complex(_cplx(rng, 1, 2.5)[0]),
+                    lambda w: min(abs(w - q) for q in reps) > 0.1, 200, None)
+    return SampleSet(ctx, np.array(list(reps) + ([] if w is None else [w])))
 
 
 def _draw_calculus(rng, max_cond):
@@ -278,16 +275,14 @@ def _draw_calculus(rng, max_cond):
 
     Returns (spec, s, q, A, samples); the samples hold every q(alpha_k).
     """
-    for _ in range(40):
+    def draw():
         spec = _draw_matrix_spec(rng, max_cond)
         s = spec.spectrum_data()
-        try:
-            q, rts = _draw_simplifying(rng, s)
-            break
-        except RuntimeError:
-            continue
-    else:
-        raise RuntimeError("no usable spectrum draw in 40 attempts")
+        return spec, s, _draw_simplifying(rng, s)
+
+    spec, s, (q, rts) = _draw_until(
+        draw, lambda x: x[2] is not None, 40,
+        RuntimeError("no usable spectrum draw in 40 attempts"))
     a, _, _ = spec.assemble()
     ss = _function_at_betas(rng, AlgebraContext(rts), q(s.alphas))
     return spec, s, q, a, ss
@@ -353,12 +348,9 @@ def suite_d2_forms(seed=0, cases=100) -> SuiteReport:
         dev_boxed = float(
             np.abs(h.values - polyprod_boxed(f, g).values).max()) / scale
 
-        for _ in range(200):
-            fi = _draw_function(rng, ss)
-            if np.abs(fi.gelfand_values()).min() >= 0.2:
-                break
-        else:
-            raise RuntimeError("no invertible draw found")
+        fi = _draw_until(lambda: _draw_function(rng, ss),
+                         lambda fi: np.abs(fi.gelfand_values()).min() >= 0.2,
+                         200, RuntimeError("no invertible draw found"))
         ginv = invert(fi)
         phi2 = fi.gelfand_values()[:, 0] * fi.gelfand_values()[:, 1]
         swap = np.vstack([fi.values[1], fi.values[0]]) / phi2[None, :]
@@ -399,29 +391,34 @@ def suite_nilpotent(seed=0) -> SuiteReport:
     return SuiteReport("nilpotent", seed, tuple(results))
 
 
-def _identity_worst(gv, eig, d) -> float:
-    """Worst eigenvalue-to-fiber-value gap of one case, relative to the
+def _identity_worst(gv, eig):
+    """Each case's worst eigenvalue-to-fiber-value gap, relative to the
     fiber values, or inf where the nearest matches are not a bijection.
 
-    Row i of ``gv`` holds the fiber values of sample i and row i of
-    ``eig`` the eigenvalues of its multiplication matrix.
+    ``gv[c, i]`` holds the fiber values of sample i of case c and
+    ``eig[c, i]`` the eigenvalues of its multiplication matrix.
     """
-    worst = 0.0
-    for g, e in zip(gv, eig):
-        gaps = np.abs(e[:, None] - g[None, :])
-        row = gaps.argmin(axis=1)
-        ok_bijection = len(set(row.tolist())) == d
-        dev = float(gaps.min(axis=1).max())
-        scale = max(1.0, float(np.abs(g).max()))
-        worst = max(worst, dev / scale if ok_bijection else np.inf)
-    return worst
+    gaps = np.abs(eig[..., :, None] - gv[..., None, :])
+    d = gv.shape[-1]
+    bijection = (np.sort(gaps.argmin(axis=-1), axis=-1) == np.arange(d)).all(-1)
+    scale = np.maximum(1.0, np.abs(gv).max(axis=-1))
+    rel = np.where(bijection, gaps.min(axis=-1).max(axis=-1) / scale, np.inf)
+    return rel.max(axis=-1, initial=0.0)
+
+
+def _draw_separated(rng, ctx) -> VectorFunction:
+    """A function on 3 samples whose fiber values are 0.15 apart."""
+    ss = _draw_samples(rng, ctx, 3, fiber_sep=0.2)
+    return _draw_until(lambda: _draw_function(rng, ss, scale=1.5),
+                       lambda f: _min_gap(f.gelfand_values()) >= 0.15, 500,
+                       RuntimeError("fiber-value separation not reached"))
 
 
 def suite_eigenvalue_identity(seed=0, cases=200, d=None) -> SuiteReport:
     """Eigenvalues of every B_f(w) match the fiber values of f^.
 
-    The matrices of a dimension go to one stacked eigenvalue solve, in
-    stacks of about CHUNK_BYTES, after the cases that own them are drawn.
+    The matrices of a dimension go to stacked eigenvalue solves of about
+    CHUNK_BYTES (``config.blocks``), after the cases that own them.
     """
     rng = np.random.default_rng(seed)
     dims = [d] if d else [2, 3, 4, 5]
@@ -429,28 +426,14 @@ def suite_eigenvalue_identity(seed=0, cases=200, d=None) -> SuiteReport:
     results = []
     for dd in dims:
         ctx = _draw_context(rng, dd)
-        pending = []          # (case id, fiber values, matrices)
-        for k in range(per_dim):
-            ss = _draw_samples(rng, ctx, 3, fiber_sep=0.2)
-            for _ in range(500):
-                f = _draw_function(rng, ss, scale=1.5)
-                gv = f.gelfand_values()
-                if _min_gap(gv) >= 0.15:
-                    break
-            else:
-                raise RuntimeError("fiber-value separation not reached")
-            pending.append((f"eigenvalue-identity-{len(results) + len(pending):03d}",
-                            gv, mult_matrices(f)))
-            if (k + 1 == per_dim
-                    or 16 * dd * dd * ss.m * len(pending) >= CHUNK_BYTES):
-                eig = linalg.eigenvalues(np.concatenate([p[2] for p in pending]))
-                at = 0
-                for case_id, vals, mats in pending:
-                    worst = _identity_worst(vals, eig[at:at + len(mats)], dd)
-                    at += len(mats)
-                    results.append(_case(case_id, worst, 1e-8,
-                                         f"d={dd} samples={len(mats)}"))
-                pending = []
+        for blk in blocks(per_dim, 16 * dd * dd * 3):
+            fs = [_draw_separated(rng, ctx) for _ in range(per_dim)[blk]]
+            gv = np.stack([f.gelfand_values() for f in fs])
+            eig = linalg.eigenvalues(np.concatenate([mult_matrices(f) for f in fs]))
+            for w in _identity_worst(gv, eig.reshape(gv.shape)).tolist():
+                results.append(_case(
+                    f"eigenvalue-identity-{len(results):03d}", w, 1e-8,
+                    f"d={dd} samples={gv.shape[1]}"))
     return SuiteReport("eigenvalue-identity", seed, tuple(results))
 
 
@@ -519,13 +502,11 @@ def suite_spectral_radius(seed=0, cases=50) -> SuiteReport:
         ss = _draw_samples(rng, ctx, 4)
         n_here = max(1, cases // len(dims))
         for _ in range(n_here):
-            for _ in range(200):
-                f = _draw_function(rng, ss)
-                rho = float(np.abs(f.gelfand_values()).max())
-                if rho >= 0.1:
-                    break
-            else:
-                raise RuntimeError("no draw with usable spectral radius")
+            f = _draw_until(
+                lambda: _draw_function(rng, ss),
+                lambda f: np.abs(f.gelfand_values()).max() >= 0.1, 200,
+                RuntimeError("no draw with usable spectral radius"))
+            rho = float(np.abs(f.gelfand_values()).max())
             seq = spectral_radius_iter(f, 10)
             results.append(_case(
                 f"spectral-radius-{idx:03d}", abs(seq[-1] - rho) / rho, 0.05,
@@ -555,14 +536,9 @@ def suite_inversion_bound(seed=0, cases=100) -> SuiteReport:
         ss = _draw_samples(rng, ctx, 6)
         f = _draw_function(rng, ss, scale=1.5)
         vals = f.gelfand_values().ravel()
-        lam = None
-        for _ in range(200):
-            cand = complex(_cplx(rng, 1, 3.0)[0])
-            if np.abs(vals - cand).min() >= 0.05:
-                lam = cand
-                break
-        if lam is None:
-            raise RuntimeError("no admissible lambda found")
+        lam = _draw_until(lambda: complex(_cplx(rng, 1, 3.0)[0]),
+                          lambda lam: np.abs(vals - lam).min() >= 0.05, 200,
+                          RuntimeError("no admissible lambda found"))
         rep = resolvent_bound_check(f, lam)
         results.append(_case(
             f"inversion-bound-{i:03d}", rep.empirical_constant, bound,
@@ -591,8 +567,7 @@ def suite_jordan_calculus(seed=0, cases=50) -> SuiteReport:
     for i in range(cases):
         comps = [Polynomial(_cplx(rng, int(rng.integers(1, 6)), 1.0))
                  for _ in range(3)]
-        vals = np.array([[q(w) for w in ss.points] for q in comps])
-        chi = chi_A(a, s, p, VectorFunction(ss, vals))
+        chi = chi_A(a, s, p, VectorFunction.from_callables(ss, comps))
         phi = scalar_representation(ctx, comps)
         data = [[phi(0.0), phi.derivative()(0.0), phi.derivative(2)(0.0)]]
         oracle = hermite_matrix_function(a, s, data)
@@ -620,14 +595,9 @@ def suite_spectral_mapping(seed=0, cases=100) -> SuiteReport:
     results = []
     for i in range(cases):
         spec, s, q, a, ss = _draw_calculus(rng, 20.0)
-        for _ in range(300):
-            f = _draw_function(rng, ss, scale=1.5)
-            pred = gelfand_eval(f, s.alphas)
-            pscale = max(1.0, float(np.abs(pred).max()))
-            if _min_gap(pred) >= 0.05 * pscale:
-                break
-        else:
-            raise RuntimeError("predicted-value separation not reached")
+        f = _draw_until(lambda: _draw_function(rng, ss, scale=1.5),
+                        lambda f: _spread(gelfand_eval(f, s.alphas), 0.05), 300,
+                        RuntimeError("predicted-value separation not reached"))
         rep = spectral_mapping_check(a, s, q, f)
         results.append(_case(f"spectral-mapping-{i:03d}", rep.hausdorff,
                              1e-6, f"n={spec.dim} distinct={len(s.entries)}"))
@@ -689,10 +659,9 @@ def suite_nondifferentiable(seed=0, cases=20) -> SuiteReport:
     rng = np.random.default_rng(seed)
     results = []
     for i in range(cases):
-        for _ in range(100):
-            mu = complex(_cplx(rng, 1, 1.6)[0])
-            if 0.8 <= abs(mu) <= 1.6:
-                break
+        mu = _draw_until(lambda: complex(_cplx(rng, 1, 1.6)[0]),
+                         lambda mu: 0.8 <= abs(mu) <= 1.6, 100,
+                         RuntimeError("no eigenvalue in the annulus drawn"))
         c = complex(_cplx(rng, 1, 1.5)[0])
         if abs(c) < 0.5:
             c = c + 0.8

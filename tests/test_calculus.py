@@ -280,6 +280,17 @@ class TestChiWorkedExample:
         with pytest.raises(ContextMismatch):
             chi_A(self.a, self.s, self.p, f)  # p = z^2 + 1, centers {1,-1}
 
+    def test_scaled_change_of_variable_rejected(self):
+        # 2 (z^2 + 1) has the roots of z^2 + 1 but reads f at p(0) = 2
+        # where z^2 + 1 reads it at 1, so chi(fg) = chi(f) chi(g) fails
+        ss = SampleSet(self.ctx, [1.0, 2.0, 3.0])
+        f = VectorFunction(ss, [[2.0, 1.0, 0.5], [-1.0j, 1.0j, 3.0]])
+        p = Polynomial([2.0, 0.0, 2.0])
+        with pytest.raises(ContextMismatch):
+            chi_A(self.a, self.s, p, f)
+        with pytest.raises(ContextMismatch):
+            spectral_mapping_check(self.a, self.s, p, f)
+
     def test_reads_the_tolerances_of_f(self):
         # p is 1e-5 off the centers' z^2 + 1 in its constant term: within
         # 1e3 eq_tol at eq_tol = 1e-6, not at the default 1e-10

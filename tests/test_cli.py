@@ -233,6 +233,22 @@ class TestCommands:
         assert got["hausdorff"] < 1e-8
         assert abs(as_complex(got["computed"][0]) - (1.0 - 0.5j)) < 1e-8
 
+    def test_failed_specmap_is_1(self, capsys):
+        # the spectrum data claims alpha = 1/2 for the Jordan block at 0:
+        # p = (z - 1/2)^2 + 7/4 is simplifying for it, so chi_A runs, and
+        # sigma(chi_A(f)) misses f^(1/2) by about 0.189
+        c = [0.5, 1.3228756555322954]
+        f = {"centers": [c, [c[0], -c[1]]],
+             "samples": [{"w": 1.75, "f": [1, 2]}, {"w": 2, "f": [3, 4]}]}
+        code, out, err = run(capsys, "specmap", "--matrix", A_JSON,
+                             "--spectrum", '{"entries":[{"alpha":0.5,"n":1}]}',
+                             "--f", json.dumps(f))
+        assert code == 1
+        got = json.loads(out)
+        assert got["passed"] is False
+        assert abs(got["hausdorff"] - 0.18898223650461357) < 1e-9
+        assert_one_error_line(err, "Hausdorff", "1.890e-01")
+
     def test_verify_single_suite(self, capsys):
         got = run_json(capsys, "verify", "homomorphism", "--seed", "7",
                        "--d", "3", "--samples", "50", "--cases", "5")
@@ -379,6 +395,19 @@ class TestExitCodes:
                            "--centers", "[[2,0],[-2,0]]")
         assert code == 2
         assert "ContextMismatch" in err
+
+    @pytest.mark.parametrize("command", ["chi", "specmap"])
+    def test_scaled_change_of_variable_is_2(self, capsys, command):
+        # p = 2 (z^2 + 1) over centers {i, -i}: p(0) = 2 is not the beta
+        # that f's z^2 + 1 stands for, so p is refused
+        f = json.dumps({"centers": [[0, 1], [0, -1]],
+                        "samples": [{"w": w, "f": [2, [0, -1]]}
+                                    for w in (1, 2, 3)]})
+        code, out, err = run(capsys, command, "--matrix", A_JSON,
+                             "--spectrum", S_JSON, "--f", f,
+                             "--poly", '{"coeffs":[2,0,2]}')
+        assert code == 2 and out == ""
+        assert_one_error_line(err, "ContextMismatch")
 
     def test_not_invertible_is_1(self, capsys):
         bad = json.dumps({
@@ -552,9 +581,10 @@ class TestConsoleScript:
         (["norm", "--f", F_EDGE_JSON], 1),
         (["polyprod", "--f", F_EDGE_JSON, "--g", F_EDGE_JSON], 1),
         (["chi", "--matrix", '{"rows":2,"cols":2,"data":[0,1,0,0]}',
-          "--spectrum", '{"entries":[{"alpha":0,"n":1}]}',
-          "--poly", '{"coeffs":[1e-320,0,1e308]}',
-          "--f", '{"centers":[[1,0],[-1,0]],"samples":[{"w":1,"f":[1,2]}]}'], 1),
+          "--spectrum", '{"entries":[{"alpha":1e308,"n":1}]}',
+          "--poly", '{"coeffs":[-1e308,0,1]}',
+          "--f", '{"centers":[1e154,-1e154],"samples":[{"w":1,"f":[1,2]}]}'],
+         1),
         (["chi", "--matrix", A_JSON,
           "--spectrum", '{"entries":[{"alpha":[0,1e308],"n":1}]}',
           "--f", FC_JSON], 1),

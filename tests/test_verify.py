@@ -4,14 +4,15 @@
 replays the draws it used; the oracle below draws, screens and accepts
 one point at a time, as the rule reads.  Both must take the same points,
 give the same fibers and flags, and leave the Generator in the same
-state.  ``suite_eigenvalue_identity`` solves its matrices in one stack;
-its oracle solves them one matrix at a time.
+state.  ``suite_eigenvalue_identity`` solves its matrices in stacks;
+its oracle solves them one matrix at a time.  ``verify._draw_until``
+must consume the draws of the rejection loop it stands for.
 """
 
 import numpy as np
 import pytest
 
-from multicentric import linalg, verify
+from multicentric import config, linalg, verify
 from multicentric.algebra import AlgebraContext, SampleSet, mult_matrices
 from multicentric.verify import (
     SuiteReport,
@@ -161,17 +162,39 @@ def _sequential_eigenvalue_identity(seed=0, cases=200, d=None):
     return SuiteReport("eigenvalue-identity", seed, tuple(results))
 
 
-@pytest.mark.parametrize("seed,kwargs", [
+IDENTITY_CASES = [
     (0, {"d": 1, "cases": 6}),
     (1, {"d": 5, "cases": 12}),
     (2, {"cases": 1}),
     (3, {"cases": 20}),
-])
-def test_eigenvalue_identity_matches_per_matrix_solves(seed, kwargs):
+]
+
+
+# chunk 1 byte: every case fills a stack, so the stacks split after each
+@pytest.mark.parametrize("seed,kwargs,chunk", [
+    pytest.param(seed, kwargs, chunk, id=f"{seed}-kwargs{i}"
+                 + ("" if chunk is None else "-stack-per-case"))
+    for chunk in (None, 1) for i, (seed, kwargs) in enumerate(IDENTITY_CASES)])
+def test_eigenvalue_identity_matches_per_matrix_solves(seed, kwargs, chunk,
+                                                       monkeypatch):
+    stacks = []
+    real = linalg.eigenvalues
+
+    def counting(a, *args, **kw):
+        stacks.append(len(a))
+        return real(a, *args, **kw)
+
+    if chunk is not None:
+        monkeypatch.setattr(config, "CHUNK_BYTES", chunk)
+        monkeypatch.setattr(verify, "CHUNK_BYTES", chunk, raising=False)
+    monkeypatch.setattr(linalg, "eigenvalues", counting)
     got = verify.suite_eigenvalue_identity(seed=seed, **kwargs)
+    monkeypatch.setattr(linalg, "eigenvalues", real)
     want = _sequential_eigenvalue_identity(seed=seed, **kwargs)
     assert got.to_dict() == want.to_dict()
     assert got.passed
+    if chunk is not None:
+        assert stacks == [3] * len(got.cases)
 
 
 def test_eigenvalue_identity_solves_each_dimension_once(monkeypatch):
@@ -185,3 +208,61 @@ def test_eigenvalue_identity_solves_each_dimension_once(monkeypatch):
     monkeypatch.setattr(linalg, "eigenvalues", counting)
     verify.suite_eigenvalue_identity(seed=0, cases=8)
     assert calls == [(6, d, d) for d in (2, 3, 4, 5)]
+
+
+def _draw_mu_loop(rng):
+    """The rejection loop of the nondifferentiable suite's eigenvalue mu,
+    as it was written before ``_draw_until``: None after 100 misses."""
+    for _ in range(100):
+        mu = complex(_cplx(rng, 1, 1.6)[0])
+        if 0.8 <= abs(mu) <= 1.6:
+            return mu
+    return None
+
+
+def _draw_alphas_loop(rng, k):
+    """The rejection loop of the matrix-spec eigenvalues, as it was."""
+    for _ in range(500):
+        alphas = _cplx(rng, k, 1.2)
+        if _min_gap(alphas) >= 0.5:
+            return alphas
+    raise RuntimeError("eigenvalue draw did not separate")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_draw_until_consumes_the_draws_of_its_loop(seed):
+    rng_a = np.random.default_rng(seed)
+    rng_b = np.random.default_rng(seed)
+    for k in [1, 2, 3] * 10:
+        want = _draw_mu_loop(rng_a)
+        got = verify._draw_until(lambda: complex(_cplx(rng_b, 1, 1.6)[0]),
+                                 lambda mu: 0.8 <= abs(mu) <= 1.6, 100,
+                                 RuntimeError("no mu"))
+        assert got == want
+        assert _state(rng_a) == _state(rng_b)
+        want = _draw_alphas_loop(rng_a, k)
+        got = verify._draw_until(lambda: _cplx(rng_b, k, 1.2),
+                                 lambda al: _min_gap(al) >= 0.5, 500,
+                                 RuntimeError("no alphas"))
+        assert got.tobytes() == want.tobytes()
+        assert _state(rng_a) == _state(rng_b)
+
+
+def test_draw_until_stops_after_exactly_tries_misses():
+    drawn = []
+
+    def draw():
+        drawn.append(len(drawn))
+        return drawn[-1]
+
+    with pytest.raises(RuntimeError, match="none taken"):
+        verify._draw_until(draw, lambda x: False, 7, RuntimeError("none taken"))
+    assert drawn == list(range(7))
+    drawn.clear()
+    assert verify._draw_until(draw, lambda x: False, 7, None) is None
+    assert drawn == list(range(7))
+    drawn.clear()
+    # the last try still counts, and a taken draw ends the draws
+    assert verify._draw_until(draw, lambda x: x == 6, 7, RuntimeError()) == 6
+    assert verify._draw_until(draw, lambda x: True, 7, RuntimeError()) == 7
+    assert drawn == list(range(8))
