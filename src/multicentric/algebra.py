@@ -408,7 +408,8 @@ def algebra_power(f: VectorFunction, n: int) -> VectorFunction:
 
 
 def _mult_block(f: VectorFunction, cols: slice) -> np.ndarray:
-    """B_f(w) for the samples in ``cols``; shape (k, d, d).
+    """B_f(w) for the samples in ``cols``: the (k, i, j) view of an (i,
+    j, k) array, samples on the contiguous last axis.
 
     The off-diagonal entries are (w sigma_ij) (f_i - f_j)(w), the factor
     formed first, and the diagonal entry of row i is f_i(w) minus the row
@@ -418,15 +419,15 @@ def _mult_block(f: VectorFunction, cols: slice) -> np.ndarray:
     operations whatever the slice, so a block is bit for bit the same
     rows of the whole stack.
     """
-    w, fv = f.samples.points[cols], f.values[:, cols].T        # (k,), (k, i)
-    b = fv[:, :, None] - fv[:, None, :]                        # (k, i, j)
-    np.multiply(w[:, None, None] * f.ctx.sigma, b, out=b)
-    rowsum = b[:, :, 0].copy()
+    w, fv = f.samples.points[cols], f.values[:, cols]          # (k,), (i, k)
+    b = fv[:, None, :] - fv[None, :, :]                        # (i, j, k)
+    np.multiply(w * f.ctx.sigma[:, :, None], b, out=b)
+    rowsum = b[:, 0].copy()
     for j in range(1, f.d):
-        rowsum += b[:, :, j]
+        rowsum += b[:, j]
     idx = np.arange(f.d)
-    b[:, idx, idx] = fv - rowsum
-    return b
+    b[idx, idx] = fv - rowsum
+    return b.transpose(2, 0, 1)
 
 
 def _sample_chunks(f: VectorFunction):
@@ -453,7 +454,7 @@ def mult_matrix(f: VectorFunction, w_index: int) -> np.ndarray:
     m = f.m
     if not 0 <= w_index < m:
         raise IndexError(f"sample index {w_index} out of range [0, {m})")
-    return _mult_block(f, slice(w_index, w_index + 1))[0]
+    return _mult_block(f, slice(w_index, w_index + 1))[0].copy()
 
 
 def sup_norm(f: VectorFunction) -> float:
@@ -651,17 +652,19 @@ class CharacteristicCoeffs:
 
 
 def characteristic(f: VectorFunction) -> CharacteristicCoeffs:
+    """Phi_k of the fiber values; AlgebraOverflow if one is not finite."""
     gv = f.gelfand_values()
     m, d = gv.shape
-    # e[:, k] = Phi_k of the fiber values taken so far, one value per step
-    e = np.zeros((m, d + 1), dtype=np.complex128)
-    e[:, 0] = 1.0
+    # e[k] = Phi_k of the fiber values taken so far, one value per step,
+    # with the samples on the contiguous last axis
+    e = np.zeros((d + 1, m), dtype=np.complex128)
+    e[0] = 1.0
     with np.errstate(all="ignore"):
         for k in range(d):
-            e[:, 1:k + 2] = e[:, 1:k + 2] + gv[:, k, None] * e[:, :k + 1]
+            e[1:k + 2] = e[1:k + 2] + gv[:, k] * e[:k + 1]
     if not np.isfinite(e).all():
         raise AlgebraOverflow("characteristic coefficients are not finite")
-    phi = e[:, 1:].copy()
+    phi = e[1:].T.copy()
     phi.flags.writeable = False
     return CharacteristicCoeffs(points=f.samples.points, coeffs=phi)
 

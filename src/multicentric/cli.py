@@ -308,18 +308,21 @@ def cmd_verify(args, tol) -> int:
         reports = verify_mod.run_all(args.seed, **overrides)
     else:
         reports = [verify_mod.run_suite(args.suite, args.seed, **overrides)]
-    passed = all(r.passed for r in reports)
+    failed = [f"{r.suite} ({r.n_failed} of {len(r.cases)} cases)"
+              for r in reports if not r.passed]
     if len(reports) == 1:
         result = reports[0].to_dict()
     else:
-        result = {"seed": args.seed, "passed": passed,
+        result = {"seed": args.seed, "passed": not failed,
                   "suites": [r.to_dict() for r in reports]}
     rows = []
     for i, r in enumerate(reports):
         rr = r.to_rows()
         rows.extend(rr if i == 0 else rr[1:])
     _emit(result, args, rows=rows)
-    return 0 if passed else 1
+    if failed:
+        print("error: verification failed: " + ", ".join(failed), file=sys.stderr)
+    return 1 if failed else 0
 
 
 # ------------------------------------------------------------- plumbing

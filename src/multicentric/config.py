@@ -33,8 +33,8 @@ MATCH_RTOL = 1e-9
 
 # Bytes of one block of a temporary that is built a block of rows at a
 # time (see blocks): the matrix chunks of the singularity certificate and
-# of invert, the root kernel's pairwise differences and fiber rows, and
-# the sample blocks of the polyproduct, basis values and criticality test.
+# of invert, the fiber rows that the root kernel iterates on, and the
+# sample blocks of the polyproduct, basis values and criticality test.
 CHUNK_BYTES = 1 << 20
 
 

@@ -12,12 +12,12 @@ lambda_j + w / p'(lambda_j) while those stay within each center's
 distance to its nearest other center; farther rows start near their
 asymptotic fiber c + (w - p(c))^(1/d), c the mean of the centers.  A row
 leaves the batch once all its points converge, and its start reads only
-its own w, so its result does not depend on the rows beside it.  That
-lets :func:`fiber_batch` run the kernel one block of rows at a time,
-and the kernel build its Aberth correction sums about 1 MiB of
-pairwise differences (``CHUNK_BYTES``) at a time, so the scratch of a
-fiber solve stays a few ``CHUNK_BYTES`` however many rows it has.  The
-backward-error test is relative at every scale.  Multiplicities are
+its own w, so its result does not depend on the rows beside it.  The
+kernel keeps the rows on the contiguous last axis and builds no block
+of pairwise differences, and :func:`fiber_batch` runs it one block of
+rows at a time, so the scratch of a fiber solve stays a few
+``CHUNK_BYTES`` however many rows it has.  The backward-error test is
+relative at every scale.  Multiplicities are
 kept: a k-fold root comes back as a cluster of k nearby points whose
 residuals are below tolerance, which :func:`cluster_points` groups: an
 array pass over a grid of cells, then first fit over the points that
@@ -186,9 +186,8 @@ _TINY = np.finfo(float).tiny
 
 
 def _columns(c):
-    """Coefficient k of every row as c[k]: a scalar of one shared row, or
-    a column (rows, 1) of a row per row of z."""
-    return c if c is None or c.ndim == 1 else c.T[:, :, None]
+    """Coefficient k of every point as c[k] (see :func:`_horner`)."""
+    return c if c is None or c.ndim != 2 else c.T[:, :, None]
 
 
 def _horner(z, coeffs, dcoeffs=None, abscoeffs=None):
@@ -198,23 +197,19 @@ def _horner(z, coeffs, dcoeffs=None, abscoeffs=None):
     with the arithmetic of ``npp.polyval``: start at c[-1] + z * 0, then
     p = p * z + c[k] down to k = 0, so each value is bit for bit
     ``npp.polyval``'s.  Each set is one coefficient row shared by all of
-    z, or one row per row of z (shape (len(z), n)).  ``dcoeffs`` has one
-    coefficient fewer than ``coeffs`` (a derivative) and ``abscoeffs``
-    is real.  Returns the three values, None for the sets not given.
+    z, one row per row of z (shape (len(z), n)), or powers first, the
+    rest broadcasting against z (the root kernel's (n, 1, rows)).
+    ``dcoeffs`` has one coefficient fewer than ``coeffs`` (a derivative)
+    and ``abscoeffs`` is real.  Returns the three values, None for the
+    sets not given.
     """
-    n = coeffs.shape[-1]
     coeffs, dcoeffs, abscoeffs = (_columns(coeffs), _columns(dcoeffs),
                                   _columns(abscoeffs))
-    p = z * 0
-    p += coeffs[-1]
-    dp = s = None
-    if dcoeffs is not None:
-        dp = z * 0
-        dp += dcoeffs[-1]
-    if abscoeffs is not None:
-        az = np.abs(z)
-        s = az * 0
-        s += abscoeffs[-1]
+    n = len(coeffs)
+    p = z * 0 + coeffs[-1]
+    dp = None if dcoeffs is None else z * 0 + dcoeffs[-1]
+    az = None if abscoeffs is None else np.abs(z)
+    s = None if abscoeffs is None else az * 0 + abscoeffs[-1]
     for k in range(n - 2, -1, -1):
         p *= z
         p += coeffs[k]
@@ -248,91 +243,88 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
 
     ``monic`` holds finite ascending coefficients with leading 1: one row
     shared by every w, or one row per w (shape (len(ws), deg + 1)).  Row
-    i of ``z0`` holds the deg start points of row i.  Its arrays are
-    (rows, deg), about 15 of them live at once, so a caller bounds the
-    scratch by the number of rows it passes.  A point is frozen
-    once its residual passes the backward-error test (|monic(z) - w|
-    below root_tol relative to the coefficient magnitude accumulated at
-    z, plus |w|), so clusters standing in for multiple roots terminate as
-    well.  A row leaves the active arrays once all its points pass.  The
-    rows never mix, so each row ends as it would alone: collided iterates,
-    which make the row's correction sums non-finite, are jittered by 1e-8
-    of the row's largest start modulus, in a step that moves no other
-    row, which only costs the others one iteration of the step cap.  The
-    correction sums sum_k 1 / (z_j - z_k) are built from the (rows, deg,
-    deg) pairwise differences a block of about CHUNK_BYTES at a time,
-    inverted in place; each row's sum runs along its own contiguous row,
-    so the blocking does not change a bit.  Converged points get two
-    Newton polish steps: the first as their row leaves, from the values
-    of p - w and p' that the test has just computed, the second in one
-    sweep over all rows at the end.  Overflow shows up as non-finite
-    start points or iterates and is raised, never warned about.
+    i of ``z0`` holds the deg start points of row i.  The iteration runs
+    on C-ordered (deg, rows) arrays, rows on the contiguous last axis,
+    whatever the layout of ``z0``, and returns a transposed view; about
+    15 of them live at once, so a caller bounds the scratch by the number
+    of rows it passes.  A point is frozen once its residual passes the
+    backward-error test (|monic(z) - w| below root_tol relative to the
+    coefficient magnitude accumulated at z, plus |w|), so clusters
+    standing in for multiple roots terminate as well.  A row leaves the
+    active arrays once all its points pass.  The rows never mix, so each
+    row ends as it would alone: collided iterates, which make the row's
+    correction sums non-finite, are jittered by 1e-8 of the row's largest
+    start modulus, in a step that moves no other row.  The correction
+    sums sum_{k != j} 1 / (z_j - z_k) are deg passes over (deg, rows)
+    arrays in the fixed order k = 0, 1, ..., deg - 1 (the k = j term is
+    1 / inf = 0), with no block of pairwise differences.  Converged
+    points get two Newton polish steps: the first as their row leaves,
+    from the values of p - w and p' the test has just computed, the
+    second in one sweep over all rows at the end.  Overflow shows up as
+    non-finite start points or iterates and is raised, never warned about.
     """
     deg = monic.shape[-1] - 1
     rowwise = monic.ndim == 2
     with np.errstate(all="ignore"):
-        dcoef = monic[..., 1:] * np.arange(1, deg + 1)
+        sets = [monic, monic[..., 1:] * np.arange(1, deg + 1)]
         # Both sides of the backward-error test are scaled by 2^-64: the
         # deg + 2 terms of the scale can each be finite while their sum is
         # not.  A scale that still overflows accepts nothing.  The scale
         # is floored only at the smallest normal number, so the test stays
         # relative for polynomials that are small near their roots.
-        absc = np.abs(monic) * _DOWN
-        z = np.array(z0, dtype=np.complex128)
+        sets.append(np.abs(monic) * _DOWN)
+        if rowwise:                  # powers first, rows last: (n, 1, rows)
+            sets = [np.ascontiguousarray(c.T)[:, None, :] for c in sets]
+        z = np.array(z0.T, dtype=np.complex128, order="C")
         # a start that is not finite would be taken for a collision
         if not np.isfinite(z).all():
             raise ConvergenceFailure("root iteration produced non-finite iterates")
-        radius = np.abs(z).max(axis=1)
 
-        # The active rows: their indices, iterates, right hand sides and
-        # their scaled moduli, start radii, coefficient rows and frozen
-        # points.
+        # the active rows: indices, iterates, w, scaled |w|, coefficients
         act = np.arange(ws.size)
-        za, wa, wd, ra = z, ws[:, None], np.abs(ws)[:, None] * _DOWN, radius
-        ca, dca, aca = monic, dcoef, absc
-        frozen = np.zeros((ws.size, deg), dtype=bool)
-        idx = np.arange(deg)
+        za, wa, wd, cs = z, ws, np.abs(ws) * _DOWN, sets
+        frozen = np.zeros((deg, ws.size), dtype=bool)
         for _ in range(_MAX_ITER):
-            pv, dv, bscale = _horner(za, ca, dca, aca)
+            pv, dv, bscale = _horner(za, *cs)
             pv -= wa
             bscale += wd
             np.maximum(bscale, _TINY, out=bscale)
             ok = ((np.abs(pv) * _DOWN <= tol.root_tol * bscale)
                   & np.isfinite(bscale))
-            done = ok.all(axis=1)
+            done = ok.all(axis=0)
             ndone = np.count_nonzero(done)
             if ndone:
-                z[act[done]] = _newton_step(za[done], pv[done], dv[done])
+                z[:, act[done]] = _newton_step(za[:, done], pv[:, done],
+                                               dv[:, done])
                 if ndone == act.size:
-                    pv, dv, _ = _horner(z, monic, dcoef)
-                    pv -= ws[:, None]
-                    return _newton_step(z, pv, dv)
+                    pv, dv, _ = _horner(z, *sets[:2])
+                    pv -= ws
+                    return _newton_step(z, pv, dv).T
                 live = ~done
-                act, za, wa, wd, ra = (act[live], za[live], wa[live],
-                                       wd[live], ra[live])
+                act, za, wa, wd = act[live], za[:, live], wa[live], wd[live]
                 if rowwise:
-                    ca, dca, aca = ca[live], dca[live], aca[live]
-                frozen, ok, pv, dv = frozen[live], ok[live], pv[live], dv[live]
+                    cs = [c[..., live] for c in cs]
+                frozen, ok = frozen[:, live], ok[:, live]
+                pv, dv = pv[:, live], dv[:, live]
             frozen |= ok
 
             dv[dv == 0] = 1.0
             newton = np.divide(pv, dv, out=pv)
 
-            # ssum[i, j] = sum_{k != j} 1 / (z_ij - z_ik), one block of
-            # rows of the pairwise differences at a time
-            ssum = np.empty_like(za)
-            for rows in blocks(za.shape[0], 16 * deg * deg):
-                diff = za[rows, :, None] - za[rows, None, :]
-                diff[:, idx, idx] = np.inf
-                np.divide(1.0, diff, out=diff)
-                diff.sum(axis=2, out=ssum[rows])
-                del diff                # before the next block is built
+            # ssum[j] = sum_{k != j} 1 / (z_j - z_k), one pass per k
+            ssum, diff = np.zeros_like(za), np.empty_like(za)
+            for k in range(deg):
+                np.subtract(za, za[k], out=diff)
+                diff[k] = np.inf
+                ssum += np.divide(1.0, diff, out=diff)
             # collided iterates (1/0 makes the row's sums non-finite):
             # deterministic jitter, then continue
-            bad = ~np.isfinite(ssum).all(axis=1)
-            if np.count_nonzero(bad):
-                za[bad] = za[bad] + 1e-8 * ra[bad, None] * np.exp(0.7j * idx)[None, :]
-                frozen[bad] = False
+            bad = ~np.isfinite(ssum).all(axis=0)
+            if bad.any():
+                ra = np.abs(z0[act[bad]]).max(axis=1)
+                za[:, bad] = za[:, bad] + 1e-8 * ra * np.exp(
+                    0.7j * np.arange(deg))[:, None]
+                frozen[:, bad] = False
                 continue
             # the Aberth step newton / (1 - newton * ssum), the Newton
             # step where that denominator nearly vanishes
@@ -346,8 +338,8 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
             if not np.isfinite(za).all():
                 raise ConvergenceFailure("root iteration produced non-finite iterates")
 
-        z[act] = za
-        pv = _horner(z, monic)[0] - ws[:, None]
+        z[:, act] = za
+        pv = _horner(z, sets[0])[0] - ws
         worst = float(np.abs(pv).max())
     raise ConvergenceFailure(
         f"root iteration did not converge in {_MAX_ITER} steps "
@@ -435,9 +427,10 @@ def fiber_batch(centers: "Centers", ws,
     fiber (``_asymptotic_start``).  The rule reads only the row's own w.
 
     As no row's result depends on the rows beside it, the start points
-    are built and the kernel run one block of rows at a time, its (rows,
-    d) arrays a quarter of CHUNK_BYTES each: the kernel holds about 15 of
-    them, so its scratch stays a few CHUNK_BYTES whatever len(ws) is.
+    are built and the kernel run one block of rows at a time.  The kernel
+    holds about 15 (d, rows) arrays, rows last, and sums in a fixed order
+    with no pairwise block; each array is a quarter of CHUNK_BYTES, so
+    its scratch stays a few CHUNK_BYTES whatever len(ws) is.
     """
     ws = np.asarray(ws, dtype=np.complex128).ravel()
     d = centers.d
@@ -445,17 +438,18 @@ def fiber_batch(centers: "Centers", ws,
     zero_rows = ws == 0
     out[zero_rows] = centers.lambdas
     live = np.flatnonzero(~zero_rows)
+    lam, ell, near = centers.lambdas, centers.ell, centers._near
+    nudge = np.where(np.isfinite(near), 1e-3 * near, 0.0) * np.exp(
+        1j * (0.4 + 2.0 * np.pi * np.arange(d) / d))
     for blk in blocks(live.size, 4 * 16 * d):
         rows = live[blk]
         wl = ws[rows]
-        lam, ell, near = centers.lambdas, centers.ell, centers._near
         with np.errstate(all="ignore"):
             shift = wl[:, None] * ell[None, :]
             local = (np.abs(shift) <= near[None, :]).all(axis=1)
-            z0 = _asymptotic_start(lam, wl)
-            nudge = np.where(np.isfinite(near), 1e-3 * near, 0.0) * np.exp(
-                1j * (0.4 + 2.0 * np.pi * np.arange(d) / d))
+            z0 = np.empty_like(shift)
             z0[local] = lam + shift[local] + nudge
+            z0[~local] = _asymptotic_start(lam, wl[~local])
         out[rows] = _aberth(centers.poly.coeffs, wl, z0, tol)
     return out
 

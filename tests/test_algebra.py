@@ -399,6 +399,17 @@ class TestAlgebraLawProperties:
                                      * op_norm(f) * op_norm(g))
 
 
+def _characteristic_rows_major(f):
+    """Phi_1..Phi_d by the recurrence on an (m, d + 1) array (test oracle)."""
+    gv = f.gelfand_values()
+    m, d = gv.shape
+    e = np.zeros((m, d + 1), dtype=np.complex128)
+    e[:, 0] = 1.0
+    for k in range(d):
+        e[:, 1:k + 2] = e[:, 1:k + 2] + gv[:, k, None] * e[:, :k + 1]
+    return e[:, 1:].copy()
+
+
 class TestCharacteristic:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_unit_gives_binomials(self, d):
@@ -452,6 +463,12 @@ class TestCharacteristic:
                 want = (-1.0) ** k * mono[d - k]
                 assert abs(ch.coeffs[i, k - 1] - want) <= \
                     1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 64])
+    def test_matches_the_rows_major_recurrence_bit_for_bit(self, d):
+        f = _sampled_function(d)
+        want = _characteristic_rows_major(f)
+        assert characteristic(f).coeffs.tobytes() == want.tobytes()
 
     def test_polynomial_components_give_polynomial_phi(self):
         # With polynomial f_j, Phi_d(w) is a polynomial in w of degree
@@ -970,6 +987,15 @@ class TestMultBlocks:
         assert mats.tobytes() == _mult_matrices_one_shot(f).tobytes()
         for i in (0, f.m // 2, f.m - 1):
             assert mult_matrix(f, i).tobytes() == mats[i].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 4, 64])
+    def test_mult_matrix_is_a_c_contiguous_copy(self, d):
+        f = _sampled_function(d)
+        mats = mult_matrices(f)
+        for i in (0, f.m - 1):
+            b = mult_matrix(f, i)
+            assert b.shape == (d, d) and b.flags.c_contiguous
+            assert b.flags.owndata and b.tobytes() == mats[i].tobytes()
 
     @pytest.mark.parametrize("d", [2, 64])
     def test_invert_solves_the_stack_bit_for_bit(self, d):

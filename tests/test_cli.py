@@ -523,6 +523,29 @@ class TestExitCodes:
         assert json.loads(out)["passed"] is False
 
 
+    @pytest.mark.parametrize("suite", ["homomorphism", "all"])
+    def test_verify_failure_prints_one_error_line(self, capsys, monkeypatch,
+                                                  suite):
+        # the report stays on stdout; stderr names the failed suite and
+        # its failed-case count
+        import multicentric.verify as verify_mod
+        from multicentric.verify import CaseResult, SuiteReport
+
+        def fake(seed=0, **kw):
+            cases = (CaseResult("x", False, 1.0, 0.5),
+                     CaseResult("y", True, 0.1, 0.5))
+            return SuiteReport("homomorphism", seed, cases)
+
+        monkeypatch.setitem(verify_mod.SUITES, "homomorphism", fake)
+        code, out, err = run(capsys, "verify", suite, "--cases", "1")
+        assert code == 1 and json.loads(out)["passed"] is False
+        assert_one_error_line(err, "homomorphism (1 of 2 cases)")
+
+    def test_passing_verify_prints_nothing_to_stderr(self, capsys):
+        code, _, err = run(capsys, "verify", "characters", "--cases", "2")
+        assert code == 0 and err == ""
+
+
 class TestConsoleScript:
     def test_module_invocation(self):
         proc = subprocess.run(

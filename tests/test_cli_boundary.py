@@ -169,8 +169,13 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 # verdicts.  verify-all was recorded again when fiber rows past the
 # first-order start began to start near their asymptotic fiber instead
 # of on the Fujiwara circle: only measures of cases with such rows move,
-# by rounding, with the same case ids and verdicts at seeds 0-9.  Other
-# numpy builds may round the last digit differently.
+# by rounding, with the same case ids and verdicts at seeds 0-9.
+# verify-all was recorded again when the root kernel began to add its
+# correction sums in the fixed order k = 0, 1, ..., d - 1: measures of
+# cases with fiber rows at d >= 4 move by rounding, with the same case
+# ids and verdicts at seeds 0-9.  Other numpy builds may round the last
+# digit differently.  ``python tests/test_cli_boundary.py`` prints every
+# table of this file in paste-ready form.
 RECORDED_WITH = ("2.4.6", "x86_64")
 SESSION_DIGESTS = {
     "fiber-1": (0, "21c02c3d091dd3e3"),
@@ -188,17 +193,17 @@ SESSION_DIGESTS = {
     "roots-wilkinson20": (1, "e3b0c44298fc1c14"),
     "roots-wide-range": (1, "e3b0c44298fc1c14"),
     "malformed-json": (2, "e3b0c44298fc1c14"),
-    "verify-all": (0, "5a0d6a0884d08600"),
+    "verify-all": (0, "59d092ce948d87b0"),
 }
 
 # The same digests of verify all at three more seeds and in both formats,
 # so a change that keeps seed 0 byte-identical is checked beyond it;
 # recorded again with verify-all above, and seed 3 before the suites'
-# rejection draws were written once.
+# rejection draws were written once and again with the fixed-order sums.
 VERIFY_DIGESTS = {
-    ("--seed", "1"): (0, "9396bd6833f45a07"),
-    ("--seed", "2", "--format", "csv"): (0, "4f6ad0ec1f09f43c"),
-    ("--seed", "3"): (0, "d1f920d602d34743"),
+    ("--seed", "1"): (0, "d93556e748ac9ace"),
+    ("--seed", "2", "--format", "csv"): (0, "4ba20ecf6a1a7dcc"),
+    ("--seed", "3"): (0, "036d32b3cfffba76"),
 }
 
 
@@ -260,41 +265,62 @@ def _session(seed):
     return mod.CliVerify(seed).calls
 
 
-@pytest.mark.skipif((np.__version__, platform.machine()) != RECORDED_WITH,
-                    reason="digests recorded with numpy 2.4.6 on x86_64")
-def test_cli_session_outputs_unchanged():
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def session_digests():
+    """(exit code, stdout digest) of every call of the session at seed 0."""
     got = {}
     for label, argv, _ in _session(0):
         code, out, _, _ = run_main(argv)
-        got[label] = (code, hashlib.sha256(out.encode()).hexdigest()[:16])
-    assert got == SESSION_DIGESTS
+        got[label] = (code, _digest(out))
+    return got
+
+
+def verify_digest(flags):
+    code, out, _, _ = run_main(["verify", "all", *flags])
+    return code, _digest(out)
+
+
+def path_digests():
+    """(exit code, stdout-and-stderr digest) of every PATH_CALLS call."""
+    got = {}
+    for label, (name, payloads) in PATH_CALLS.items():
+        code, out, err, _ = run_main(
+            [name] + [f"--{flag}={json.dumps(obj)}"
+                      for flag, obj in payloads.items()])
+        got[label] = (code, _digest(out + err))
+    return got
+
+
+@pytest.mark.skipif((np.__version__, platform.machine()) != RECORDED_WITH,
+                    reason="digests recorded with numpy 2.4.6 on x86_64")
+def test_cli_session_outputs_unchanged():
+    assert session_digests() == SESSION_DIGESTS
 
 
 @pytest.mark.skipif((np.__version__, platform.machine()) != RECORDED_WITH,
                     reason="digests recorded with numpy 2.4.6 on x86_64")
 @pytest.mark.parametrize("flags", list(VERIFY_DIGESTS), ids=["seed-1", "seed-2-csv", "seed-3"])
 def test_verify_all_outputs_unchanged(flags):
-    code, out, _, _ = run_main(["verify", "all", *flags])
-    got = (code, hashlib.sha256(out.encode()).hexdigest()[:16])
-    assert got == VERIFY_DIGESTS[flags]
+    assert verify_digest(flags) == VERIFY_DIGESTS[flags]
 
 
 @pytest.mark.skipif((np.__version__, platform.machine()) != RECORDED_WITH,
                     reason="digests recorded with numpy 2.4.6 on x86_64")
 def test_cli_path_outputs_unchanged():
-    got = {}
-    for label, (name, payloads) in PATH_CALLS.items():
-        code, out, err, _ = run_main(
-            [name] + [f"--{flag}={json.dumps(obj)}"
-                      for flag, obj in payloads.items()])
-        got[label] = (code, hashlib.sha256((out + err).encode()).hexdigest()[:16])
-    assert got == PATH_DIGESTS
+    assert path_digests() == PATH_DIGESTS
 
 
 # The first 16 hex digits of the sha256 of fiber_batch's output bytes in
 # two cases where every row takes the first-order start lambda_j +
-# w ell_j, recorded while far rows still started on the Fujiwara circle:
-# a change to the start of far rows must leave these rows bit for bit.
+# w ell_j: a change to the start of far rows must leave these rows bit
+# for bit.  Recorded while far rows still started on the Fujiwara circle,
+# and again when the root kernel began to add its correction sums
+# sum_{k != j} 1 / (z_j - z_k) in the fixed order k = 0, 1, ..., d - 1
+# instead of numpy's pairwise order, which moves rows at d >= 4 by
+# rounding (rows at d <= 3 keep their bytes).
 def _many_centers_rows():
     # d = 64 on a jittered circle, w scattered over |w| <= 1.5
     rng = np.random.default_rng(64)
@@ -312,9 +338,14 @@ def _local_grid_rows():
     return cen, (x[None, :] + 1j * x[:, None]).ravel()
 
 
+def fiber_digest(rows):
+    out = fiber_batch(*rows())
+    return hashlib.sha256(out.tobytes()).hexdigest()[:16]
+
+
 FIBER_DIGESTS = {
-    "many-centers-52": (_many_centers_rows, "119ef55fd1dcc89a"),
-    "local-grid-441": (_local_grid_rows, "98572e832862c1a3"),
+    "many-centers-52": (_many_centers_rows, "068c54291837e0ce"),
+    "local-grid-441": (_local_grid_rows, "c856823c815ae688"),
 }
 
 
@@ -325,5 +356,32 @@ def test_first_order_fiber_rows_unchanged(label):
     rows, digest = FIBER_DIGESTS[label]
     cen, ws = rows()
     assert (np.abs(ws[:, None] * cen.ell) <= cen._near).all()
-    out = fiber_batch(cen, ws)
-    assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == digest
+    assert fiber_digest(rows) == digest
+
+
+def _print_table(name, items):
+    print(f"{name} = {{")
+    for key, value in items:
+        print(f"    {key}: {value},")
+    print("}")
+
+
+if __name__ == "__main__":
+    # Prints the four digest tables of this file in paste-ready form, for
+    # re-recording after a change that moves outputs on purpose (list each
+    # moved digest and its reason where the change is described):
+    #     PYTHONPATH=src python tests/test_cli_boundary.py
+    def pair(code, digest):
+        return f'({code}, "{digest}")'
+
+    print(f"# numpy {np.__version__} on {platform.machine()}")
+    _print_table("SESSION_DIGESTS", [(json.dumps(k), pair(*v))
+                                     for k, v in session_digests().items()])
+    _print_table("VERIFY_DIGESTS", [
+        ("(" + ", ".join(json.dumps(f) for f in flags) + ")",
+         pair(*verify_digest(flags))) for flags in VERIFY_DIGESTS])
+    _print_table("PATH_DIGESTS", [(json.dumps(k), pair(*v))
+                                  for k, v in path_digests().items()])
+    _print_table("FIBER_DIGESTS", [
+        (json.dumps(k), f'({rows.__name__}, "{fiber_digest(rows)}")')
+        for k, (rows, _) in FIBER_DIGESTS.items()])

@@ -456,6 +456,18 @@ class TestFiber:
         assert got[ws != 0].tobytes() == np.concatenate(alone).tobytes()
         assert (got[ws == 0] == cen.lambdas).all()
 
+    def test_one_row_past_a_block_equals_one_row_calls(self):
+        # d = 4 over one block of rows and one more: the kernel's (d, rows)
+        # arrays give each sampled row the bytes of its one-row call
+        d = 4
+        rng = np.random.default_rng(41)
+        cen = Centers(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        n = CHUNK_BYTES // (64 * d) + 1
+        ws = 3.0 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        batch = fiber_batch(cen, ws)
+        for i in np.append(rng.choice(n - 1, 40, replace=False), n - 1):
+            assert fiber_batch(cen, ws[i:i + 1]).tobytes() == batch[i].tobytes()
+
     @given(_fiber_rows())
     def test_rows_are_independent(self, case):
         # what the row blocks rely on: a row ends the same in any batch
@@ -644,6 +656,23 @@ class TestRowwiseKernel:
         shared = _aberth(monic, ws, z0, DEFAULT_TOL)
         rowwise = _aberth(np.tile(monic, (ws.size, 1)), ws, z0, DEFAULT_TOL)
         assert shared.tobytes() == rowwise.tobytes()
+
+    @pytest.mark.parametrize("layout", ["transposed", "fortran"])
+    def test_start_layout_does_not_move_a_bit(self, layout):
+        # the kernel iterates on its own C-ordered (deg, rows) copy, so a
+        # start in another memory layout gives the same bytes and is not
+        # written to
+        cen = Centers([1.0, -1.0, 0.5j, 2.0 - 1j, -0.3 + 1.2j])
+        rng = np.random.default_rng(4)
+        ws = 3.0 * (rng.standard_normal(300) + 1j * rng.standard_normal(300))
+        z0 = _asymptotic_start(cen.lambdas, ws)
+        view = (np.ascontiguousarray(z0.T).T if layout == "transposed"
+                else np.asfortranarray(z0))
+        assert not view.flags.c_contiguous and np.array_equal(view, z0)
+        monic = cen.poly.coeffs
+        want = _aberth(monic, ws, z0.copy(), DEFAULT_TOL)
+        assert _aberth(monic, ws, view, DEFAULT_TOL).tobytes() == want.tobytes()
+        assert np.array_equal(view, z0)
 
 
 def _first_fit(points, radius):
