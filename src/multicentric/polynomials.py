@@ -718,19 +718,19 @@ def _critical_rows(centers: Centers, points, ws, tol: Tolerances) -> np.ndarray:
     Row i is critical when p' is small at one of its points, relative to
     the magnitude of p' accumulated there (floored at 1, both sides from
     :func:`_magnitudes`), or when w_i lies within crit_tol of one of the
-    centers' critical values.  Rows are tested a block at a time, so the
-    scratch is a few CHUNK_BYTES whatever the row count.
+    centers' critical values.  Rows are tested a block at a time, rows on
+    the contiguous last axis, so the scratch is a few CHUNK_BYTES.
     """
     dcoeffs, crit = centers.deriv.coeffs, centers.critical_values
     flags = np.empty(len(ws), dtype=bool)
     with np.errstate(all="ignore"):
         for rows in blocks(len(ws), 16 * points.shape[1]):
-            dv, dscale = _magnitudes(dcoeffs, points[rows])
-            flags[rows] = np.any(dv <= tol.crit_tol * dscale, axis=1)
+            dv, dscale = _magnitudes(dcoeffs, np.ascontiguousarray(points[rows].T))
+            flags[rows] = np.any(dv <= tol.crit_tol * dscale, axis=0)
             if crit.size:
-                gaps = np.abs(ws[rows, None] - crit[None, :])
-                wscale = np.maximum(1.0, np.abs(ws[rows]))[:, None]
-                flags[rows] |= np.any(gaps <= tol.crit_tol * wscale, axis=1)
+                gaps = np.abs(ws[rows] - crit[:, None])
+                wscale = np.maximum(1.0, np.abs(ws[rows]))
+                flags[rows] |= np.any(gaps <= tol.crit_tol * wscale, axis=0)
     return flags
 
 
