@@ -346,36 +346,32 @@ def box(a) -> np.ndarray:
     return v[:, None] - v[None, :]
 
 
-# Rows i of the (i, j, m) difference tensors that polyprod builds at once.
+# Rows i of the (i, j, m) difference tensors that _norm_pass builds at once.
 _PRODUCT_ROWS = 8
 
 
 def polyprod(f: VectorFunction, g: VectorFunction) -> VectorFunction:
     """Polyproduct f * g (componentwise sigma form, vectorized over M).
 
-    The product is pointwise in w, so it is built one block at a time: at
-    most _PRODUCT_ROWS rows of i by about CHUNK_BYTES / (16 rows d)
-    samples.  Each block forms the differences (f_i - f_j)(w) and
-    (g_i - g_j)(w), a (rows, d, samples) tensor of about CHUNK_BYTES
-    each, and writes f_i g_i - w sum_j sigma_ij (f_i - f_j)(g_i - g_j)
-    straight into the output, so the only array whose size grows with m
-    is the output, which the result keeps without a copy.  The sum is one
-    einsum per block, whose rounding does not depend on the number of
-    samples in the block, so the result is bit for bit the same for any
-    blocking.  A square (g is f) reuses the f block.
+    f_i g_i - w sum_j sigma_ij (f_i - f_j)(g_i - g_j) on (d, samples)
+    blocks of about CHUNK_BYTES / (64 d) samples, adding the terms for j =
+    0, 1, ..., d - 1 in turn (a square squares the difference in place).
+    Each entry takes the same operations whatever the block, so the result
+    is bit for bit the same for any blocking; the output, which the result
+    keeps without a copy, is the only array whose size grows with m.
     """
     samples = _common_samples(f, g)
     sigma, fv, gv, w = f.ctx.sigma, f.values, g.values, samples.points
     vals = np.empty_like(fv)
     with np.errstate(all="ignore"):
-        for cols in blocks(f.m, 16 * min(_PRODUCT_ROWS, f.d) * f.d):
-            for lo in range(0, f.d, _PRODUCT_ROWS):
-                rows = slice(lo, lo + _PRODUCT_ROWS)
-                fd = fv[rows, None, cols] - fv[None, :, cols]
-                gd = fd if g is f else gv[rows, None, cols] - gv[None, :, cols]
-                corr = np.einsum("ij,ijm,ijm->im", sigma[rows], fd, gd)
-                vals[rows, cols] = (fv[rows, cols] * gv[rows, cols]
-                                    - w[cols] * corr)
+        for cols in blocks(f.m, 64 * f.d):
+            fb, gb = fv[:, cols], gv[:, cols]
+            corr, a, b = np.zeros_like(fb), np.empty_like(fb), np.empty_like(fb)
+            for j in range(f.d):
+                np.subtract(fb, fb[j], out=a)
+                a *= a if g is f else np.subtract(gb, gb[j], out=b)
+                corr += np.multiply(sigma[:, j, None], a, out=a)
+            vals[:, cols] = fb * gb - w[cols] * corr
     if not np.isfinite(vals).all():
         raise AlgebraOverflow("polyproduct values are not finite")
     return VectorFunction._own(samples, vals)
@@ -471,7 +467,7 @@ def _norm_pass(sigma, w, fv, square: bool):
     sums being products of sigma and |sigma| with D and |D|.  The square
     f_i^2 - w sum_j sigma_ij D_ij^2 squares D in place afterwards and
     takes its sum from the same batched matmul with sigma, so it agrees
-    with polyprod(f, f) (an einsum) to rounding, not bit for bit.  The
+    with polyprod(f, f) (a loop over j) to rounding, not bit for bit.  The
     blocks span all samples, unlike polyprod's: batched matmuls round
     differently with the number of columns, so splitting the samples
     would change the last bits.  Overflow is left to the caller, as a

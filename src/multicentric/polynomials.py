@@ -255,12 +255,13 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
     row ends as it would alone: collided iterates, which make the row's
     correction sums non-finite, are jittered by 1e-8 of the row's largest
     start modulus, in a step that moves no other row.  The correction
-    sums sum_{k != j} 1 / (z_j - z_k) are deg passes over (deg, rows)
-    arrays in the fixed order k = 0, 1, ..., deg - 1 (the k = j term is
-    1 / inf = 0), with no block of pairwise differences.  Converged
-    points get two Newton polish steps: the first as their row leaves,
-    from the values of p - w and p' the test has just computed, the
-    second in one sweep over all rows at the end.  Overflow shows up as
+    sums sum_{k != j} 1 / (z_j - z_k) take one reciprocal per pair, deg
+    (deg - 1) / 2 a row: passes s = 1, ..., ceil(deg / 2) - 1, in that
+    order, pair z_j with z_{j - s mod deg}, adding to one what they take
+    from the other; at even deg a half pass pairs z_j, z_{j + deg/2}.
+    Converged points get two Newton polishes: the first as their row
+    leaves, from the values of p - w and p' the test has just computed,
+    the second in one sweep over all rows at the end.  Overflow shows as
     non-finite start points or iterates and is raised, never warned about.
     """
     deg = monic.shape[-1] - 1
@@ -292,31 +293,38 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
             ok = ((np.abs(pv) * _DOWN <= tol.root_tol * bscale)
                   & np.isfinite(bscale))
             done = ok.all(axis=0)
-            ndone = np.count_nonzero(done)
-            if ndone:
-                z[:, act[done]] = _newton_step(za[:, done], pv[:, done],
-                                               dv[:, done])
-                if ndone == act.size:
+            if done.any():
+                fin = np.flatnonzero(done)
+                z[:, act[fin]] = _newton_step(
+                    *(a.take(fin, axis=1) for a in (za, pv, dv)))
+                if fin.size == act.size:
                     pv, dv, _ = _horner(z, *sets[:2])
                     pv -= ws
                     return _newton_step(z, pv, dv).T
-                live = ~done
-                act, za, wa, wd = act[live], za[:, live], wa[live], wd[live]
+                live = np.flatnonzero(~done)
+                act, wa, wd = act[live], wa[live], wd[live]
+                za, frozen, ok, pv, dv = (a.take(live, axis=1)
+                                          for a in (za, frozen, ok, pv, dv))
                 if rowwise:
-                    cs = [c[..., live] for c in cs]
-                frozen, ok = frozen[:, live], ok[:, live]
-                pv, dv = pv[:, live], dv[:, live]
+                    cs = [c.take(live, axis=-1) for c in cs]
             frozen |= ok
 
             dv[dv == 0] = 1.0
             newton = np.divide(pv, dv, out=pv)
 
-            # ssum[j] = sum_{k != j} 1 / (z_j - z_k), one pass per k
+            # ssum[j] = sum_{k != j} 1 / (z_j - z_k), each pair once
             ssum, diff = np.zeros_like(za), np.empty_like(za)
-            for k in range(deg):
-                np.subtract(za, za[k], out=diff)
-                diff[k] = np.inf
-                ssum += np.divide(1.0, diff, out=diff)
+            for s in range(1, (deg + 1) // 2):
+                np.subtract(za[s:], za[:-s], out=diff[s:])
+                np.subtract(za[:s], za[-s:], out=diff[:s])
+                r = np.divide(1.0, diff, out=diff)
+                ssum += r
+                ssum[:-s] -= r[s:]
+                ssum[-s:] -= r[:s]
+            if deg % 2 == 0:
+                r = 1.0 / (za[:deg // 2] - za[deg // 2:])
+                ssum[:deg // 2] += r
+                ssum[deg // 2:] -= r
             # collided iterates (1/0 makes the row's sums non-finite):
             # deterministic jitter, then continue
             bad = ~np.isfinite(ssum).all(axis=0)
@@ -417,40 +425,45 @@ def fiber_batch(centers: "Centers", ws,
                 tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Fiber points of the center polynomial over each w; shape (len(ws), d).
 
-    The batched root kernel over the right hand sides.  Rows with w
-    exactly 0 return the centers themselves.  A row starts at the
-    first-order fiber points lambda_j + w ell_j (ell_j = 1/p'(lambda_j))
-    when every |w ell_j| is at most lambda_j's distance to its nearest
-    other center; a nudge of 1e-3 of that distance, turned a little
-    further for each j, breaks the real symmetry on which a real p and a
-    real w would otherwise stall.  Other rows start near their asymptotic
-    fiber (``_asymptotic_start``).  The rule reads only the row's own w.
+    The batched root kernel over the right hand sides.  A row starts at
+    the first-order points lambda_j + w ell_j (ell_j = 1/p'(lambda_j))
+    when every |w ell_j| is at most near_j, lambda_j's distance to its
+    nearest other center; a nudge of 1e-3 near_j, turned a little further
+    for each j, breaks the real symmetry on which a real p and a real w
+    would otherwise stall.  Other rows start near their asymptotic fiber
+    (``_asymptotic_start``).  The rule reads only the row's own w.  Rows
+    over w = 0 are the centers, and a row with |w| at most
+    ``Centers._unresolved`` = min_j min(eps S_j, near_j / (d |ell_j|)),
+    S_j = sum_k |a_k| |lambda_j|^k over p's coefficients (0 unless every
+    computed |p(lambda_j)| is within Horner's bound d eps S_j), is the
+    first-order points, which iterating would only move by rounding: as
+    p(lambda_j + w ell_j) - w = w (prod_{k != j} (1 + w ell_j / (lambda_j
+    - lambda_k)) - 1), they miss the fiber by under 1.72 |w|, plus d eps
+    S_j / 2 from rounding the point, so by under (d + 2) eps S_j.
 
-    As no row's result depends on the rows beside it, the start points
-    are built and the kernel run one block of rows at a time.  The kernel
-    holds about 15 (d, rows) arrays, rows last, and sums in a fixed order
-    with no pairwise block; each array is a quarter of CHUNK_BYTES, so
-    its scratch stays a few CHUNK_BYTES whatever len(ws) is.
+    Rows never affect each other, so the kernel runs a block of rows at
+    a time (slices of ws when every row iterates), from starts built in
+    its (d, rows) layout, in a scratch of a few CHUNK_BYTES.
     """
     ws = np.asarray(ws, dtype=np.complex128).ravel()
     d = centers.d
-    out = np.empty((ws.size, d), dtype=np.complex128)
-    zero_rows = ws == 0
-    out[zero_rows] = centers.lambdas
-    live = np.flatnonzero(~zero_rows)
     lam, ell, near = centers.lambdas, centers.ell, centers._near
-    nudge = np.where(np.isfinite(near), 1e-3 * near, 0.0) * np.exp(
-        1j * (0.4 + 2.0 * np.pi * np.arange(d) / d))
+    out = np.empty((ws.size, d), dtype=np.complex128)
+    unresolved = np.abs(ws) <= centers._unresolved
+    out[unresolved] = lam + ws[unresolved, None] * ell
+    out[ws == 0] = lam
+    live = np.flatnonzero(~unresolved)
+    nudge = (np.where(np.isfinite(near), 1e-3 * near, 0.0) * np.exp(
+        1j * (0.4 + 2.0 * np.pi * np.arange(d) / d)))[:, None]
     for blk in blocks(live.size, 4 * 16 * d):
-        rows = live[blk]
+        rows = blk if live.size == ws.size else live[blk]
         wl = ws[rows]
         with np.errstate(all="ignore"):
-            shift = wl[:, None] * ell[None, :]
-            local = (np.abs(shift) <= near[None, :]).all(axis=1)
-            z0 = np.empty_like(shift)
-            z0[local] = lam + shift[local] + nudge
-            z0[~local] = _asymptotic_start(lam, wl[~local])
-        out[rows] = _aberth(centers.poly.coeffs, wl, z0, tol)
+            shift = wl * ell[:, None]
+            z0 = lam[:, None] + shift + nudge
+            far = np.flatnonzero(~(np.abs(shift) <= near[:, None]).all(axis=0))
+            z0[:, far] = _asymptotic_start(lam, wl[far]).T
+        out[rows] = _aberth(centers.poly.coeffs, wl, z0.T, tol)
     return out
 
 
@@ -665,6 +678,17 @@ class Centers:
         ell = _lagrange_weights(self.lambdas)
         ell.flags.writeable = False
         return ell
+
+    @cached_property
+    def _unresolved(self) -> float:
+        """The |w| up to which fiber_batch takes first-order fiber rows."""
+        eps = np.finfo(float).eps
+        with np.errstate(all="ignore"):
+            a = npp.polyfromroots(self.lambdas)         # self.poly, unchecked
+            s = npp.polyval(np.abs(self.lambdas), np.abs(a))
+            ok = np.abs(npp.polyval(self.lambdas, a)) <= self.d * eps * s
+            floor = np.minimum(eps * s, self._near / (self.d * np.abs(self.ell)))
+        return float(floor.min()) if ok.all() and np.isfinite(s).all() else 0.0
 
     @cached_property
     def critical_points(self) -> np.ndarray:

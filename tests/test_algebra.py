@@ -16,7 +16,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from multicentric.algebra import (
-    _PRODUCT_ROWS,
     AlgebraContext,
     SampleSet,
     VectorFunction,
@@ -39,7 +38,7 @@ from multicentric.algebra import (
     spectrum_multiset,
     sup_norm,
 )
-from multicentric import linalg
+from multicentric import config, linalg
 from multicentric.config import CHUNK_BYTES, DEFAULT_TOL
 from multicentric.errors import (
     AlgebraOverflow,
@@ -919,30 +918,52 @@ class TestBasisValues:
 
 
 def _polyprod_one_shot(f, g):
-    """The sigma form over the full (d, d, m) difference tensors."""
+    """The sigma form over all samples at once, adding the terms
+    sigma_ij (f_i - f_j)(g_i - g_j) for j = 0, 1, ..., d - 1 in turn."""
+    fv, gv = f.values, g.values
+    corr = np.zeros_like(fv)
+    for j in range(f.d):
+        corr += f.ctx.sigma[:, j, None] * ((fv - fv[j]) * (gv - gv[j]))
+    return fv * gv - f.samples.points * corr
+
+
+def _polyprod_einsum(f, g):
+    """The sigma form as one einsum over the full (d, d, m) differences,
+    and its rounding bound against any other order of the same sums."""
     fd = f.values[:, None, :] - f.values[None, :, :]
     gd = g.values[:, None, :] - g.values[None, :, :]
     corr = np.einsum("ij,ijm,ijm->im", f.ctx.sigma, fd, gd)
-    return f.values * g.values - f.samples.points[None, :] * corr
+    terms = np.einsum("ij,ijm->im", np.abs(f.ctx.sigma), np.abs(fd * gd))
+    # each of the d products and sums rounds by a few eps of |terms|
+    bound = 4 * f.d * EPS * (np.abs(f.samples.points) * terms
+                             + np.abs(f.values * g.values))
+    return f.values * g.values - f.samples.points * corr, bound
 
 
 class TestPolyprodBlocks:
     @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 17, 64])
-    def test_matches_one_shot_bit_for_bit(self, d):
+    def test_matches_one_shot_bit_for_bit(self, d, monkeypatch):
         rng = np.random.default_rng(d)
         ctx = AlgebraContext(Centers(_circle_centers(rng, d)))
         ss = SampleSet(ctx, 1.5 * (rng.uniform(-1, 1, 60)
                                    + 1j * rng.uniform(-1, 1, 60)))
         f, g = _rand_function(rng, ss), _rand_function(rng, ss)
-        assert np.array_equal(polyprod(f, g).values, _polyprod_one_shot(f, g))
-        assert np.array_equal(polyprod(f, f).values, _polyprod_one_shot(f, f))
+        # blocks of 60 samples, of 7 and of one
+        for chunk in (CHUNK_BYTES, 64 * d * 7, 64 * d):
+            monkeypatch.setattr(config, "CHUNK_BYTES", chunk)
+            for a, b in ((f, g), (f, f)):
+                assert np.array_equal(polyprod(a, b).values,
+                                      _polyprod_one_shot(a, b))
         twin = VectorFunction(ss, f.values)     # equal values, not the same object
         assert np.array_equal(polyprod(f, twin).values, polyprod(f, f).values)
+        for a, b in ((f, g), (f, f)):
+            want, bound = _polyprod_einsum(a, b)
+            assert (np.abs(polyprod(a, b).values - want) <= bound).all()
 
     @pytest.mark.parametrize("d", [1, 2, 9, 64])
     def test_sample_blocks_bit_for_bit(self, d):
         # two full blocks of samples and a last block one sample wide
-        step = CHUNK_BYTES // (16 * min(_PRODUCT_ROWS, d) * d)
+        step = CHUNK_BYTES // (64 * d)
         m = 2 * step + 1
         rng = np.random.default_rng(d)
         ctx = AlgebraContext(Centers(_circle_centers(rng, d)))
@@ -952,6 +973,18 @@ class TestPolyprodBlocks:
         for a, b in ((f, g), (f, f)):
             want = _polyprod_one_shot(a, b)
             assert polyprod(a, b).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lams", [[1.0, -1.0], [0.5 + 1j, -1.5 + 1j]])
+    def test_two_centers_equal_the_boxed_assembly(self, lams):
+        # lambda_0 - lambda_1 = 2 or -2, so L_01, ell_1 and sigma_01 are
+        # powers of two and both routes round only the same products
+        rng = np.random.default_rng(2)
+        ss = SampleSet(AlgebraContext(Centers(lams)),
+                       1.5 * (rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50)))
+        f, g = _rand_function(rng, ss), _rand_function(rng, ss)
+        for a, b in ((f, g), (f, f), (g, f)):
+            assert (polyprod(a, b).values.tobytes()
+                    == polyprod_boxed(a, b).values.tobytes())
 
 
 def _mult_matrices_one_shot(f):

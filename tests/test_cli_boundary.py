@@ -180,8 +180,8 @@ RECORDED_WITH = ("2.4.6", "x86_64")
 SESSION_DIGESTS = {
     "fiber-1": (0, "21c02c3d091dd3e3"),
     "fiber-2": (0, "4721b5b63724cbc2"),
-    "polyprod-fg": (0, "0a9f47402ff7f82e"),
-    "polyprod-gf": (0, "06c1e6ccdb3e1180"),
+    "polyprod-fg": (0, "2bd764aafd114da4"),
+    "polyprod-gf": (0, "494a9d90688d8c8c"),
     "invert": (0, "196e30b534810919"),
     "spectrum": (0, "90fa2ea3a276ed29"),
     "charfunc": (0, "9e113e5162cbbc33"),
@@ -193,7 +193,7 @@ SESSION_DIGESTS = {
     "roots-wilkinson20": (1, "e3b0c44298fc1c14"),
     "roots-wide-range": (1, "e3b0c44298fc1c14"),
     "malformed-json": (2, "e3b0c44298fc1c14"),
-    "verify-all": (0, "59d092ce948d87b0"),
+    "verify-all": (0, "7b2973f2349494df"),
 }
 
 # The same digests of verify all at three more seeds and in both formats,
@@ -201,9 +201,9 @@ SESSION_DIGESTS = {
 # recorded again with verify-all above, and seed 3 before the suites'
 # rejection draws were written once and again with the fixed-order sums.
 VERIFY_DIGESTS = {
-    ("--seed", "1"): (0, "d93556e748ac9ace"),
-    ("--seed", "2", "--format", "csv"): (0, "4ba20ecf6a1a7dcc"),
-    ("--seed", "3"): (0, "036d32b3cfffba76"),
+    ("--seed", "1"): (0, "e804b562a51fa2c8"),
+    ("--seed", "2", "--format", "csv"): (0, "b1f14112bdfa9a90"),
+    ("--seed", "3"): (0, "3e7a152e278982af"),
 }
 
 
@@ -313,14 +313,14 @@ def test_cli_path_outputs_unchanged():
     assert path_digests() == PATH_DIGESTS
 
 
-# The first 16 hex digits of the sha256 of fiber_batch's output bytes in
-# two cases where every row takes the first-order start lambda_j +
-# w ell_j: a change to the start of far rows must leave these rows bit
-# for bit.  Recorded while far rows still started on the Fujiwara circle,
-# and again when the root kernel began to add its correction sums
-# sum_{k != j} 1 / (z_j - z_k) in the fixed order k = 0, 1, ..., d - 1
-# instead of numpy's pairwise order, which moves rows at d >= 4 by
-# rounding (rows at d <= 3 keep their bytes).
+# The first 16 hex digits of the sha256 of fiber_batch's output bytes.
+# In the two cases at d > 3 every row takes the first-order start
+# lambda_j + w ell_j, so a change to the start of far rows must leave
+# them bit for bit; they were recorded again when the kernel's
+# correction sums sum_{k != j} 1 / (z_j - z_k) changed their order of
+# summation, which moves rows at d >= 4 by rounding.  At d <= 3 each sum
+# has at most two terms, and every row, near or far, keeps its bytes
+# (but for rows of a |w| too small to iterate on, none of them here).
 def _many_centers_rows():
     # d = 64 on a jittered circle, w scattered over |w| <= 1.5
     rng = np.random.default_rng(64)
@@ -338,14 +338,25 @@ def _local_grid_rows():
     return cen, (x[None, :] + 1j * x[:, None]).ravel()
 
 
+def _low_degree_rows():
+    # d = 3, 600 w at scales 1e-4 to 1e4, every 40th exactly 0
+    rng = np.random.default_rng(3)
+    cen = Centers(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    ws = 10.0 ** rng.uniform(-4, 4, 600) * np.exp(
+        2j * np.pi * rng.uniform(size=600))
+    ws[::40] = 0.0
+    return cen, ws
+
+
 def fiber_digest(rows):
     out = fiber_batch(*rows())
     return hashlib.sha256(out.tobytes()).hexdigest()[:16]
 
 
 FIBER_DIGESTS = {
-    "many-centers-52": (_many_centers_rows, "068c54291837e0ce"),
-    "local-grid-441": (_local_grid_rows, "c856823c815ae688"),
+    "many-centers-52": (_many_centers_rows, "d9a9ee443df93cc3"),
+    "local-grid-441": (_local_grid_rows, "acc16b13e5313aac"),
+    "low-degree-600": (_low_degree_rows, "dec7c9ccc1f9fb5a"),
 }
 
 
@@ -355,7 +366,8 @@ FIBER_DIGESTS = {
 def test_first_order_fiber_rows_unchanged(label):
     rows, digest = FIBER_DIGESTS[label]
     cen, ws = rows()
-    assert (np.abs(ws[:, None] * cen.ell) <= cen._near).all()
+    if cen.d > 3:
+        assert (np.abs(ws[:, None] * cen.ell) <= cen._near).all()
     assert fiber_digest(rows) == digest
 
 

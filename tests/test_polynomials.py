@@ -5,6 +5,7 @@ import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import given, strategies as st
 
+from multicentric import config
 from multicentric.config import CHUNK_BYTES, DEFAULT_TOL
 from multicentric.errors import (
     AlgebraOverflow,
@@ -404,6 +405,25 @@ class TestFiber:
         assert pts.shape == (4, 1)
         assert np.abs(pts[:, 0] - (lam + ws)).max() <= 1e-15 * np.abs(ws).max()
 
+    def test_unresolved_w_gives_the_first_order_points(self):
+        # |w| = 5.7e-103 is far below what p's monomial coefficients
+        # resolve at these centers (the pinned example of the homomorphism
+        # property); iterated on those coefficients, the points came back
+        # 4e-15 off the centers, where p(z) - w (product form) is ~|w|
+        cen = Centers([-1.4346786362610806 - 1.480855798450437j,
+                       4.940618973178991e-204 - 1.3978210323148053j,
+                       -0.75 - 1.4999999403953552j])
+        w = 5.658543416434881e-103 - 4.7538840213742625e-104j
+        assert 0 < abs(w) <= cen._unresolved
+        pts = fiber_batch(cen, [w, 0.0, 1e-12])
+        assert pts[0].tobytes() == (cen.lambdas + w * cen.ell).tobytes()
+        assert pts[1].tobytes() == cen.lambdas.tobytes()
+        res = np.abs(np.prod(pts[:1].T - cen.lambdas, axis=1) - w)
+        assert (res <= 2 * abs(w)).all()
+        assert _backward_err(cen, [1e-12], pts[2:]) <= DEFAULT_TOL.root_tol
+        # where the monomial coefficients cancel, no w counts as unresolved
+        assert Centers(2.0 * np.exp(2j * np.pi * np.arange(64) / 64))._unresolved == 0
+
     @pytest.mark.parametrize("d", [32, 64])
     def test_many_centers_on_a_circle(self, d):
         # the Cauchy start circle of radius ~2^d overflowed polyval here
@@ -412,10 +432,12 @@ class TestFiber:
         pts = fiber_batch(cen, ws)
         assert _backward_err(cen, ws, pts) <= DEFAULT_TOL.root_tol
 
-    @pytest.mark.parametrize("d", [4, 24, 64])
-    def test_batch_rows_equal_single_rows(self, d):
+    @pytest.mark.parametrize("d", [4, 5, 9, 24, 64])
+    def test_batch_rows_equal_single_rows(self, d, monkeypatch):
         # Converged rows leave the batch early; every row must still end
-        # exactly as it does when solved alone.
+        # exactly as it does when solved alone.  A block of fiber_batch
+        # holds 8 rows here, so every batch spans two blocks or more.
+        monkeypatch.setattr(config, "CHUNK_BYTES", 64 * d * 8)
         rng = np.random.default_rng(d)
         if d == 64:     # a jittered circle; random normal centers cancel
             cen = Centers((1.0 + rng.uniform(-0.06, 0.06, d)) * np.exp(
@@ -430,8 +452,6 @@ class TestFiber:
             crit[:3] + 1e-10, crit[:3] * (1 + 1e-6),
         ])
         if d == 64:
-            # a block of the kernel's pairwise differences holds 16 rows
-            # at d = 64; 40 more rows make the batch span four
             ws = np.concatenate([ws, 2.0 * (rng.standard_normal(40)
                                             + 1j * rng.standard_normal(40))])
         rng.shuffle(ws)
@@ -540,12 +560,16 @@ class TestFarRows:
 class TestCollisionBranch:
     """The root kernel's jitter of a row whose iterates collide."""
 
-    def test_collided_row_converges_beside_an_ordinary_row(self):
-        cen = Centers([1.0, -1.0, 0.5j, 2.0 - 1j])
+    # the colliding pair: neighbours, whose 1 / 0 is in the offset pass
+    # s = 1, and points d // 2 apart (at d = 4 the half pass)
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("offset", [1, 2])
+    def test_collided_row_converges_beside_an_ordinary_row(self, d, offset):
+        cen = Centers([1.0, -1.0, 0.5j, 2.0 - 1j, -1.5 - 0.5j][:d])
         monic = cen.poly.coeffs
         ws = np.array([0.3 + 0.2j, -0.7 + 0.1j])
         start = _asymptotic_start(cen.lambdas, ws)
-        start[0, 1] = start[0, 0]      # 1 / 0 in the row's correction sums
+        start[0, offset] = start[0, 0]  # 1 / 0 in the row's correction sums
         got = _aberth(monic, ws, start, DEFAULT_TOL)
         alone = _aberth(monic, ws[1:], start[1:], DEFAULT_TOL)[0]
         assert got[1].tobytes() == alone.tobytes()
