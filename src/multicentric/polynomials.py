@@ -327,8 +327,8 @@ def _aberth(monic, ws, z0, tol: Tolerances) -> np.ndarray:
                 ssum[deg // 2:] -= r
             # collided iterates (1/0 makes the row's sums non-finite):
             # deterministic jitter, then continue
-            bad = ~np.isfinite(ssum).all(axis=0)
-            if bad.any():
+            bad = np.flatnonzero(~np.isfinite(ssum).all(axis=0))
+            if bad.size:
                 ra = np.abs(z0[act[bad]]).max(axis=1)
                 za[:, bad] = za[:, bad] + 1e-8 * ra * np.exp(
                     0.7j * np.arange(deg))[:, None]
